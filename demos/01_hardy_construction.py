@@ -51,11 +51,14 @@ print()
 # Each party measures one of two three-outcome observables.  On a qubit the
 # null outcome never fires; in larger spaces it absorbs the complement of
 # the two-dimensional Schmidt sector.
+# build_bases returns one array per party, indexed [setting, sign, component]:
+# setting 0 is x and 1 is y, sign 0 is the +1 vector and 1 the -1 vector.
 bases = build_bases(sf, pair)
-print("first party's x-basis vectors (rows):")
-print(np.array([bases.x_plus_1, bases.x_minus_1]))
-print("first party's y-basis vectors (rows):")
-print(np.array([bases.y_plus_1, bases.y_minus_1]))
+alice, _ = bases
+print("first party's x-basis vectors (rows +1, -1):")
+print(alice[0])
+print("first party's y-basis vectors (rows +1, -1):")
+print(alice[1])
 print()
 
 obs = build_observables(bases, psi.d1, psi.d2)

@@ -7,71 +7,31 @@ below the signature's single nonzero probability, no local realistic model
 can reproduce the state's predictions.  This package computes the
 certificate, the tolerable-noise threshold for mixtures, and an independent
 linear-programming oracle that searches for a local model directly.
+
+The names below are the public entry points; everything else lives in the
+submodules.
 """
 
 __version__ = "0.1.0"
 
 from .certification import (
-    CERTIFICATION_TOL,
-    CertificationReport,
-    NoiseThresholdReport,
     Verdict,
     candidate_from_state,
     certify,
     noise_threshold,
     trace_distance,
 )
-from .errors import (
-    DimensionMismatchError,
-    HardycertError,
-    InvalidStateError,
-    MalformedBehaviorError,
-    NonHermitianError,
-    NonPositiveWeightError,
-    NonSquareError,
-    NotHardyError,
-    NotHermitianError,
-    NotPositiveError,
-    NotUnitTraceError,
-    NumericalBreakdownError,
-    StateFileError,
-    SubsystemMismatchError,
-)
-from .lhv import (
-    Behavior,
-    DeterministicStrategy,
-    LhvResult,
-    behavior_from_state,
-    enumerate_strategies,
-    lhv_feasible,
-)
-from .linalg import (
-    EigenSystem,
-    hermitian_eig,
-    hermiticity_defect,
-    partial_trace,
-    tensor_product,
-    trace_norm,
-)
+from .errors import HardycertError
+from .lhv import behavior_from_state, enumerate_strategies, lhv_feasible
 from .observables import (
-    OUTCOMES,
-    HardyObservableSet,
-    HardyProbabilityTable,
-    MeasurementBases,
-    Observable,
-    RotationPair,
     build_bases,
     build_observables,
-    build_rotations,
     hardy_parameter_a,
     hardy_probability_table,
     joint_probability,
 )
-from .simplex import FeasibilityResult, solve_feasibility_lp
 from .states import (
     DensityOperator,
-    HardyPair,
-    SchmidtForm,
     StateVector,
     find_hardy_pair,
     maximally_mixed,
@@ -82,61 +42,25 @@ from .states import (
 
 __all__ = [
     "__version__",
-    "CERTIFICATION_TOL",
-    "OUTCOMES",
-    "Behavior",
-    "CertificationReport",
     "DensityOperator",
-    "DeterministicStrategy",
-    "DimensionMismatchError",
-    "EigenSystem",
-    "FeasibilityResult",
     "HardycertError",
-    "HardyObservableSet",
-    "HardyPair",
-    "HardyProbabilityTable",
-    "InvalidStateError",
-    "LhvResult",
-    "MalformedBehaviorError",
-    "MeasurementBases",
-    "NoiseThresholdReport",
-    "NonHermitianError",
-    "NonPositiveWeightError",
-    "NonSquareError",
-    "NotHardyError",
-    "NotHermitianError",
-    "NotPositiveError",
-    "NotUnitTraceError",
-    "NumericalBreakdownError",
-    "Observable",
-    "RotationPair",
-    "SchmidtForm",
-    "StateFileError",
     "StateVector",
-    "SubsystemMismatchError",
     "Verdict",
     "behavior_from_state",
     "build_bases",
     "build_observables",
-    "build_rotations",
     "candidate_from_state",
     "certify",
     "enumerate_strategies",
     "find_hardy_pair",
     "hardy_parameter_a",
     "hardy_probability_table",
-    "hermitian_eig",
-    "hermiticity_defect",
     "joint_probability",
     "lhv_feasible",
     "maximally_mixed",
     "noise_threshold",
-    "partial_trace",
     "pure_density",
     "schmidt_decompose",
-    "solve_feasibility_lp",
-    "tensor_product",
     "trace_distance",
-    "trace_norm",
     "validate_density",
 ]

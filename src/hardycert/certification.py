@@ -18,13 +18,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DimensionMismatchError, NotHardyError
+from .lhv import Behavior, behavior_from_state
 from .linalg import hermitian_eig, trace_norm
-from .observables import (
-    HardyProbabilityTable,
-    build_bases,
-    build_observables,
-    hardy_probability_table,
-)
+from .observables import HardyProbabilityTable, build_bases, build_observables
 from .states import (
     DEFAULT_DELTA,
     DensityOperator,
@@ -54,8 +50,10 @@ class CertificationReport:
 
     ``margin`` is always ``a - 6 * epsilon``; the verdict is
     NONLOCAL_CERTIFIED exactly when the margin clears CERTIFICATION_TOL.
-    ``pair`` and ``table`` are None when the candidate has no admissible
-    weight pair (verdict NOT_HARDY), in which case ``a`` is reported as 0.
+    ``behavior`` holds all 36 joint probabilities of ``sigma`` on the
+    candidate's observables.  ``pair`` and ``behavior`` are None when the
+    candidate has no admissible weight pair (verdict NOT_HARDY), in which
+    case ``a`` is reported as 0.
     """
 
     epsilon: float
@@ -63,7 +61,14 @@ class CertificationReport:
     margin: float
     verdict: Verdict
     pair: HardyPair | None
-    table: HardyProbabilityTable | None
+    behavior: Behavior | None
+
+    @property
+    def table(self) -> HardyProbabilityTable | None:
+        """The six designated probabilities, read off ``behavior``."""
+        if self.behavior is None:
+            return None
+        return HardyProbabilityTable.from_behavior(self.behavior.tables)
 
 
 def trace_distance(s1: DensityOperator, s2: DensityOperator) -> float:
@@ -90,9 +95,9 @@ def certify(
     Schmidt-decomposes the candidate, selects the weight pair maximizing the
     parameter ``a`` (weights closer than ``delta`` are not admissible),
     measures epsilon as the trace distance from ``sigma`` to the candidate's
-    projector, and compares ``6 * epsilon`` against ``a``.  The six designated
-    joint probabilities of ``sigma`` on the constructed observables are
-    evaluated and included for inspection.
+    projector, and compares ``6 * epsilon`` against ``a``.  The joint
+    probabilities of ``sigma`` on the constructed observables are evaluated
+    and included for inspection and for the local-model search.
     """
     if (sigma.d1, sigma.d2) != (candidate.d1, candidate.d2):
         raise DimensionMismatchError(
@@ -109,10 +114,9 @@ def certify(
             margin=-6.0 * epsilon,
             verdict=Verdict.NOT_HARDY,
             pair=None,
-            table=None,
+            behavior=None,
         )
     obs = build_observables(build_bases(sf, pair), sigma.d1, sigma.d2)
-    table = hardy_probability_table(sigma, obs)
     margin = pair.a - 6.0 * epsilon
     verdict = Verdict.NONLOCAL_CERTIFIED if margin > CERTIFICATION_TOL else Verdict.INCONCLUSIVE
     return CertificationReport(
@@ -121,7 +125,7 @@ def certify(
         margin=margin,
         verdict=verdict,
         pair=pair,
-        table=table,
+        behavior=behavior_from_state(sigma, obs),
     )
 
 

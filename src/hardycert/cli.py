@@ -34,19 +34,9 @@ from .io import (
     report_payload,
     state_to_dict,
 )
-from .lhv import behavior_from_state, lhv_feasible
+from .lhv import lhv_feasible
 from .linalg import hermitian_eig
-from .observables import build_bases, build_observables
-from .states import (
-    DEFAULT_DELTA,
-    STATE_TOL,
-    DensityOperator,
-    StateVector,
-    find_hardy_pair,
-    pure_density,
-    schmidt_decompose,
-    validate_density,
-)
+from .states import DEFAULT_DELTA, STATE_TOL, DensityOperator, StateVector, pure_density
 
 GEN_KINDS = ("hardy", "bell", "product", "white-noise-mix")
 
@@ -222,16 +212,12 @@ def cmd_noise_threshold(args: argparse.Namespace) -> dict:
 def cmd_lhv_check(args: argparse.Namespace) -> dict:
     sigma = _load_density(args.state, args.tol)
     candidate = _load_pure(args.candidate, "candidate", args.tol)
-    sf = schmidt_decompose(candidate)
-    pair = find_hardy_pair(sf, delta=args.delta)
-    if pair is None:
+    criterion = certify(sigma, candidate, delta=args.delta)
+    if criterion.behavior is None:
         raise NotHardyError(
             f"candidate file {args.candidate} has no admissible pair of distinct Schmidt weights"
         )
-    obs = build_observables(build_bases(sf, pair), sigma.d1, sigma.d2)
-    behavior = behavior_from_state(sigma, obs)
-    result = lhv_feasible(behavior, tol=args.tol)
-    criterion = certify(sigma, candidate, delta=args.delta)
+    result = lhv_feasible(criterion.behavior, tol=args.tol)
     body = lhv_result_to_dict(result)
     body["criterion"] = {
         "epsilon": criterion.epsilon,

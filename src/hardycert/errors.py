@@ -37,10 +37,6 @@ class NonPositiveWeightError(HardycertError):
     """Schmidt weights entering the measurement construction must be > 0."""
 
 
-class SubsystemMismatchError(HardycertError):
-    """An observable was supplied for the wrong tensor factor."""
-
-
 class NotHardyError(HardycertError):
     """The candidate state has no admissible pair of distinct Schmidt weights."""
 

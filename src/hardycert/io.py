@@ -35,7 +35,8 @@ def _parse_complex(value, where: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(part, (int, float)) for part in value)
+        # JSON true/false parse to bool, which Python counts as an int.
+        or not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in value)
     ):
         raise StateFileError(f"{where}: expected a [re, im] pair, got {value!r}")
     return complex(float(value[0]), float(value[1]))
@@ -74,7 +75,7 @@ def parse_state_dict(data, tol: float = STATE_TOL) -> StateVector | DensityOpera
     if (
         not isinstance(dims, (list, tuple))
         or len(dims) != 2
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
     ):
         raise StateFileError(f'"dims" must be two positive integers, got {dims!r}')
     d1, d2 = int(dims[0]), int(dims[1])

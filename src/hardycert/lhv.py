@@ -14,6 +14,7 @@ construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
@@ -21,11 +22,11 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import InvalidStateError, MalformedBehaviorError
-from .observables import OUTCOMES, joint_probability
+from .observables import OUTCOMES, behavior_tables
 from .simplex import solve_feasibility_lp
 
 if TYPE_CHECKING:
-    from .observables import HardyObservableSet
+    from .observables import HardyObservables
     from .states import DensityOperator
 
 ALICE_SETTINGS = ("X1", "Y1")
@@ -87,26 +88,20 @@ def enumerate_strategies() -> list[DeterministicStrategy]:
     return [DeterministicStrategy(*combo) for combo in itertools.product(OUTCOMES, repeat=4)]
 
 
-def behavior_from_state(sigma: DensityOperator, obs: HardyObservableSet) -> Behavior:
+def behavior_from_state(sigma: DensityOperator, obs: HardyObservables) -> Behavior:
     """Quantum behavior of a state on the four constructed observables."""
-    alice_obs = (obs.x1, obs.y1)
-    bob_obs = (obs.x2, obs.y2)
-    tables = np.empty((2, 2, 3, 3))
-    for i, obs_a in enumerate(alice_obs):
-        for j, obs_b in enumerate(bob_obs):
-            for k, outcome_a in enumerate(OUTCOMES):
-                for l, outcome_b in enumerate(OUTCOMES):
-                    tables[i, j, k, l] = joint_probability(sigma, obs_a, outcome_a, obs_b, outcome_b)
-    return Behavior(tables=tables)
+    return Behavior(tables=behavior_tables(sigma, *obs))
 
 
+@functools.cache
 def strategy_constraint_matrix() -> np.ndarray:
     """The 37 x 81 system mapping strategy weights to behavior cells.
 
     Row order: the 36 cells in C order over (alice setting, bob setting,
     alice outcome, bob outcome), then the normalization row of ones.  Column
     order follows ``enumerate_strategies()``.  Many rows are linearly
-    dependent; the solver is expected to cope.
+    dependent; the solver is expected to cope.  The matrix is a constant, so
+    it is built once and returned read-only.
     """
     strategies = enumerate_strategies()
     rows = []
@@ -121,7 +116,9 @@ def strategy_constraint_matrix() -> np.ndarray:
                         ]
                     )
     rows.append([1.0] * len(strategies))
-    return np.array(rows)
+    matrix = np.array(rows)
+    matrix.setflags(write=False)
+    return matrix
 
 
 class LhvResult(NamedTuple):

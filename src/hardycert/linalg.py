@@ -1,5 +1,5 @@
-"""Dense complex-matrix primitives: Hermitian eigendecomposition, Kronecker
-products, partial traces, and the trace norm.
+"""Dense complex-matrix primitives: Hermitian eigendecomposition and the
+trace norm.
 
 Everything here is a pure function on numpy arrays.  The operators this
 package meets are desk scale (dimension products of at most 64), so dense
@@ -44,6 +44,18 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
 
+def _hermitian_part(m, hermiticity_tol: float) -> np.ndarray:
+    mat = _as_matrix(m)
+    if mat.shape[0] != mat.shape[1]:
+        raise NonSquareError(f"expected a square matrix, got shape {mat.shape}")
+    defect = hermiticity_defect(mat)
+    if defect > hermiticity_tol:
+        raise NonHermitianError(
+            f"hermiticity defect {defect:.3e} exceeds tolerance {hermiticity_tol:.3e}"
+        )
+    return (mat + mat.conj().T) / 2.0
+
+
 def hermitian_eig(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> EigenSystem:
     """Eigendecompose a Hermitian matrix.
 
@@ -59,15 +71,7 @@ def hermitian_eig(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> EigenS
     NonHermitianError
         ``max |m - m^dagger|`` exceeds ``hermiticity_tol``.
     """
-    mat = _as_matrix(m)
-    if mat.shape[0] != mat.shape[1]:
-        raise NonSquareError(f"expected a square matrix, got shape {mat.shape}")
-    defect = hermiticity_defect(mat)
-    if defect > hermiticity_tol:
-        raise NonHermitianError(
-            f"hermiticity defect {defect:.3e} exceeds tolerance {hermiticity_tol:.3e}"
-        )
-    eigenvalues, eigenvectors = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+    eigenvalues, eigenvectors = np.linalg.eigh(_hermitian_part(m, hermiticity_tol))
     return EigenSystem(eigenvalues=eigenvalues, eigenvectors=_fix_phases(eigenvectors))
 
 
@@ -80,36 +84,12 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return fixed
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two matrices; block (i, j) equals ``a[i, j] * b``."""
-    return np.kron(_as_matrix(a), _as_matrix(b))
-
-
-def partial_trace(m, d1: int, d2: int, keep: int) -> np.ndarray:
-    """Trace out one tensor factor of an operator on ``C^d1 (x) C^d2``.
-
-    ``keep=1`` returns the d1 x d1 reduction over the first factor, ``keep=2``
-    the d2 x d2 reduction over the second.
-    """
-    mat = _as_matrix(m)
-    if d1 < 1 or d2 < 1:
-        raise DimensionMismatchError("subsystem dimensions must be positive")
-    if mat.shape != (d1 * d2, d1 * d2):
-        raise DimensionMismatchError(
-            f"operator shape {mat.shape} does not match dims ({d1}, {d2})"
-        )
-    if keep not in (1, 2):
-        raise ValueError(f"keep must be 1 or 2, got {keep!r}")
-    blocks = mat.reshape(d1, d2, d1, d2)
-    if keep == 1:
-        return np.einsum("ijkj->ik", blocks)
-    return np.einsum("ijil->jl", blocks)
-
-
 def trace_norm(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> float:
-    """Sum of the absolute eigenvalues of a Hermitian matrix."""
-    system = hermitian_eig(m, hermiticity_tol=hermiticity_tol)
-    return float(np.sum(np.abs(system.eigenvalues)))
+    """Sum of the absolute eigenvalues of a Hermitian matrix.
+
+    Raises the same errors as ``hermitian_eig``.
+    """
+    return float(np.sum(np.abs(np.linalg.eigvalsh(_hermitian_part(m, hermiticity_tol)))))
 
 
 __all__ = [
@@ -117,7 +97,5 @@ __all__ = [
     "EigenSystem",
     "hermitian_eig",
     "hermiticity_defect",
-    "partial_trace",
-    "tensor_product",
     "trace_norm",
 ]

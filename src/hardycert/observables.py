@@ -20,12 +20,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NonPositiveWeightError,
-    SubsystemMismatchError,
-)
-from .linalg import tensor_product
+from .errors import DimensionMismatchError, NonPositiveWeightError
 
 if TYPE_CHECKING:
     from .states import DensityOperator, HardyPair, SchmidtForm
@@ -90,27 +85,14 @@ def build_rotations(p1: float, p2: float) -> RotationPair:
     return RotationPair(u=u, v=v)
 
 
-@dataclass(frozen=True)
-class MeasurementBases:
-    """The eight unit vectors underlying the four observables.
-
-    Subsystem-1 vectors live in C^d1, subsystem-2 vectors in C^d2; all eight
-    stay inside the two-dimensional span of the selected Schmidt pair on
-    their side.
-    """
-
-    x_plus_1: np.ndarray
-    x_minus_1: np.ndarray
-    y_plus_1: np.ndarray
-    y_minus_1: np.ndarray
-    x_plus_2: np.ndarray
-    x_minus_2: np.ndarray
-    y_plus_2: np.ndarray
-    y_minus_2: np.ndarray
-
-
-def build_bases(sf: SchmidtForm, pair: HardyPair) -> MeasurementBases:
+def build_bases(sf: SchmidtForm, pair: HardyPair) -> tuple[np.ndarray, np.ndarray]:
     """Rotate the selected Schmidt pair into the measurement bases.
+
+    Returns ``(alice, bob)`` with shapes ``(2, 2, d1)`` and ``(2, 2, d2)``:
+    ``alice[s, 0]`` and ``alice[s, 1]`` are the +1 and -1 vectors of setting
+    s (0 = x, 1 = y) on subsystem 1, and likewise for ``bob`` on subsystem 2.
+    All of them stay inside the two-dimensional span of the selected Schmidt
+    pair on their side.
 
     Convention: the smaller weight's Schmidt vectors occupy slot 1 of the
     rotation and the larger weight's slot 2.  The x vectors are the u-images
@@ -119,126 +101,103 @@ def build_bases(sf: SchmidtForm, pair: HardyPair) -> MeasurementBases:
     designated joint probabilities, which the test suite checks directly.
     """
     rot = build_rotations(pair.p1, pair.p2)
-    w = rot.v @ rot.u
-    alpha = np.column_stack(
-        [sf.left_basis[:, pair.index_small], sf.left_basis[:, pair.index_large]]
-    )
-    beta = np.column_stack(
-        [sf.right_basis[:, pair.index_small], sf.right_basis[:, pair.index_large]]
-    )
-    # Row k of the rotation holds the coefficients of the k-th new vector in
-    # the Schmidt-pair basis, so the image vectors are columns of basis @ R.T.
-    x1 = alpha @ rot.u.T
-    y1 = alpha @ w.T
-    x2 = beta @ rot.u.T
-    y2 = beta @ w.T
-    return MeasurementBases(
-        x_plus_1=x1[:, 0],
-        x_minus_1=x1[:, 1],
-        y_plus_1=y1[:, 0],
-        y_minus_1=y1[:, 1],
-        x_plus_2=x2[:, 0],
-        x_minus_2=x2[:, 1],
-        y_plus_2=y2[:, 0],
-        y_minus_2=y2[:, 1],
-    )
+    rotations = np.stack([rot.u, rot.v @ rot.u])
+    slots = [pair.index_small, pair.index_large]
+    # Row k of a rotation holds the coefficients of the k-th new vector in
+    # the Schmidt-pair basis, so the image vectors are the rows of R @ basis.T.
+    alice = rotations @ sf.left_basis[:, slots].T
+    bob = rotations @ sf.right_basis[:, slots].T
+    return alice, bob
 
 
-@dataclass(frozen=True)
-class Observable:
-    """A three-outcome observable given by its spectral projector family.
+class HardyObservables(NamedTuple):
+    """Spectral projectors of the four three-outcome observables.
 
-    ``proj_plus`` and ``proj_minus`` are rank one; ``proj_zero`` covers the
-    remainder of the space (the zero matrix when the subsystem is a qubit).
+    ``alice[s, k]`` is the projector of setting s (0 = X1, 1 = Y1) onto
+    outcome ``OUTCOMES[k]``, a ``(2, 3, d1, d1)`` stack; ``bob`` holds X2, Y2
+    on subsystem 2 the same way.  The +1 and -1 projectors are rank one and
+    the 0 projector covers the rest of the space (zero on a qubit).
     """
 
-    label: str
-    subsystem: int
-    proj_plus: np.ndarray
-    proj_minus: np.ndarray
-    proj_zero: np.ndarray
+    alice: np.ndarray
+    bob: np.ndarray
 
-    def projector(self, outcome: int) -> np.ndarray:
-        """Spectral projector for an outcome in {+1, 0, -1}."""
-        if outcome == 1:
-            return self.proj_plus
-        if outcome == -1:
-            return self.proj_minus
-        if outcome == 0:
-            return self.proj_zero
-        raise ValueError(f"outcome must be one of {OUTCOMES}, got {outcome!r}")
+    @property
+    def x1(self) -> np.ndarray:
+        return self.alice[0]
 
+    @property
+    def y1(self) -> np.ndarray:
+        return self.alice[1]
 
-@dataclass(frozen=True)
-class HardyObservableSet:
-    """The four observables X1, Y1 (subsystem 1) and X2, Y2 (subsystem 2)."""
+    @property
+    def x2(self) -> np.ndarray:
+        return self.bob[0]
 
-    x1: Observable
-    y1: Observable
-    x2: Observable
-    y2: Observable
+    @property
+    def y2(self) -> np.ndarray:
+        return self.bob[1]
 
 
-def _rank_one(vec: np.ndarray) -> np.ndarray:
-    return np.outer(vec, vec.conj())
+def _projector_stack(vectors: np.ndarray, dim: int) -> np.ndarray:
+    rank_one = np.einsum("sai,saj->saij", vectors, vectors.conj())
+    zero = np.eye(dim) - rank_one.sum(axis=1)
+    stack = np.stack([rank_one[:, 0], zero, rank_one[:, 1]], axis=1)
+    stack.setflags(write=False)
+    return stack
 
 
-def _observable(label: str, subsystem: int, plus: np.ndarray, minus: np.ndarray, dim: int) -> Observable:
-    proj_plus = _rank_one(plus)
-    proj_minus = _rank_one(minus)
-    proj_zero = np.eye(dim) - proj_plus - proj_minus
-    return Observable(
-        label=label,
-        subsystem=subsystem,
-        proj_plus=proj_plus,
-        proj_minus=proj_minus,
-        proj_zero=proj_zero,
-    )
-
-
-def build_observables(bases: MeasurementBases, d1: int, d2: int) -> HardyObservableSet:
-    """Assemble the four three-outcome observables from the basis vectors."""
-    if bases.x_plus_1.shape != (d1,) or bases.x_plus_2.shape != (d2,):
+def build_observables(bases: tuple[np.ndarray, np.ndarray], d1: int, d2: int) -> HardyObservables:
+    """Assemble the projector stacks of the four observables from the bases."""
+    alice, bob = bases
+    if alice.shape != (2, 2, d1) or bob.shape != (2, 2, d2):
         raise DimensionMismatchError(
-            f"basis vectors have dims ({bases.x_plus_1.shape[0]}, "
-            f"{bases.x_plus_2.shape[0]}), expected ({d1}, {d2})"
+            f"basis vectors have dims ({alice.shape[-1]}, {bob.shape[-1]}), "
+            f"expected ({d1}, {d2})"
         )
-    return HardyObservableSet(
-        x1=_observable("X1", 1, bases.x_plus_1, bases.x_minus_1, d1),
-        y1=_observable("Y1", 1, bases.y_plus_1, bases.y_minus_1, d1),
-        x2=_observable("X2", 2, bases.x_plus_2, bases.x_minus_2, d2),
-        y2=_observable("Y2", 2, bases.y_plus_2, bases.y_minus_2, d2),
-    )
+    return HardyObservables(alice=_projector_stack(alice, d1), bob=_projector_stack(bob, d2))
 
 
-def _clip_probability(value: float) -> float:
-    if -PROBABILITY_CLIP <= value < 0.0:
-        return 0.0
-    if 1.0 < value <= 1.0 + PROBABILITY_CLIP:
-        return 1.0
-    return value
+def behavior_tables(sigma: DensityOperator, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """Joint probabilities of a state on two parties' projector stacks.
+
+    ``tables[s, t, k, l]`` is Tr[(alice[s, k] (x) bob[t, l]) sigma].  For
+    ``build_observables`` stacks (pass ``*obs``) that is all 36 cells,
+    P(A_s = OUTCOMES[k], B_t = OUTCOMES[l]) with A_0, A_1 = X1, Y1 and
+    B_0, B_1 = X2, Y2.  Values within PROBABILITY_CLIP outside [0, 1] are
+    clipped to the boundary against round-off overshoot.
+    """
+    d1, d2 = alice.shape[-1], bob.shape[-1]
+    if (sigma.d1, sigma.d2) != (d1, d2):
+        raise DimensionMismatchError(
+            f"projector dims ({d1}, {d2}) do not match state dims ({sigma.d1}, {sigma.d2})"
+        )
+    rho = sigma.matrix.reshape(d1, d2, d1, d2)
+    values = np.einsum("skij,tlmn,jnim->stkl", alice, bob, rho, optimize=True).real
+    clipped = np.clip(values, 0.0, 1.0)
+    return np.where(np.abs(values - clipped) <= PROBABILITY_CLIP, clipped, values)
 
 
 def joint_probability(
     sigma: DensityOperator,
-    obs_a: Observable,
+    proj_a: np.ndarray,
     outcome_a: int,
-    obs_b: Observable,
+    proj_b: np.ndarray,
     outcome_b: int,
 ) -> float:
-    """Tr[(P_a (x) P_b) sigma] for one joint outcome of a subsystem-1 and a
-    subsystem-2 observable, clipped to [0, 1] against round-off overshoot."""
-    if obs_a.subsystem != 1 or obs_b.subsystem != 2:
-        raise SubsystemMismatchError(
-            f"expected subsystems (1, 2), got ({obs_a.subsystem}, {obs_b.subsystem})"
-        )
-    proj = tensor_product(obs_a.projector(outcome_a), obs_b.projector(outcome_b))
-    if proj.shape != sigma.matrix.shape:
-        raise DimensionMismatchError(
-            f"projector shape {proj.shape} does not match state shape {sigma.matrix.shape}"
-        )
-    value = float(np.trace(proj @ sigma.matrix).real)
-    return _clip_probability(value)
+    """P(A = outcome_a, B = outcome_b) for one subsystem-1 projector stack
+    ``proj_a`` (such as ``obs.x1``) and one subsystem-2 stack ``proj_b``."""
+    for outcome in (outcome_a, outcome_b):
+        if outcome not in OUTCOMES:
+            raise ValueError(f"outcome must be one of {OUTCOMES}, got {outcome!r}")
+    a = proj_a[OUTCOMES.index(outcome_a)]
+    b = proj_b[OUTCOMES.index(outcome_b)]
+    return float(behavior_tables(sigma, a[None, None], b[None, None])[0, 0, 0, 0])
+
+
+#: (alice setting, bob setting, alice outcome, bob outcome) indices into the
+#: behavior of the six designated cells, in HardyProbabilityTable order.
+HARDY_CELLS = ((0, 0, 0, 0), (1, 0, 0, 2), (0, 1, 2, 0), (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 0))
 
 
 class HardyProbabilityTable(NamedTuple):
@@ -255,27 +214,25 @@ class HardyProbabilityTable(NamedTuple):
     x1_zero_y2_plus: float
     y1_plus_y2_plus: float
 
+    @classmethod
+    def from_behavior(cls, tables: np.ndarray) -> HardyProbabilityTable:
+        """The six designated cells of a ``(2, 2, 3, 3)`` behavior."""
+        return cls._make(float(tables[cell]) for cell in HARDY_CELLS)
 
-def hardy_probability_table(sigma: DensityOperator, obs: HardyObservableSet) -> HardyProbabilityTable:
-    """Evaluate the six designated probabilities of a state on an observable set."""
-    return HardyProbabilityTable(
-        x1_plus_x2_plus=joint_probability(sigma, obs.x1, +1, obs.x2, +1),
-        y1_plus_x2_minus=joint_probability(sigma, obs.y1, +1, obs.x2, -1),
-        x1_minus_y2_plus=joint_probability(sigma, obs.x1, -1, obs.y2, +1),
-        y1_plus_x2_zero=joint_probability(sigma, obs.y1, +1, obs.x2, 0),
-        x1_zero_y2_plus=joint_probability(sigma, obs.x1, 0, obs.y2, +1),
-        y1_plus_y2_plus=joint_probability(sigma, obs.y1, +1, obs.y2, +1),
-    )
+
+def hardy_probability_table(sigma: DensityOperator, obs: HardyObservables) -> HardyProbabilityTable:
+    """Evaluate the six designated probabilities of a state on the observables."""
+    return HardyProbabilityTable.from_behavior(behavior_tables(sigma, *obs))
 
 
 __all__ = [
+    "HARDY_CELLS",
     "OUTCOMES",
     "PROBABILITY_CLIP",
-    "HardyObservableSet",
+    "HardyObservables",
     "HardyProbabilityTable",
-    "MeasurementBases",
-    "Observable",
     "RotationPair",
+    "behavior_tables",
     "build_bases",
     "build_observables",
     "build_rotations",

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from hardycert import (
-    DimensionMismatchError,
-    NotHardyError,
     StateVector,
     Verdict,
     candidate_from_state,
@@ -16,6 +14,7 @@ from hardycert import (
     trace_distance,
     validate_density,
 )
+from hardycert.errors import DimensionMismatchError, NotHardyError
 from support import (
     certified_mixture,
     random_density,

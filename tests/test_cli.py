@@ -167,6 +167,15 @@ def test_certify_malformed_json(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_certify_rejects_json_booleans(tmp_path, capsys):
+    # Booleans used to parse as the numbers 1 and 0, giving a 1x2 state.
+    path = tmp_path / "bool.json"
+    path.write_text('{"kind": "pure", "dims": [true, 2], "amplitudes": [[true, false], [0, 0]]}')
+    code, out, err = run_cli(["certify", "--state", str(path)], capsys)
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
 def test_certify_requires_state_flag():
     with pytest.raises(SystemExit):
         main(["certify"])

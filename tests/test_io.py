@@ -6,13 +6,12 @@ import pytest
 
 from hardycert import (
     DensityOperator,
-    NotUnitTraceError,
-    StateFileError,
     StateVector,
     certify,
     maximally_mixed,
     pure_density,
 )
+from hardycert.errors import NotUnitTraceError, StateFileError
 from hardycert.io import (
     certification_to_dict,
     dump_json,
@@ -80,7 +79,7 @@ def test_parse_rejects_unknown_kind():
 
 def test_parse_rejects_bad_dims():
     good = state_to_dict(fixture_state())
-    for dims in ([2], [2, 0], [2.0, 2.0], "2x2", None):
+    for dims in ([2], [2, 0], [2.0, 2.0], "2x2", None, [True, 2]):
         data = dict(good)
         data["dims"] = dims
         with pytest.raises(StateFileError):
@@ -90,6 +89,9 @@ def test_parse_rejects_bad_dims():
 def test_parse_rejects_malformed_amplitudes():
     data = state_to_dict(fixture_state())
     data["amplitudes"][1] = [0.1]            # not a pair
+    with pytest.raises(StateFileError):
+        parse_state_dict(data)
+    data["amplitudes"][1] = [True, False]    # JSON booleans are not numbers
     with pytest.raises(StateFileError):
         parse_state_dict(data)
     data["amplitudes"] = "not a list"

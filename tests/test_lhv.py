@@ -2,9 +2,6 @@ import numpy as np
 import pytest
 
 from hardycert import (
-    Behavior,
-    InvalidStateError,
-    MalformedBehaviorError,
     StateVector,
     behavior_from_state,
     build_bases,
@@ -17,7 +14,8 @@ from hardycert import (
     pure_density,
     schmidt_decompose,
 )
-from hardycert.lhv import strategy_constraint_matrix
+from hardycert.errors import InvalidStateError, MalformedBehaviorError
+from hardycert.lhv import Behavior, strategy_constraint_matrix
 from support import certified_mixture, random_hardy_state, random_separable
 
 
@@ -56,6 +54,9 @@ def test_constraint_matrix_combinatorics():
     # Each strategy lands in exactly one cell per setting pair plus the
     # normalization row.
     assert np.all(matrix.sum(axis=0) == 5)
+    # The matrix is a constant: built once and shared read-only.
+    assert strategy_constraint_matrix() is matrix
+    assert not matrix.flags.writeable
 
 
 def test_deterministic_behavior_recovers_its_strategy():

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from hardycert import (
-    DimensionMismatchError,
-    NonHermitianError,
-    NonSquareError,
-    hermitian_eig,
-    partial_trace,
-    tensor_product,
-    trace_norm,
-)
-from support import random_hermitian, random_state_vector
+from hardycert.errors import NonHermitianError, NonSquareError
+from hardycert.linalg import hermitian_eig, trace_norm
+from support import random_hermitian
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -66,75 +59,6 @@ def test_hermitian_eig_rejects_non_hermitian():
     # ... but tolerates a defect inside the tolerance.
     nearly = np.eye(2) + np.array([[0.0, 1e-12], [0.0, 0.0]])
     hermitian_eig(nearly)
-
-
-def test_tensor_product_diag_blocks():
-    result = tensor_product(np.diag([1.0, 2.0]), np.eye(3))
-    assert np.array_equal(result, np.diag([1.0, 1.0, 1.0, 2.0, 2.0, 2.0]))
-
-
-def test_tensor_product_shape():
-    result = tensor_product(np.ones((2, 3)), np.ones((4, 5)))
-    assert result.shape == (8, 15)
-
-
-def test_tensor_product_mixed_product_property():
-    rng = np.random.default_rng(13)
-    for _ in range(25):
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        u = rng.normal(size=3) + 1j * rng.normal(size=3)
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        left = tensor_product(a, b) @ np.kron(u, v)
-        right = np.kron(a @ u, b @ v)
-        assert np.max(np.abs(left - right)) < 1e-12
-
-
-def test_partial_trace_bell_state():
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
-    projector = np.outer(bell, bell.conj())
-    for keep in (1, 2):
-        reduced = partial_trace(projector, 2, 2, keep)
-        assert np.max(np.abs(reduced - np.eye(2) / 2.0)) < 1e-12
-
-
-def test_partial_trace_schmidt_spectrum():
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = np.sqrt(0.2)
-    amps[3] = np.sqrt(0.8)
-    projector = np.outer(amps, amps.conj())
-    spectrum = np.linalg.eigvalsh(partial_trace(projector, 2, 2, 1))
-    assert np.allclose(spectrum, [0.2, 0.8], atol=1e-12)
-
-
-def test_partial_trace_product_operator():
-    rng = np.random.default_rng(14)
-    rho = random_hermitian(3, rng)
-    omega = random_hermitian(2, rng)
-    omega = omega / np.trace(omega).real  # unit trace so keep=1 returns rho
-    full = np.kron(rho, omega)
-    assert np.max(np.abs(partial_trace(full, 3, 2, 1) - rho)) < 1e-12
-    assert np.max(np.abs(partial_trace(full, 3, 2, 2) - np.trace(rho) * omega)) < 1e-12
-
-
-def test_partial_trace_preserves_trace_and_positivity():
-    rng = np.random.default_rng(15)
-    for _ in range(20):
-        psi = random_state_vector(3, 4, rng)
-        projector = psi.projector()
-        for keep, dim in ((1, 3), (2, 4)):
-            reduced = partial_trace(projector, 3, 4, keep)
-            assert abs(np.trace(reduced).real - 1.0) < 1e-12
-            assert np.linalg.eigvalsh(reduced)[0] > -1e-10
-            assert reduced.shape == (dim, dim)
-
-
-def test_partial_trace_rejects_bad_dims():
-    with pytest.raises(DimensionMismatchError):
-        partial_trace(np.eye(4), 2, 3, 1)
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(4), 2, 2, 3)
 
 
 def test_trace_norm_diagonal():

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from hardycert import (
-    DimensionMismatchError,
-    NonPositiveWeightError,
     StateVector,
-    SubsystemMismatchError,
+    behavior_from_state,
     build_bases,
     build_observables,
-    build_rotations,
     find_hardy_pair,
     hardy_parameter_a,
     hardy_probability_table,
@@ -20,7 +17,9 @@ from hardycert import (
     schmidt_decompose,
     validate_density,
 )
-from support import random_density, random_hardy_state
+from hardycert.errors import DimensionMismatchError, NonPositiveWeightError
+from hardycert.observables import OUTCOMES, build_rotations
+from support import certified_mixture, random_density, random_hardy_state
 
 A_FIXTURE = 4.0 / 45.0  # closed form at weights sqrt(0.2), sqrt(0.8)
 
@@ -116,27 +115,24 @@ def test_build_rotations_rejects_bad_weights():
 
 def test_build_bases_orthonormal_and_in_span():
     rng = np.random.default_rng(32)
-    for _ in range(10)        :
+    for _ in range(10):
         psi = random_hardy_state(rng)
         sf = schmidt_decompose(psi)
         pair = find_hardy_pair(sf)
-        bases = build_bases(sf, pair)
-        for plus, minus in (
-            (bases.x_plus_1, bases.x_minus_1),
-            (bases.y_plus_1, bases.y_minus_1),
-            (bases.x_plus_2, bases.x_minus_2),
-            (bases.y_plus_2, bases.y_minus_2),
-        ):
-            assert np.linalg.norm(plus) == pytest.approx(1.0, abs=1e-10)
-            assert np.linalg.norm(minus) == pytest.approx(1.0, abs=1e-10)
-            assert abs(np.vdot(plus, minus)) < 1e-10
+        alice, bob = build_bases(sf, pair)
+        assert alice.shape == (2, 2, psi.d1) and bob.shape == (2, 2, psi.d2)
+        for vectors in (alice, bob):
+            for plus, minus in vectors:
+                assert np.linalg.norm(plus) == pytest.approx(1.0, abs=1e-10)
+                assert np.linalg.norm(minus) == pytest.approx(1.0, abs=1e-10)
+                assert abs(np.vdot(plus, minus)) < 1e-10
         # Every vector stays inside the span of its side's selected pair.
         left_pair = sf.left_basis[:, [pair.index_small, pair.index_large]]
         right_pair = sf.right_basis[:, [pair.index_small, pair.index_large]]
-        for vec in (bases.x_plus_1, bases.x_minus_1, bases.y_plus_1, bases.y_minus_1):
+        for vec in alice.reshape(4, -1):
             residual = vec - left_pair @ (left_pair.conj().T @ vec)
             assert np.linalg.norm(residual) < 1e-10
-        for vec in (bases.x_plus_2, bases.x_minus_2, bases.y_plus_2, bases.y_minus_2):
+        for vec in bob.reshape(4, -1):
             residual = vec - right_pair @ (right_pair.conj().T @ vec)
             assert np.linalg.norm(residual) < 1e-10
 
@@ -145,13 +141,13 @@ def test_build_bases_y_vectors_compose_rotations():
     psi = fixture_state()
     sf = schmidt_decompose(psi)
     pair = find_hardy_pair(sf)
-    bases = build_bases(sf, pair)
+    alice, _ = build_bases(sf, pair)
     rot = build_rotations(pair.p1, pair.p2)
     w = rot.v @ rot.u
     alpha1 = sf.left_basis[:, pair.index_small]
     alpha2 = sf.left_basis[:, pair.index_large]
     expected = w[0, 0] * alpha1 + w[0, 1] * alpha2
-    assert np.max(np.abs(bases.y_plus_1 - expected)) < 1e-12
+    assert np.max(np.abs(alice[1, 0] - expected)) < 1e-12
 
 
 # ------------------------------------------------------------- observables
@@ -159,15 +155,14 @@ def test_build_bases_y_vectors_compose_rotations():
 
 def test_build_observables_completeness_and_idempotence():
     _, obs = fixture_observables()
-    for observable in (obs.x1, obs.y1, obs.x2, obs.y2):
-        total = observable.proj_plus + observable.proj_minus + observable.proj_zero
-        assert np.max(np.abs(total - np.eye(2))) < 1e-12
-        for proj in (observable.proj_plus, observable.proj_minus):
+    for stack in (obs.x1, obs.y1, obs.x2, obs.y2):
+        plus, zero, minus = stack
+        assert np.max(np.abs(plus + zero + minus - np.eye(2))) < 1e-12
+        for proj in (plus, minus):
             assert np.max(np.abs(proj @ proj - proj)) < 1e-10
         # Qubit subsystems leave nothing over for the null outcome.
-        assert np.max(np.abs(observable.proj_zero)) < 1e-12
-        operator = observable.proj_plus - observable.proj_minus
-        spectrum = np.sort(np.linalg.eigvalsh(operator))
+        assert np.max(np.abs(zero)) < 1e-12
+        spectrum = np.sort(np.linalg.eigvalsh(plus - minus))
         assert np.allclose(spectrum, [-1.0, 1.0], atol=1e-10)
 
 
@@ -177,24 +172,36 @@ def test_build_observables_null_outcome_in_higher_dims():
     sf = schmidt_decompose(psi)
     pair = find_hardy_pair(sf)
     obs = build_observables(build_bases(sf, pair), 3, 4)
-    assert abs(np.trace(obs.x1.proj_zero).real - 1.0) < 1e-10  # rank d1 - 2
-    assert abs(np.trace(obs.x2.proj_zero).real - 2.0) < 1e-10  # rank d2 - 2
-    zero = obs.x2.proj_zero
+    assert obs.alice.shape == (2, 3, 3, 3) and obs.bob.shape == (2, 3, 4, 4)
+    assert abs(np.trace(obs.x1[1]).real - 1.0) < 1e-10  # rank d1 - 2
+    assert abs(np.trace(obs.x2[1]).real - 2.0) < 1e-10  # rank d2 - 2
+    zero = obs.x2[1]
     assert np.max(np.abs(zero @ zero - zero)) < 1e-10
-    spectrum = np.sort(np.linalg.eigvalsh(obs.x2.proj_plus - obs.x2.proj_minus))
+    spectrum = np.sort(np.linalg.eigvalsh(obs.x2[0] - obs.x2[2]))
     assert np.allclose(spectrum, [-1.0, 0.0, 0.0, 1.0], atol=1e-10)
 
 
+def test_build_observables_rejects_wrong_dims():
+    psi = fixture_state()
+    sf = schmidt_decompose(psi)
+    with pytest.raises(DimensionMismatchError):
+        build_observables(build_bases(sf, find_hardy_pair(sf)), 2, 3)
+
+
 def test_observable_projector_lookup():
-    _, obs = fixture_observables()
-    assert obs.x1.projector(1) is obs.x1.proj_plus
-    assert obs.x1.projector(-1) is obs.x1.proj_minus
-    assert obs.x1.projector(0) is obs.x1.proj_zero
+    psi, obs = fixture_observables()
+    sf = schmidt_decompose(psi)
+    alice, bob = build_bases(sf, find_hardy_pair(sf))
+    # Settings index the stacks (X before Y) and outcomes follow OUTCOMES.
+    assert OUTCOMES == (1, 0, -1)
+    for stack, vectors in ((obs.x1, alice[0]), (obs.y1, alice[1]), (obs.x2, bob[0]), (obs.y2, bob[1])):
+        assert np.max(np.abs(stack[0] - np.outer(vectors[0], vectors[0].conj()))) < 1e-12
+        assert np.max(np.abs(stack[2] - np.outer(vectors[1], vectors[1].conj()))) < 1e-12
+    rho = maximally_mixed(2, 2)
     with pytest.raises(ValueError):
-        obs.x1.projector(2)
-
-
-# ------------------------------------------------------------ probabilities
+        joint_probability(rho, obs.x1, 2, obs.x2, 1)
+    with pytest.raises(ValueError):
+        joint_probability(rho, obs.x1, 1, obs.x2, 2)
 
 
 def test_joint_probability_white_noise():
@@ -220,17 +227,57 @@ def test_joint_probability_completeness():
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
-def test_joint_probability_rejects_wrong_subsystems():
-    _, obs = fixture_observables()
-    rho = maximally_mixed(2, 2)
-    with pytest.raises(SubsystemMismatchError):
-        joint_probability(rho, obs.x2, 1, obs.x1, 1)
-
-
 def test_joint_probability_rejects_wrong_dims():
     _, obs = fixture_observables()
     with pytest.raises(DimensionMismatchError):
         joint_probability(maximally_mixed(2, 3), obs.x1, 1, obs.x2, 1)
+
+
+# ---------------------------------------------------------------- behavior
+
+
+def _kron_reference(sigma, obs) -> np.ndarray:
+    """Tr[(A (x) B) sigma] cell by cell, with an explicit Kronecker product."""
+    tables = np.empty((2, 2, 3, 3))
+    for s, stack_a in enumerate((obs.x1, obs.y1)):
+        for t, stack_b in enumerate((obs.x2, obs.y2)):
+            for k in range(3):
+                for l in range(3):
+                    proj = np.kron(stack_a[k], stack_b[l])
+                    tables[s, t, k, l] = np.trace(proj @ sigma.matrix).real
+    return tables
+
+
+def test_behavior_matches_kron_reference():
+    # Summation order differs from the reference, so equality is up to a few
+    # hundred ulps of a unit-scale probability; rectangular dims pin the
+    # reshape order of the state.
+    tol = 256 * np.finfo(float).eps
+    rng = np.random.default_rng(37)
+    for d1, d2 in ((2, 2), (2, 3), (3, 5), (4, 4)):
+        for _ in range(3):
+            psi = random_hardy_state(rng, d1=d1, d2=d2)
+            sf = schmidt_decompose(psi)
+            obs = build_observables(build_bases(sf, find_hardy_pair(sf)), d1, d2)
+            mixture, _ = certified_mixture(rng, d1=d1, d2=d2)
+            for sigma in (pure_density(psi), random_density(d1, d2, rng), mixture):
+                tables = behavior_from_state(sigma, obs).tables
+                assert np.max(np.abs(tables - _kron_reference(sigma, obs))) <= tol
+                table = hardy_probability_table(sigma, obs)
+                assert table == (
+                    tables[0, 0, 0, 0],
+                    tables[1, 0, 0, 2],
+                    tables[0, 1, 2, 0],
+                    tables[1, 0, 0, 1],
+                    tables[0, 1, 1, 0],
+                    tables[1, 1, 0, 0],
+                )
+                for s, stack_a in enumerate((obs.x1, obs.y1)):
+                    for t, stack_b in enumerate((obs.x2, obs.y2)):
+                        for k, outcome_a in enumerate(OUTCOMES):
+                            for l, outcome_b in enumerate(OUTCOMES):
+                                value = joint_probability(sigma, stack_a, outcome_a, stack_b, outcome_b)
+                                assert abs(value - tables[s, t, k, l]) <= tol
 
 
 # -------------------------------------------------------- probability table

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hardycert import DimensionMismatchError, solve_feasibility_lp
+from hardycert.errors import DimensionMismatchError
+from hardycert.simplex import solve_feasibility_lp
 
 
 def test_single_variable_feasible():

@@ -3,21 +3,22 @@ import pytest
 
 from hardycert import (
     DensityOperator,
+    StateVector,
+    find_hardy_pair,
+    hardy_parameter_a,
+    maximally_mixed,
+    pure_density,
+    schmidt_decompose,
+    validate_density,
+)
+from hardycert.errors import (
     DimensionMismatchError,
     InvalidStateError,
     NotHermitianError,
     NotPositiveError,
     NotUnitTraceError,
-    SchmidtForm,
-    StateVector,
-    find_hardy_pair,
-    hardy_parameter_a,
-    maximally_mixed,
-    partial_trace,
-    pure_density,
-    schmidt_decompose,
-    validate_density,
 )
+from hardycert.states import SchmidtForm
 from support import assemble_pure_state, haar_unitary, random_state_vector, random_weights
 
 
@@ -135,9 +136,10 @@ def test_schmidt_weights_match_reduced_spectra():
         d2 = int(rng.integers(2, 7))
         psi = random_state_vector(d1, d2, rng)
         sf = schmidt_decompose(psi)
-        projector = psi.projector()
+        blocks = psi.projector().reshape(d1, d2, d1, d2)
+        reduced = {1: np.einsum("ijkj->ik", blocks), 2: np.einsum("ijil->jl", blocks)}
         for keep, dim in ((1, d1), (2, d2)):
-            spectrum = np.linalg.eigvalsh(partial_trace(projector, d1, d2, keep))[::-1]
+            spectrum = np.linalg.eigvalsh(reduced[keep])[::-1]
             padded = np.zeros(dim)
             padded[: sf.rank] = sf.weights**2
             assert np.max(np.abs(np.sort(padded)[::-1] - np.clip(spectrum, 0.0, None))) < 1e-9
