@@ -35,10 +35,23 @@ from .io import (
     state_to_dict,
 )
 from .lhv import lhv_feasible
-from .linalg import hermitian_eig
 from .states import DEFAULT_DELTA, STATE_TOL, DensityOperator, StateVector, pure_density
 
 GEN_KINDS = ("hardy", "bell", "product", "white-noise-mix")
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol and --delta: a finite number >= 0.
+
+    NaN would make every ``x > tol`` check false and switch validation off.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,13 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cert.add_argument(
         "--delta",
-        type=float,
+        type=_tolerance,
         default=DEFAULT_DELTA,
         help="minimum admissible Schmidt-weight gap (default 1e-8)",
     )
     cert.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=STATE_TOL,
         help="density-matrix validation tolerance (default 1e-9)",
     )
@@ -98,13 +111,13 @@ def build_parser() -> argparse.ArgumentParser:
     noise.add_argument("--noise", type=Path, required=True, help="noise state file")
     noise.add_argument(
         "--delta",
-        type=float,
+        type=_tolerance,
         default=DEFAULT_DELTA,
         help="minimum admissible Schmidt-weight gap (default 1e-8)",
     )
     noise.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=STATE_TOL,
         help="density-matrix validation tolerance (default 1e-9)",
     )
@@ -118,13 +131,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lhv.add_argument(
         "--delta",
-        type=float,
+        type=_tolerance,
         default=DEFAULT_DELTA,
         help="minimum admissible Schmidt-weight gap (default 1e-8)",
     )
     lhv.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=1e-9,
         help="feasibility and validation tolerance (default 1e-9)",
     )
@@ -188,10 +201,9 @@ def cmd_certify(args: argparse.Namespace) -> dict:
         inputs["candidate"] = args.candidate
     else:
         candidate = candidate_from_state(sigma)
-        eigenvalues = hermitian_eig(sigma.matrix).eigenvalues
         candidate_info = {
             "source": "top-eigenvector",
-            "degeneracy_gap": float(eigenvalues[-1] - eigenvalues[-2]),
+            "degeneracy_gap": float(sigma.eigenvalues[-1] - sigma.eigenvalues[-2]),
         }
     report = certify(sigma, candidate, delta=args.delta)
     body = certification_to_dict(report)

@@ -39,7 +39,10 @@ def _parse_complex(value, where: str) -> complex:
         or not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in value)
     ):
         raise StateFileError(f"{where}: expected a [re, im] pair, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    try:
+        return complex(float(value[0]), float(value[1]))
+    except OverflowError:
+        raise StateFileError(f"{where}: integer too large for a float") from None
 
 
 def state_to_dict(state: StateVector | DensityOperator) -> dict:
@@ -108,6 +111,8 @@ def load_state_file(path: Path | str, tol: float = STATE_TOL) -> StateVector | D
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise StateFileError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError:
+        raise StateFileError(f"{path}: JSON nested too deeply") from None
     return parse_state_dict(data, tol=tol)
 
 

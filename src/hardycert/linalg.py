@@ -76,12 +76,10 @@ def hermitian_eig(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> EigenS
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    fixed = np.array(vectors)
-    for k in range(fixed.shape[1]):
-        column = fixed[:, k]
-        pivot = column[int(np.argmax(np.abs(column)))]
-        fixed[:, k] = column * (pivot.conjugate() / abs(pivot))
-    return fixed
+    if vectors.size == 0:  # a 0x0 matrix has no pivot for argmax to find
+        return vectors
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return vectors * (pivots.conj() / np.abs(pivots))
 
 
 def trace_norm(m, hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> float:

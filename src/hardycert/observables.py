@@ -172,8 +172,11 @@ def behavior_tables(sigma: DensityOperator, alice: np.ndarray, bob: np.ndarray) 
         raise DimensionMismatchError(
             f"projector dims ({d1}, {d2}) do not match state dims ({sigma.d1}, {sigma.d2})"
         )
-    rho = sigma.matrix.reshape(d1, d2, d1, d2)
-    values = np.einsum("skij,tlmn,jnim->stkl", alice, bob, rho, optimize=True).real
+    # Tr[(A (x) B) rho] = sum_ijmn A[i,j] B[m,n] rho[(j,n),(i,m)] = vec(A) . R . vec(B)
+    # with R[(i,j),(m,n)] = rho[(j,n),(i,m)]: one bilinear form per cell.
+    r = sigma.matrix.reshape(d1, d2, d1, d2).transpose(2, 0, 3, 1).reshape(d1 * d1, d2 * d2)
+    cells = alice.reshape(-1, d1 * d1) @ r @ bob.reshape(-1, d2 * d2).T
+    values = cells.real.reshape(alice.shape[:2] + bob.shape[:2]).transpose(0, 2, 1, 3)
     clipped = np.clip(values, 0.0, 1.0)
     return np.where(np.abs(values - clipped) <= PROBABILITY_CLIP, clipped, values)
 

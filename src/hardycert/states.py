@@ -11,7 +11,7 @@ weight blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,11 +84,15 @@ class DensityOperator:
     by at most 1e-9 first), so spectral routines downstream meet their
     preconditions exactly.  Use ``validate_density`` to construct from data
     that may need round-off repair at a looser tolerance.
+
+    ``eigenvalues`` is the read-only ascending spectrum of ``matrix``, kept
+    from the positivity check; it takes no part in ``==`` or ``repr``.
     """
 
     d1: int
     d2: int
     matrix: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.d1 < 1 or self.d2 < 1:
@@ -109,11 +113,14 @@ class DensityOperator:
         trace = float(np.trace(mat).real)
         if abs(trace - 1.0) > STATE_TOL:
             raise NotUnitTraceError(f"trace {trace!r} is not 1 within {STATE_TOL}")
-        smallest = float(np.linalg.eigvalsh(mat)[0])
+        eigenvalues = np.linalg.eigvalsh(mat)
+        smallest = float(eigenvalues[0])
         if smallest < -STATE_TOL:
             raise NotPositiveError(f"eigenvalue {smallest!r} below -{STATE_TOL}")
         mat.setflags(write=False)
+        eigenvalues.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
     @property
     def dim(self) -> int:
@@ -148,10 +155,12 @@ def validate_density(matrix, d1: int, d2: int, tol: float = STATE_TOL) -> Densit
     trace = float(np.trace(sym).real)
     if abs(trace - 1.0) > tol:
         raise NotUnitTraceError(f"trace {trace!r} is not 1 within {tol}")
-    system = hermitian_eig(sym)
-    if float(system.eigenvalues[0]) < -tol:
-        raise NotPositiveError(f"eigenvalue {float(system.eigenvalues[0])!r} below -{tol}")
-    if float(system.eigenvalues[0]) < 0.0:
+    smallest = float(np.linalg.eigvalsh(sym)[0])
+    if smallest < -tol:
+        raise NotPositiveError(f"eigenvalue {smallest!r} below -{tol}")
+    if smallest < 0.0:
+        # Only the repair reads eigenvectors, so only it pays for them.
+        system = hermitian_eig(sym)
         clipped = np.clip(system.eigenvalues, 0.0, None)
         sym = (system.eigenvectors * clipped) @ system.eigenvectors.conj().T
     repaired = sym / float(np.trace(sym).real)

@@ -161,10 +161,17 @@ def test_certify_missing_file(tmp_path, capsys):
 
 def test_certify_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{this is not json")
-    code, _, err = run_cli(["certify", "--state", str(path)], capsys)
-    assert code == 2
-    assert "error:" in err
+    for text in (
+        "{this is not json",
+        # An integer literal too large for a float used to raise OverflowError.
+        '{"kind": "pure", "dims": [2, 2], "amplitudes": [[1' + "0" * 400 + ", 0], [0, 0]]}",
+        # Nesting this deep used to raise RecursionError inside the JSON parser.
+        "[" * 100000,
+    ):
+        path.write_text(text)
+        code, out, err = run_cli(["certify", "--state", str(path)], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
 
 
 def test_certify_rejects_json_booleans(tmp_path, capsys):
@@ -179,6 +186,34 @@ def test_certify_rejects_json_booleans(tmp_path, capsys):
 def test_certify_requires_state_flag():
     with pytest.raises(SystemExit):
         main(["certify"])
+
+
+def test_tolerance_flags_must_be_finite_and_nonnegative(tmp_path, capsys):
+    # A 4x4 matrix with hermiticity defect 0.45: NaN used to switch the
+    # hermiticity check off, so "--tol nan" certified it with exit 0.
+    skewed = np.eye(4, dtype=complex) / 4.0
+    skewed[0, 1] = 0.45
+    bad = tmp_path / "skewed.json"
+    bad.write_text(json.dumps(
+        {"kind": "mixed", "dims": [2, 2], "matrix": [[[z.real, z.imag] for z in row] for row in skewed]}
+    ))
+    assert run_cli(["certify", "--state", str(bad)], capsys)[0] == 2
+    state = gen(tmp_path, "hardy.json", "hardy")
+    commands = (
+        ["certify", "--state", str(bad)],
+        ["noise-threshold", "--state", str(state), "--noise", str(bad)],
+        ["lhv-check", "--state", str(bad), "--candidate", str(state)],
+    )
+    for argv in commands:
+        for flag in ("--tol", "--delta"):
+            for value in ("nan", "inf", "-1"):
+                with pytest.raises(SystemExit) as exc:
+                    main([*argv, flag, value])
+                assert exc.value.code == 2
+                assert "must be a finite number >= 0" in capsys.readouterr().err
+    code, out, _ = run_cli(["certify", "--state", str(state), "--tol", "0", "--delta", "0"], capsys)
+    assert code == 0
+    assert json.loads(out)["report"]["verdict"] == "NonlocalCertified"
 
 
 # ----------------------------------------------------------- noise-threshold

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hardycert.errors import NonHermitianError, NonSquareError
-from hardycert.linalg import hermitian_eig, trace_norm
+from hardycert.linalg import _fix_phases, hermitian_eig, trace_norm
 from support import random_hermitian
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -46,6 +46,27 @@ def test_hermitian_eig_phase_convention():
             pivot = column[int(np.argmax(np.abs(column)))]
             assert abs(pivot.imag) < 1e-12
             assert pivot.real > 0.0
+
+
+def _fix_phases_by_column(vectors: np.ndarray) -> np.ndarray:
+    fixed = np.array(vectors)
+    for k in range(fixed.shape[1]):
+        column = fixed[:, k]
+        pivot = column[int(np.argmax(np.abs(column)))]
+        fixed[:, k] = column * (pivot.conjugate() / abs(pivot))
+    return fixed
+
+
+def test_fix_phases_matches_column_loop():
+    rng = np.random.default_rng(13)
+    for dim in (2, 9, 64):
+        _, vectors = np.linalg.eigh(random_hermitian(dim, rng))
+        fixed = _fix_phases(vectors)
+        assert np.max(np.abs(fixed - _fix_phases_by_column(vectors))) <= 1e-15
+        pivots = fixed[np.argmax(np.abs(fixed), axis=0), np.arange(dim)]
+        assert np.all(np.abs(pivots.imag) <= 1e-15)
+        assert np.all(pivots.real > 0.0)
+    assert hermitian_eig(np.zeros((0, 0))).eigenvectors.shape == (0, 0)
 
 
 def test_hermitian_eig_rejects_non_square():

@@ -254,7 +254,7 @@ def test_behavior_matches_kron_reference():
     # reshape order of the state.
     tol = 256 * np.finfo(float).eps
     rng = np.random.default_rng(37)
-    for d1, d2 in ((2, 2), (2, 3), (3, 5), (4, 4)):
+    for d1, d2 in ((2, 2), (2, 3), (3, 5), (4, 4), (8, 8)):
         for _ in range(3):
             psi = random_hardy_state(rng, d1=d1, d2=d2)
             sf = schmidt_decompose(psi)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,13 @@ from hardycert.errors import (
     NotUnitTraceError,
 )
 from hardycert.states import SchmidtForm
-from support import assemble_pure_state, haar_unitary, random_state_vector, random_weights
+from support import (
+    assemble_pure_state,
+    haar_unitary,
+    random_single_density,
+    random_state_vector,
+    random_weights,
+)
 
 
 def fixture_state() -> StateVector:
@@ -70,6 +78,17 @@ def test_density_operator_rejects_bad_matrices():
     bad = np.diag([0.6, 0.5, -0.1, 0.0])
     with pytest.raises(NotPositiveError):
         DensityOperator(d1=2, d2=2, matrix=bad)
+
+
+def test_density_operator_keeps_its_spectrum():
+    rng = np.random.default_rng(21)
+    rho = validate_density(random_single_density(6, rng), 2, 3)
+    assert np.array_equal(rho.eigenvalues, np.linalg.eigvalsh(rho.matrix))
+    with pytest.raises(ValueError):
+        rho.eigenvalues[0] = 0.0
+    assert "eigenvalues" not in repr(rho)
+    flags = {f.name: (f.init, f.repr, f.compare) for f in dataclasses.fields(DensityOperator)}
+    assert flags["eigenvalues"] == (False, False, False)
 
 
 def test_validate_density_accepts_pure_projector():
