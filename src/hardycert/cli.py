@@ -201,9 +201,11 @@ def cmd_certify(args: argparse.Namespace) -> dict:
         inputs["candidate"] = args.candidate
     else:
         candidate = candidate_from_state(sigma)
+        spectrum = sigma.eigenvalues
         candidate_info = {
             "source": "top-eigenvector",
-            "degeneracy_gap": float(sigma.eigenvalues[-1] - sigma.eigenvalues[-2]),
+            # A 1x1 state has one eigenvalue and no gap.
+            "degeneracy_gap": float(spectrum[-1] - spectrum[-2]) if spectrum.size > 1 else None,
         }
     report = certify(sigma, candidate, delta=args.delta)
     body = certification_to_dict(report)

@@ -2,9 +2,11 @@
 
 Answers: does x >= 0 with A x = b exist?  One artificial variable is added
 per row and their total mass minimized; the system is feasible exactly when
-that minimum is numerically zero.  Bland's anti-cycling rule keeps pivoting
-deterministic and guarantees termination, which matters because the systems
-this package feeds in are heavily rank-deficient.
+that minimum is numerically zero.  The phase-one reduced costs live in the
+tableau as its last row, so a pivot is one rank-1 update of the whole
+tableau.  Bland's anti-cycling rule keeps pivoting deterministic and
+guarantees termination, which matters because the systems this package feeds
+in are heavily rank-deficient.
 """
 
 from __future__ import annotations
@@ -66,21 +68,19 @@ def solve_feasibility_lp(constraint_matrix, rhs, tol: float = 1e-9) -> Feasibili
     b = np.where(flip, -b, b)
 
     tableau = np.hstack([a, np.eye(m), b[:, None]])
+    # Phase-one reduced costs z_j - c_j with every basic variable artificial:
+    # the column sums of [A | 0 | b].  Pivots keep the row current.
+    tableau = np.vstack([tableau, tableau.sum(axis=0)])
+    tableau[-1, n:-1] = 0.0
+    improving = tableau[-1, :-1]
     basis = np.arange(n, n + m)
 
     for _ in range(MAX_PIVOTS):
-        # Reduced costs for the phase-one objective: with unit cost on the
-        # artificial block, z_j is the column sum over rows whose basic
-        # variable is still artificial.
-        artificial_rows = basis >= n
-        z = tableau[artificial_rows, :-1].sum(axis=0)
-        reduced = z.copy()
-        reduced[n:] -= 1.0
-        candidates = np.nonzero(reduced > PIVOT_EPS)[0]
-        if candidates.size == 0:
+        eligible = improving > PIVOT_EPS
+        entering = int(eligible.argmax())  # Bland: smallest eligible index
+        if not eligible[entering]:
             break
-        entering = int(candidates[0])  # Bland: smallest eligible index
-        column = tableau[:, entering]
+        column = tableau[:-1, entering]
         rows = np.nonzero(column > PIVOT_EPS)[0]
         if rows.size == 0:
             raise NumericalBreakdownError("no admissible pivot row for an improving column")
@@ -93,7 +93,7 @@ def solve_feasibility_lp(constraint_matrix, rhs, tol: float = 1e-9) -> Feasibili
     else:
         raise NumericalBreakdownError(f"pivot guard of {MAX_PIVOTS} iterations exceeded")
 
-    values = tableau[:, -1]
+    values = tableau[:-1, -1]
     solution = np.zeros(n)
     original = basis < n
     solution[basis[original]] = values[original]
@@ -104,11 +104,10 @@ def solve_feasibility_lp(constraint_matrix, rhs, tol: float = 1e-9) -> Feasibili
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    others = np.arange(tableau.shape[0]) != row
-    tableau[others] -= np.outer(tableau[others, col], tableau[row])
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
+    # pivot_row[col] is exactly 1.0, so column col becomes an exact unit vector.
+    pivot_row = tableau[row] / tableau[row, col]
+    tableau -= np.outer(tableau[:, col], pivot_row)
+    tableau[row] = pivot_row
 
 
 __all__ = ["MAX_PIVOTS", "PIVOT_EPS", "FeasibilityResult", "solve_feasibility_lp"]

@@ -130,6 +130,17 @@ def test_certify_auto_candidate_reports_gap(tmp_path, capsys):
     assert report["epsilon"] == pytest.approx(0.0075, abs=1e-9)
 
 
+def test_certify_auto_candidate_on_1x1_state(tmp_path, capsys):
+    # The one-entry spectrum has no gap; this used to raise IndexError.
+    path = tmp_path / "one.json"
+    path.write_text('{"kind": "pure", "dims": [1, 1], "amplitudes": [[1, 0]]}')
+    code, out, err = run_cli(["certify", "--state", str(path)], capsys)
+    assert code == 0 and err == ""
+    report = json.loads(out)["report"]
+    assert report["candidate"] == {"source": "top-eigenvector", "degeneracy_gap": None}
+    assert report["verdict"] == "NotHardy"
+
+
 def test_certify_bell_is_not_hardy(tmp_path, capsys):
     state = gen(tmp_path, "bell.json", "bell")
     code, out, _ = run_cli(["certify", "--state", str(state)], capsys)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hardycert import (
+    DensityOperator,
     StateVector,
     behavior_from_state,
     build_bases,
@@ -14,6 +15,7 @@ from hardycert import (
     pure_density,
     schmidt_decompose,
 )
+import hardycert.simplex as simplex
 from hardycert.errors import InvalidStateError, MalformedBehaviorError
 from hardycert.lhv import Behavior, strategy_constraint_matrix
 from support import certified_mixture, random_hardy_state, random_separable
@@ -207,3 +209,29 @@ def test_lhv_rejects_malformed_behavior():
     tables = behavior_from_state(maximally_mixed(2, 2), obs).tables * 0.9
     with pytest.raises(MalformedBehaviorError):
         lhv_feasible(Behavior(tables=tables))
+
+
+def test_lhv_pivot_path_is_pinned(monkeypatch):
+    # Pivot counts recorded with the solver that rebuilt its reduced costs on
+    # every iteration; Bland's rule must walk the same path.  The benchmark's
+    # tracer counts simplex.pivots by wrapping this same module attribute.
+    pivots = 0
+    step = simplex._pivot
+
+    def counted(*args):
+        nonlocal pivots
+        pivots += 1
+        step(*args)
+
+    monkeypatch.setattr(simplex, "_pivot", counted)
+    psi, obs = fixture_observables()
+    cases = [
+        (p * pure_density(psi).matrix + (1.0 - p) * np.eye(4) / 4.0, feasible, count)
+        for p, feasible, count in ((0.99, False, 17), (0.6, True, 48))
+    ]
+    cases.append((random_separable(2, 2, np.random.default_rng(0)).matrix, True, 41))
+    for matrix, feasible, count in cases:
+        pivots = 0
+        result = lhv_feasible(behavior_from_state(DensityOperator(d1=2, d2=2, matrix=matrix), obs))
+        assert result.feasible is feasible
+        assert pivots == count
