@@ -178,35 +178,42 @@ def cmd_gen_state(args: argparse.Namespace) -> dict:
     return state_to_dict(state)
 
 
-def _load_density(path: Path, tol: float) -> DensityOperator:
-    state = load_state_file(path, tol=tol)
+def _load_density(path: Path, tol: float) -> tuple[DensityOperator, str]:
+    """The state in ``path`` as a density operator, and the file's digest."""
+    state, digest = load_state_file(path, tol=tol)
     if isinstance(state, StateVector):
-        return pure_density(state)
-    return state
+        return pure_density(state), digest
+    return state, digest
 
 
-def _load_pure(path: Path, role: str, tol: float) -> StateVector:
-    state = load_state_file(path, tol=tol)
+def _load_pure(path: Path, role: str, tol: float) -> tuple[StateVector, str]:
+    """The pure state in ``path``, and the file's digest."""
+    state, digest = load_state_file(path, tol=tol)
     if not isinstance(state, StateVector):
         raise StateFileError(f"{role} file {path} must hold a pure state")
-    return state
+    return state, digest
 
 
 def cmd_certify(args: argparse.Namespace) -> dict:
-    sigma = _load_density(args.state, args.tol)
-    inputs = {"state": args.state}
+    sigma, sigma_digest = _load_density(args.state, args.tol)
+    inputs = {"state": (args.state, sigma_digest)}
     if args.candidate is not None:
-        candidate = _load_pure(args.candidate, "candidate", args.tol)
+        candidate, candidate_digest = _load_pure(args.candidate, "candidate", args.tol)
         candidate_info: dict = {"source": "file"}
-        inputs["candidate"] = args.candidate
+        inputs["candidate"] = (args.candidate, candidate_digest)
     else:
-        candidate = candidate_from_state(sigma)
         spectrum = sigma.eigenvalues
-        candidate_info = {
-            "source": "top-eigenvector",
-            # A 1x1 state has one eigenvalue and no gap.
-            "degeneracy_gap": float(spectrum[-1] - spectrum[-2]) if spectrum.size > 1 else None,
-        }
+        # A 1x1 state has one eigenvalue and no gap.
+        gap = float(spectrum[-1] - spectrum[-2]) if spectrum.size > 1 else None
+        if gap is not None and gap <= args.tol:
+            # Any vector of a degenerate top eigenspace would do, so the
+            # verdict would speak about an arbitrary candidate.
+            raise NotHardyError(
+                f"top eigenvalue of {args.state} is degenerate (gap {gap:.3e} <= tol "
+                f"{args.tol:g}), so it defines no candidate; pass --candidate"
+            )
+        candidate = candidate_from_state(sigma)
+        candidate_info = {"source": "top-eigenvector", "degeneracy_gap": gap}
     report = certify(sigma, candidate, delta=args.delta)
     body = certification_to_dict(report)
     body["candidate"] = candidate_info
@@ -214,18 +221,20 @@ def cmd_certify(args: argparse.Namespace) -> dict:
 
 
 def cmd_noise_threshold(args: argparse.Namespace) -> dict:
-    psi = _load_pure(args.state, "state", args.tol)
-    noise = _load_density(args.noise, args.tol)
+    psi, psi_digest = _load_pure(args.state, "state", args.tol)
+    noise, noise_digest = _load_density(args.noise, args.tol)
     report = noise_threshold(psi, noise, delta=args.delta)
     body = noise_threshold_to_dict(report)
     return report_payload(
-        "noise-threshold", body, {"state": args.state, "noise": args.noise}
+        "noise-threshold",
+        body,
+        {"state": (args.state, psi_digest), "noise": (args.noise, noise_digest)},
     )
 
 
 def cmd_lhv_check(args: argparse.Namespace) -> dict:
-    sigma = _load_density(args.state, args.tol)
-    candidate = _load_pure(args.candidate, "candidate", args.tol)
+    sigma, sigma_digest = _load_density(args.state, args.tol)
+    candidate, candidate_digest = _load_pure(args.candidate, "candidate", args.tol)
     criterion = certify(sigma, candidate, delta=args.delta)
     if criterion.behavior is None:
         raise NotHardyError(
@@ -244,7 +253,9 @@ def cmd_lhv_check(args: argparse.Namespace) -> dict:
     certified = criterion.verdict is Verdict.NONLOCAL_CERTIFIED
     body["consistent"] = not (certified and result.feasible)
     return report_payload(
-        "lhv-check", body, {"state": args.state, "candidate": args.candidate}
+        "lhv-check",
+        body,
+        {"state": (args.state, sigma_digest), "candidate": (args.candidate, candidate_digest)},
     )
 
 

@@ -8,12 +8,19 @@ A state file is a single JSON object:
 Amplitudes are indexed row-major over |i>|j| and matrix rows run over the
 same product basis.  Serialization goes through Python's shortest-repr float
 formatting, so parse(serialize(x)) reproduces every number bit for bit.
+
+Each direction is one array conversion per file, not one Python call per
+entry: the pairs are parsed through one object array, and written from one
+stacked ``(..., 2)`` float array.  A malformed file still fails with an error
+naming its first bad entry, found by walking the entries in file order.
+A state file is read once; the report's input digest is of the bytes parsed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 
 import numpy as np
@@ -27,16 +34,16 @@ from .states import STATE_TOL, DensityOperator, StateVector, validate_density
 TOOL_NAME = "hardycert"
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _is_number_type(kind: type) -> bool:
+    # JSON true/false parse to bool, which Python counts as an int.
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
 
 
 def _parse_complex(value, where: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        # JSON true/false parse to bool, which Python counts as an int.
-        or not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in value)
+        or not all(_is_number_type(type(part)) for part in value)
     ):
         raise StateFileError(f"{where}: expected a [re, im] pair, got {value!r}")
     try:
@@ -45,19 +52,49 @@ def _parse_complex(value, where: str) -> complex:
         raise StateFileError(f"{where}: integer too large for a float") from None
 
 
+def _complex_array(raw: list, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """``raw``, nested lists of ``[re, im]`` pairs, as a complex array of ``shape``.
+
+    One object array checks the nesting and every leaf type at once.  The
+    complex view of its contiguous ``(..., 2)`` float copy holds exactly the
+    values ``complex(float(re), float(im))`` would, ``-0.0`` included, with
+    no arithmetic.  When that fails, the entries are walked in file order so
+    the error names the first bad one, as ``name[i][j]``.
+    """
+    try:
+        parts = np.array(raw, dtype=object)
+        if parts.size == 0:  # an empty list has no pair nesting to find
+            parts = parts.reshape(shape + (2,))
+        if parts.shape == shape + (2,) and all(map(_is_number_type, set(map(type, parts.flat)))):
+            return parts.astype(float).view(complex).reshape(shape)
+    except (ValueError, OverflowError):
+        pass
+    for index in np.ndindex(*shape):
+        entry = raw
+        for i in index:
+            entry = entry[i]
+        _parse_complex(entry, name + "".join(f"[{i}]" for i in index))
+    raise StateFileError(f'"{name}" must be nested [re, im] pairs of shape {shape}')
+
+
+def _pairs(values: np.ndarray) -> list:
+    """Nested ``[re, im]`` lists of Python floats, one per entry of ``values``."""
+    return np.stack((values.real, values.imag), axis=-1).tolist()
+
+
 def state_to_dict(state: StateVector | DensityOperator) -> dict:
     """Serialize a state to the JSON object layout."""
     if isinstance(state, StateVector):
         return {
             "kind": "pure",
             "dims": [state.d1, state.d2],
-            "amplitudes": [_complex_pair(z) for z in state.amplitudes],
+            "amplitudes": _pairs(state.amplitudes),
         }
     if isinstance(state, DensityOperator):
         return {
             "kind": "mixed",
             "dims": [state.d1, state.d2],
-            "matrix": [[_complex_pair(z) for z in row] for row in state.matrix],
+            "matrix": _pairs(state.matrix),
         }
     raise TypeError(f"cannot serialize {type(state).__name__} as a state")
 
@@ -86,9 +123,7 @@ def parse_state_dict(data, tol: float = STATE_TOL) -> StateVector | DensityOpera
         raw = data.get("amplitudes")
         if not isinstance(raw, list):
             raise StateFileError('"amplitudes" must be a list of [re, im] pairs')
-        amps = np.array(
-            [_parse_complex(entry, f"amplitudes[{k}]") for k, entry in enumerate(raw)]
-        )
+        amps = _complex_array(raw, (len(raw),), "amplitudes")
         return StateVector(d1=d1, d2=d2, amplitudes=amps)
     raw = data.get("matrix")
     dim = d1 * d2
@@ -96,34 +131,30 @@ def parse_state_dict(data, tol: float = STATE_TOL) -> StateVector | DensityOpera
         isinstance(row, list) and len(row) == dim for row in raw
     ):
         raise StateFileError(f'"matrix" must be {dim} rows of {dim} [re, im] pairs')
-    matrix = np.array(
-        [
-            [_parse_complex(entry, f"matrix[{i}][{j}]") for j, entry in enumerate(row)]
-            for i, row in enumerate(raw)
-        ]
-    )
+    matrix = _complex_array(raw, (dim, dim), "matrix")
     return validate_density(matrix, d1, d2, tol=tol)
 
 
-def load_state_file(path: Path | str, tol: float = STATE_TOL) -> StateVector | DensityOperator:
-    """Read and parse one state file."""
+def load_state_file(
+    path: Path | str, tol: float = STATE_TOL
+) -> tuple[StateVector | DensityOperator, str]:
+    """Read one state file once: its parsed state and the hex SHA-256 of the
+    bytes parsed, so a report's digest describes the state it certified."""
+    raw = Path(path).read_bytes()
     try:
-        data = json.loads(Path(path).read_text())
+        # UTF-8 with universal newlines, as text-mode reading gives, so JSON
+        # error positions count a CRLF file's line ends as one character.
+        data = json.loads(TextIOWrapper(BytesIO(raw), encoding="utf-8").read())
     except json.JSONDecodeError as exc:
         raise StateFileError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError:
         raise StateFileError(f"{path}: JSON nested too deeply") from None
-    return parse_state_dict(data, tol=tol)
+    return parse_state_dict(data, tol=tol), hashlib.sha256(raw).hexdigest()
 
 
 def dump_json(data: dict) -> str:
     """Deterministic JSON text: sorted keys, two-space indent, trailing newline."""
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def file_digest(path: Path | str) -> str:
-    """Hex SHA-256 of a file's bytes."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def certification_to_dict(report: CertificationReport) -> dict:
@@ -157,18 +188,22 @@ def lhv_result_to_dict(result: LhvResult) -> dict:
     return {
         "feasible": result.feasible,
         "max_violation": result.max_violation,
-        "weights": None if result.weights is None else [float(w) for w in result.weights],
+        "weights": None if result.weights is None else result.weights.tolist(),
     }
 
 
-def report_payload(kind: str, body: dict, inputs: dict[str, Path | str]) -> dict:
-    """Wrap a report body with tool identity and input digests."""
+def report_payload(kind: str, body: dict, inputs: dict[str, tuple[Path | str, str]]) -> dict:
+    """Wrap a report body with tool identity and input digests.
+
+    ``inputs`` maps each input's name to its path and the hex SHA-256 that
+    ``load_state_file`` returned for it.
+    """
     return {
         "tool": {"name": TOOL_NAME, "version": __version__},
         "kind": kind,
         "inputs": {
-            name: {"path": str(path), "sha256": file_digest(path)}
-            for name, path in inputs.items()
+            name: {"path": str(path), "sha256": digest}
+            for name, (path, digest) in inputs.items()
         },
         "report": body,
     }
@@ -178,7 +213,6 @@ __all__ = [
     "TOOL_NAME",
     "certification_to_dict",
     "dump_json",
-    "file_digest",
     "lhv_result_to_dict",
     "load_state_file",
     "noise_threshold_to_dict",

@@ -1,4 +1,8 @@
+import builtins
+import hashlib
 import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +143,34 @@ def test_certify_auto_candidate_on_1x1_state(tmp_path, capsys):
     report = json.loads(out)["report"]
     assert report["candidate"] == {"source": "top-eigenvector", "degeneracy_gap": None}
     assert report["verdict"] == "NotHardy"
+
+
+def _mixed_file(path, matrix):
+    path.write_text(json.dumps(
+        {"kind": "mixed", "dims": [2, 2], "matrix": [[[z.real, z.imag] for z in row] for row in matrix]}
+    ))
+    return path
+
+
+def test_certify_auto_candidate_refuses_degenerate_top_eigenvalue(tmp_path, capsys):
+    # An equal mixture of the orthogonal Hardy states sqrt(.2)|00> + sqrt(.8)|11>
+    # and sqrt(.2)|01> + sqrt(.8)|10> (gap 1.7e-16), and white noise I/4.
+    psi = np.array([np.sqrt(0.2), 0, 0, np.sqrt(0.8)])
+    phi = np.array([0, np.sqrt(0.2), np.sqrt(0.8), 0])
+    cases = {
+        "equal-mixture.json": (np.outer(psi, psi) + np.outer(phi, phi)) / 2.0,
+        "white.json": np.eye(4) / 4.0,
+    }
+    candidate = gen(tmp_path, "hardy.json", "hardy")
+    for name, matrix in cases.items():
+        state = _mixed_file(tmp_path / name, matrix)
+        code, out, err = run_cli(["certify", "--state", str(state)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "degenerate" in err and "--candidate" in err
+        # With a candidate named, the same state certifies as before.
+        code, out, _ = run_cli(["certify", "--state", str(state), "--candidate", str(candidate)], capsys)
+        assert code == 0
+        assert json.loads(out)["report"]["candidate"] == {"source": "file"}
 
 
 def test_certify_bell_is_not_hardy(tmp_path, capsys):
@@ -326,3 +358,42 @@ def test_lhv_check_inputs_carry_digests(tmp_path, capsys):
     assert set(payload["inputs"]) == {"state", "candidate"}
     for entry in payload["inputs"].values():
         assert len(entry["sha256"]) == 64
+
+
+# ------------------------------------------------------------------- inputs
+
+
+def test_each_input_file_is_read_once(tmp_path, capsys, monkeypatch):
+    # Every open of a file for reading, by path, through pathlib or open().
+    reads = Counter()
+    path_open, plain_open = Path.open, builtins.open
+
+    def counting_path_open(self, mode="r", *args, **kwargs):
+        if "r" in mode:
+            reads[str(self)] += 1
+        return path_open(self, mode, *args, **kwargs)
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if "r" in mode and isinstance(file, (str, Path)):
+            reads[str(file)] += 1
+        return plain_open(file, mode, *args, **kwargs)
+
+    state = gen(tmp_path, "hardy.json", "hardy")
+    mix = gen(tmp_path, "mix.json", "white-noise-mix")
+    monkeypatch.setattr(Path, "open", counting_path_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    commands = (
+        (["certify", "--state", str(mix)], {"state": mix}),
+        (["certify", "--state", str(mix), "--candidate", str(state)], {"state": mix, "candidate": state}),
+        (["noise-threshold", "--state", str(state), "--noise", str(mix)], {"state": state, "noise": mix}),
+        (["lhv-check", "--state", str(mix), "--candidate", str(state)], {"state": mix, "candidate": state}),
+    )
+    for argv, inputs in commands:
+        reads.clear()
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert reads == Counter(str(path) for path in inputs.values()), argv
+        reported = json.loads(out)["inputs"]
+        for name, path in inputs.items():
+            with plain_open(path, "rb") as f:
+                assert reported[name]["sha256"] == hashlib.sha256(f.read()).hexdigest()

@@ -13,14 +13,15 @@ from hardycert import (
 )
 from hardycert.errors import NotUnitTraceError, StateFileError
 from hardycert.io import (
+    _complex_array,
     certification_to_dict,
     dump_json,
-    file_digest,
     load_state_file,
     parse_state_dict,
     report_payload,
     state_to_dict,
 )
+from hardycert.states import STATE_TOL, validate_density
 from support import random_density, random_state_vector
 
 
@@ -31,37 +32,264 @@ def fixture_state() -> StateVector:
     return StateVector(d1=2, d2=2, amplitudes=amps)
 
 
+# ------------------------------------------- per-entry reference (the old io)
+
+
+def _reference_pair(z: complex) -> list[float]:
+    return [float(z.real), float(z.imag)]
+
+
+def reference_state_to_dict(state) -> dict:
+    """The writer as it was: one Python call per entry."""
+    if isinstance(state, StateVector):
+        return {
+            "kind": "pure",
+            "dims": [state.d1, state.d2],
+            "amplitudes": [_reference_pair(z) for z in state.amplitudes],
+        }
+    return {
+        "kind": "mixed",
+        "dims": [state.d1, state.d2],
+        "matrix": [[_reference_pair(z) for z in row] for row in state.matrix],
+    }
+
+
+def _reference_parse_complex(value, where: str) -> complex:
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 2
+        or not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in value)
+    ):
+        raise StateFileError(f"{where}: expected a [re, im] pair, got {value!r}")
+    try:
+        return complex(float(value[0]), float(value[1]))
+    except OverflowError:
+        raise StateFileError(f"{where}: integer too large for a float") from None
+
+
+def reference_entries(raw: list, nested: bool) -> np.ndarray:
+    """The per-entry conversion as it was, in file order."""
+    if nested:
+        return np.array(
+            [
+                [_reference_parse_complex(entry, f"matrix[{i}][{j}]") for j, entry in enumerate(row)]
+                for i, row in enumerate(raw)
+            ]
+        )
+    return np.array(
+        [_reference_parse_complex(entry, f"amplitudes[{k}]") for k, entry in enumerate(raw)]
+    )
+
+
+def reference_parse_state_dict(data, tol: float = STATE_TOL):
+    """``parse_state_dict`` as it was, per-entry conversion included."""
+    if not isinstance(data, dict):
+        raise StateFileError(f"state file must hold a JSON object, got {type(data).__name__}")
+    kind = data.get("kind")
+    if kind not in ("pure", "mixed"):
+        raise StateFileError(f'"kind" must be "pure" or "mixed", got {kind!r}')
+    dims = data.get("dims")
+    if (
+        not isinstance(dims, (list, tuple))
+        or len(dims) != 2
+        or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
+    ):
+        raise StateFileError(f'"dims" must be two positive integers, got {dims!r}')
+    d1, d2 = int(dims[0]), int(dims[1])
+    if kind == "pure":
+        raw = data.get("amplitudes")
+        if not isinstance(raw, list):
+            raise StateFileError('"amplitudes" must be a list of [re, im] pairs')
+        return StateVector(d1=d1, d2=d2, amplitudes=reference_entries(raw, nested=False))
+    raw = data.get("matrix")
+    dim = d1 * d2
+    if not isinstance(raw, list) or len(raw) != dim or not all(
+        isinstance(row, list) and len(row) == dim for row in raw
+    ):
+        raise StateFileError(f'"matrix" must be {dim} rows of {dim} [re, im] pairs')
+    return validate_density(reference_entries(raw, nested=True), d1, d2, tol=tol)
+
+
+def _outcome(parse, data):
+    """What ``parse(data)`` gives: the state's array, or the exception raised."""
+    try:
+        state = parse(data)
+    except Exception as exc:  # compared by type and message below
+        return type(exc), str(exc)
+    return state.amplitudes if isinstance(state, StateVector) else state.matrix
+
+
+def assert_same_outcome(data):
+    want = _outcome(reference_parse_state_dict, data)
+    got = _outcome(parse_state_dict, data)
+    if isinstance(want, tuple):
+        assert got == want, data
+    else:
+        assert isinstance(got, np.ndarray), got
+        assert got.dtype == want.dtype == np.complex128
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+# Leaves that JSON can carry and that are numbers: ints, signed zeros, the
+# smallest subnormals, an int exact as a float but past 2**53, and ints that
+# a float must round.
+SPECIAL_PARTS = (0, 1, -1, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-310, 2**70, 2**53 + 1, -(3**40))
+
+
+def _sprinkled(raw: list, rng: np.random.Generator, nested: bool) -> list:
+    """``raw`` with a seeded quarter of its numbers swapped for special leaves."""
+    pairs = [pair for row in raw for pair in row] if nested else raw
+    for pair in pairs:
+        for part in range(2):
+            if rng.random() < 0.25:
+                pair[part] = SPECIAL_PARTS[rng.integers(len(SPECIAL_PARTS))]
+    return raw
+
+
+def _zeros_respelled(raw: list, rng: np.random.Generator, nested: bool) -> list:
+    """``raw`` with every exact zero written as ``0``, ``-0.0`` or a subnormal."""
+    pairs = [pair for row in raw for pair in row] if nested else raw
+    for pair in pairs:
+        for part in range(2):
+            if pair[part] == 0.0:
+                pair[part] = (0, -0.0, 0.0, 5e-324, -5e-324)[rng.integers(5)]
+    return raw
+
+
 # --------------------------------------------------------------- round trips
 
 
 def test_pure_round_trip_is_bit_exact():
     rng = np.random.default_rng(71)
-    for _ in range(10):
-        psi = random_state_vector(2, 3, rng)
-        back = parse_state_dict(json.loads(dump_json(state_to_dict(psi))))
-        assert isinstance(back, StateVector)
-        assert (back.d1, back.d2) == (2, 3)
-        assert np.array_equal(back.amplitudes, psi.amplitudes)
+    for dims in ((2, 3), (8, 8)):
+        for _ in range(10):
+            parts = rng.normal(size=(2, dims[0] * dims[1]))
+            parts[1, 0] = parts[0, -1] = -0.0
+            parts /= np.linalg.norm(parts)
+            amps = np.empty(parts.shape[1], dtype=complex)
+            amps.real, amps.imag = parts
+            psi = StateVector(d1=dims[0], d2=dims[1], amplitudes=amps)
+            text = dump_json(state_to_dict(psi))
+            assert text == dump_json(reference_state_to_dict(psi))
+            assert [line.strip(" ,") for line in text.splitlines()].count("-0.0") == 2
+            back = parse_state_dict(json.loads(text))
+            assert isinstance(back, StateVector)
+            assert (back.d1, back.d2) == dims
+            assert np.array_equal(back.amplitudes, psi.amplitudes)
+            assert back.amplitudes.tobytes() == psi.amplitudes.tobytes()
 
 
 def test_mixed_round_trip():
     rng = np.random.default_rng(72)
-    for _ in range(10):
-        sigma = random_density(2, 2, rng)
-        back = parse_state_dict(json.loads(dump_json(state_to_dict(sigma))))
-        assert isinstance(back, DensityOperator)
-        # validate_density may renormalize by a hair; the matrices agree to
-        # far below the validation tolerance.
-        assert np.max(np.abs(back.matrix - sigma.matrix)) < 1e-15
+    for dims in ((2, 2), (8, 8)):
+        for _ in range(10):
+            matrix = random_density(*dims, rng).matrix.copy()
+            # Cut the first basis state off (still a density matrix), with
+            # signed zeros that the Hermitian part taken at validation keeps
+            # in part.
+            matrix[0, 1:] = matrix[1:, 0] = 0.0
+            matrix[0, 1] = complex(-0.0, 0.0)
+            matrix[1, 0] = complex(-0.0, -0.0)
+            sigma = DensityOperator(d1=dims[0], d2=dims[1], matrix=matrix)
+            text = dump_json(state_to_dict(sigma))
+            assert text == dump_json(reference_state_to_dict(sigma))
+            assert "-0.0" in [line.strip(" ,") for line in text.splitlines()]
+            back = parse_state_dict(json.loads(text))
+            assert isinstance(back, DensityOperator)
+            # validate_density may renormalize by a hair; the matrices agree to
+            # far below the validation tolerance.
+            assert np.max(np.abs(back.matrix - sigma.matrix)) < 1e-15
 
 
 def test_round_trip_through_file(tmp_path):
     path = tmp_path / "state.json"
     psi = fixture_state()
     path.write_text(dump_json(state_to_dict(psi)))
-    back = load_state_file(path)
+    back, _ = load_state_file(path)
     assert isinstance(back, StateVector)
     assert np.array_equal(back.amplitudes, psi.amplitudes)
+
+
+def test_parse_matches_per_entry_reference():
+    rng = np.random.default_rng(73)
+    for dims in ((1, 1), (2, 3), (8, 8)):
+        dim = dims[0] * dims[1]
+        for _ in range(4):
+            pure = reference_state_to_dict(random_state_vector(*dims, rng))
+            mixed = reference_state_to_dict(random_density(*dims, rng))
+            # Valid as written, then with special leaves (mostly invalid
+            # states after that, so both parsers must raise alike).
+            assert_same_outcome(pure)
+            assert_same_outcome(mixed)
+            assert_same_outcome({**pure, "amplitudes": _sprinkled(pure["amplitudes"], rng, False)})
+            assert_same_outcome({**mixed, "matrix": _sprinkled(mixed["matrix"], rng, True)})
+            # Still valid states: zero out a random part of the vector, and
+            # the blocks of the matrix between a random split of the basis,
+            # then respell the zeros.
+            amps = random_state_vector(*dims, rng).amplitudes * (rng.random(dim) < 0.5)
+            amps[0] = 1.0 if not amps.any() else amps[0]
+            pure = reference_state_to_dict(StateVector(*dims, amps / np.linalg.norm(amps)))
+            side = rng.random(dim) < 0.5
+            matrix = random_density(*dims, rng).matrix * np.equal.outer(side, side)
+            mixed = reference_state_to_dict(DensityOperator(*dims, matrix))
+            for data in (
+                {**pure, "amplitudes": _zeros_respelled(pure["amplitudes"], rng, False)},
+                {**mixed, "matrix": _zeros_respelled(mixed["matrix"], rng, True)},
+            ):
+                assert isinstance(_outcome(reference_parse_state_dict, data), np.ndarray)
+                assert_same_outcome(data)
+            # The raw conversion alone, before any physical validation.
+            raw = _sprinkled([_reference_pair(z) for z in rng.normal(size=dim)], rng, False)
+            got = _complex_array(raw, (dim,), "amplitudes")
+            want = reference_entries(raw, nested=False)
+            assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+            raw = _sprinkled([[_reference_pair(z) for z in row] for row in rng.normal(size=(dim, dim))], rng, True)
+            got = _complex_array(raw, (dim, dim), "matrix")
+            want = reference_entries(raw, nested=True)
+            assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+
+
+def test_parse_errors_match_per_entry_reference():
+    bad_entries = (
+        [True, 0.0],
+        [0.0, False],
+        ["0.5", 0.0],
+        [None, 0.0],
+        [0.5],
+        [0.5, 0.0, 0.0],
+        [[0.5], 0.0],
+        [[0.5, 0.0]],
+        [],
+        "0.5",
+        None,
+        0.5,
+        {"re": 0.5, "im": 0.0},
+        [10**400, 0.0],
+        [0.0, -(10**400)],
+        [2**70, 0.0],
+        [float("nan"), 0.0],
+        [-0.0, -0.0],
+    )
+    pure = reference_state_to_dict(fixture_state())
+    mixed = reference_state_to_dict(maximally_mixed(2, 2))
+    for entry in bad_entries:
+        for k in (0, 2, 3):                       # first, mid, last
+            amps = [list(pair) for pair in pure["amplitudes"]]
+            amps[k] = entry
+            assert_same_outcome({**pure, "amplitudes": amps})
+        for i, j in ((0, 0), (1, 2), (3, 3)):     # first, mid-matrix, last
+            matrix = [[list(pair) for pair in row] for row in mixed["matrix"]]
+            matrix[i][j] = entry
+            assert_same_outcome({**mixed, "matrix": matrix})
+        # Two bad entries: the first in file order is the one named.
+        matrix = [[list(pair) for pair in row] for row in mixed["matrix"]]
+        matrix[1][3], matrix[2][0] = entry, ["x", 0]
+        assert_same_outcome({**mixed, "matrix": matrix})
+    # Ragged or missing rows, and amplitude lists of the wrong length.
+    for rows in (mixed["matrix"][:3], [*mixed["matrix"][:3], mixed["matrix"][3][:3]], [[]] * 4):
+        assert_same_outcome({**mixed, "matrix": rows})
+    for amps in ([], pure["amplitudes"][:3], [*pure["amplitudes"], [0, 0]]):
+        assert_same_outcome({**pure, "amplitudes": amps})
 
 
 # ---------------------------------------------------------------- bad input
@@ -118,6 +346,15 @@ def test_load_rejects_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(StateFileError):
         load_state_file(path)
+    # The message is the one a text-mode read gives: a CRLF line end counts
+    # as one character, and a byte-order mark is rejected.
+    for raw in (b'{"kind": "pure",\r\n "dims": [2, 2],\r\n oops}', b'\xef\xbb\xbf{"kind": "pure"}'):
+        path.write_bytes(raw)
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(path.read_text(encoding="utf-8"))
+        with pytest.raises(StateFileError) as got:
+            load_state_file(path)
+        assert str(got.value) == f"{path}: not valid JSON ({want.value})"
 
 
 # ------------------------------------------------------------- report shape
@@ -132,9 +369,12 @@ def test_dump_json_is_deterministic():
 
 
 def test_file_digest_matches_hashlib(tmp_path):
+    # The digest load_state_file returns is of the file's bytes as written.
     path = tmp_path / "blob.json"
-    path.write_bytes(b'{"kind": "pure"}')
-    assert file_digest(path) == hashlib.sha256(b'{"kind": "pure"}').hexdigest()
+    raw = b'{"kind": "pure", "dims": [1, 1], "amplitudes": [[1, 0]]}\r\n'
+    path.write_bytes(raw)
+    _, digest = load_state_file(path)
+    assert digest == hashlib.sha256(raw).hexdigest()
 
 
 def test_certification_dict_fields():
@@ -167,12 +407,13 @@ def test_certification_dict_not_hardy():
 def test_report_payload_structure(tmp_path):
     path = tmp_path / "state.json"
     path.write_text(dump_json(state_to_dict(fixture_state())))
-    payload = report_payload("certify", {"margin": 0.05}, {"state": path})
+    _, digest = load_state_file(path)
+    payload = report_payload("certify", {"margin": 0.05}, {"state": (path, digest)})
     assert payload["tool"]["name"] == "hardycert"
     assert payload["kind"] == "certify"
     assert payload["report"] == {"margin": 0.05}
     entry = payload["inputs"]["state"]
     assert entry["path"] == str(path)
-    assert entry["sha256"] == file_digest(path)
+    assert entry["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
     # The whole payload must serialize deterministically.
     assert dump_json(payload) == dump_json(json.loads(dump_json(payload)))
