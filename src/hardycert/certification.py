@@ -17,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DimensionMismatchError, NotHardyError
 from .lhv import Behavior, behavior_from_state
-from .linalg import hermitian_eig, trace_norm
+from .linalg import trace_norm
 from .observables import HardyProbabilityTable, build_bases, build_observables
 from .states import (
     DEFAULT_DELTA,
@@ -132,13 +134,14 @@ def certify(
 def candidate_from_state(sigma: DensityOperator) -> StateVector:
     """Top eigenvector of a state, as the default certification candidate.
 
-    When the top eigenvalue is degenerate the eigensolver's last column is
-    returned as-is; callers who care can inspect the spectral gap themselves
-    (the command-line tool reports it).
+    The eigenvector's global phase is the eigensolver's: it changes no
+    projector, and ``schmidt_decompose``'s gauge absorbs it, so the report
+    does not depend on it.  When the top eigenvalue is degenerate the
+    eigensolver's last column is returned as-is; callers who care can inspect
+    the spectral gap themselves (the command-line tool reports it).
     """
-    system = hermitian_eig(sigma.matrix)
-    top = system.eigenvectors[:, -1]
-    return StateVector(d1=sigma.d1, d2=sigma.d2, amplitudes=top)
+    _, vectors = np.linalg.eigh(sigma.matrix)
+    return StateVector(d1=sigma.d1, d2=sigma.d2, amplitudes=vectors[:, -1])
 
 
 @dataclass(frozen=True)

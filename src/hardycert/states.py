@@ -1,16 +1,14 @@
 """Validated bipartite state types, Schmidt decomposition, and selection of a
 distinct-weight Schmidt pair.
 
-The Schmidt decomposition is computed through the Hermitian eigendecomposition
-of the subsystem-1 reduced state rather than a complex SVD: the eigenvectors
-give the left basis directly, and applying the transposed coefficient matrix
-recovers the matching right basis, pair by pair, including inside degenerate
-weight blocks.
+The Schmidt decomposition is one SVD of the amplitude coefficient matrix, in
+a fixed phase gauge: each pair of Schmidt vectors is only defined up to
+(u e^{i phi}, v e^{-i phi}), and the measurements built from them depend on
+that choice.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +20,7 @@ from .errors import (
     NotPositiveError,
     NotUnitTraceError,
 )
-from .linalg import hermitian_eig, hermiticity_defect
+from .linalg import hermiticity_defect
 from .observables import hardy_parameter_a
 
 #: Allowed deviation of a state vector's norm from 1.
@@ -31,10 +29,10 @@ NORM_TOL = 1e-9
 #: Default validation tolerance for density operators.
 STATE_TOL = 1e-9
 
-#: Reduced-state eigenvalues at or below this floor are treated as exact zeros
-#: when extracting Schmidt weights.  Dropping at most dim-many of them removes
-#: less than 1e-9 of squared amplitude, which keeps reconstruction faithful.
-WEIGHT_FLOOR = 1e-11
+#: Schmidt weights at or below this floor are treated as exact zeros.  It sits
+#: far above SVD round-off (about 1e-16) and below ``DEFAULT_DELTA``, so no
+#: weight that a pair may use at the default gap is dropped.
+WEIGHT_FLOOR = 1e-12
 
 #: Default minimum weight gap (and minimum weight) for an admissible pair.
 DEFAULT_DELTA = 1e-8
@@ -160,9 +158,8 @@ def validate_density(matrix, d1: int, d2: int, tol: float = STATE_TOL) -> Densit
         raise NotPositiveError(f"eigenvalue {smallest!r} below -{tol}")
     if smallest < 0.0:
         # Only the repair reads eigenvectors, so only it pays for them.
-        system = hermitian_eig(sym)
-        clipped = np.clip(system.eigenvalues, 0.0, None)
-        sym = (system.eigenvectors * clipped) @ system.eigenvectors.conj().T
+        values, vectors = np.linalg.eigh(sym)
+        sym = (vectors * np.clip(values, 0.0, None)) @ vectors.conj().T
     repaired = sym / float(np.trace(sym).real)
     return DensityOperator(d1=d1, d2=d2, matrix=repaired)
 
@@ -182,7 +179,7 @@ def maximally_mixed(d1: int, d2: int) -> DensityOperator:
 class SchmidtForm:
     """Schmidt data of a bipartite pure state.
 
-    ``weights`` are positive square roots of the reduced-state spectrum,
+    ``weights`` are the positive singular values of the coefficient matrix,
     sorted in descending order (ties allowed for degenerate spectra).  Column
     k of ``left_basis`` / ``right_basis`` holds the subsystem-1 / subsystem-2
     unit vector carrying ``weights[k]``.
@@ -220,36 +217,26 @@ class SchmidtForm:
 def schmidt_decompose(psi: StateVector) -> SchmidtForm:
     """Schmidt-decompose a bipartite pure state.
 
-    Eigendecomposes the subsystem-1 reduced state; for each kept eigenpair
-    (weight^2, alpha) the partner vector is beta = C.T conj(alpha) / weight
-    with C the coefficient matrix, which is automatically orthonormal even
-    across degenerate weight blocks.  Eigenvalues at or below WEIGHT_FLOOR
-    are dropped as numerical zeros.
+    One SVD ``C = U diag(s) V^H`` of the coefficient matrix gives the weights
+    ``s`` and the bases: column k of ``U`` on subsystem 1 and row k of
+    ``V^H`` on subsystem 2.  Weights at or below WEIGHT_FLOOR are dropped as
+    numerical zeros.
+
+    Gauge: each left vector is rotated so that its largest-magnitude
+    component is real and positive, and its right partner takes the
+    conjugate phase.  The weights, ``a`` and epsilon do not depend on this
+    choice, but the measurements built from the bases, and so a state's
+    36-cell behavior and the local-model LP, do; the gauge pins them.
     """
-    coeff = psi.coefficient_matrix()
-    reduced = coeff @ coeff.conj().T
-    system = hermitian_eig(reduced)
-    order = np.argsort(system.eigenvalues, kind="stable")[::-1]
-    weights = []
-    left = []
-    right = []
-    for idx in order:
-        weight_sq = float(system.eigenvalues[idx])
-        if weight_sq <= WEIGHT_FLOOR:
-            continue
-        weight = math.sqrt(weight_sq)
-        alpha = system.eigenvectors[:, idx]
-        beta = coeff.T @ alpha.conj() / weight
-        beta = beta / float(np.linalg.norm(beta))
-        weights.append(weight)
-        left.append(alpha)
-        right.append(beta)
-    if not weights:
-        raise InvalidStateError("no Schmidt weight above the numerical floor")
+    left, weights, right_h = np.linalg.svd(psi.coefficient_matrix(), full_matrices=False)
+    rank = np.count_nonzero(weights > WEIGHT_FLOOR)
+    left = left[:, :rank]
+    pivots = left[np.argmax(np.abs(left), axis=0), np.arange(rank)]
+    phases = pivots.conj() / np.abs(pivots)
     return SchmidtForm(
-        weights=np.array(weights),
-        left_basis=np.column_stack(left),
-        right_basis=np.column_stack(right),
+        weights=weights[:rank],
+        left_basis=left * phases,
+        right_basis=right_h[:rank].T * phases.conj(),
     )
 
 

@@ -6,6 +6,11 @@ import pytest
 from hardycert import (
     DensityOperator,
     StateVector,
+    Verdict,
+    behavior_from_state,
+    build_bases,
+    build_observables,
+    certify,
     find_hardy_pair,
     hardy_parameter_a,
     maximally_mixed,
@@ -24,6 +29,7 @@ from hardycert.states import SchmidtForm
 from support import (
     assemble_pure_state,
     haar_unitary,
+    random_density,
     random_single_density,
     random_state_vector,
     random_weights,
@@ -142,7 +148,7 @@ def test_schmidt_fixture_weights_and_bases():
     sf = schmidt_decompose(fixture_state())
     assert np.allclose(sf.weights, [np.sqrt(0.8), np.sqrt(0.2)], atol=1e-12)
     # Diagonal fixture: the Schmidt vectors are computational kets, and the
-    # eigensolver's phase convention makes them real positive exactly.
+    # Schmidt phase gauge makes them real positive exactly.
     assert np.allclose(sf.left_basis[:, 0], [0.0, 1.0], atol=1e-12)
     assert np.allclose(sf.left_basis[:, 1], [1.0, 0.0], atol=1e-12)
     assert np.allclose(sf.right_basis, sf.left_basis, atol=1e-12)
@@ -183,6 +189,100 @@ def test_schmidt_bases_orthonormal():
         for basis in (sf.left_basis, sf.right_basis):
             gram = basis.conj().T @ basis
             assert np.max(np.abs(gram - np.eye(sf.rank))) < 1e-10
+
+
+def _eigen_reference_schmidt(psi: StateVector) -> SchmidtForm:
+    """The Schmidt form by the eigen route, in the documented gauge.
+
+    Eigendecomposes C C^dagger, rotates each eigenvector so that its
+    largest-magnitude component is real and positive, and takes each partner
+    as C^T conj(alpha) / weight.  Squared weights at or below 1e-11 are
+    dropped, as this route cannot resolve them.
+    """
+    coeff = psi.coefficient_matrix()
+    values, vectors = np.linalg.eigh(coeff @ coeff.conj().T)
+    weights, left, right = [], [], []
+    for idx in np.argsort(values, kind="stable")[::-1]:
+        if values[idx] <= 1e-11:
+            continue
+        weight = float(np.sqrt(values[idx]))
+        alpha = vectors[:, idx]
+        pivot = alpha[int(np.argmax(np.abs(alpha)))]
+        alpha = alpha * (pivot.conjugate() / abs(pivot))
+        beta = coeff.T @ alpha.conj() / weight
+        weights.append(weight)
+        left.append(alpha)
+        right.append(beta / np.linalg.norm(beta))
+    return SchmidtForm(
+        weights=np.array(weights),
+        left_basis=np.column_stack(left),
+        right_basis=np.column_stack(right),
+    )
+
+
+def _spaced_weights(rank: int, rng: np.random.Generator) -> np.ndarray:
+    """Descending weights, squares summing to 1, neighbours at least 0.03 apart."""
+    raw = np.arange(rank, 0, -1) + rng.uniform(0.0, 0.5, size=rank)
+    return raw / np.linalg.norm(raw)
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 3), (2, 2), (2, 3), (3, 5), (5, 3), (4, 4), (8, 8)])
+def test_schmidt_gauge_matches_eigen_reference(d1, d2):
+    # The gauge fixes the observables, and so a mixed state's behavior on them.
+    rng = np.random.default_rng(27 + 10 * d1 + d2)
+    rank = min(d1, d2)
+    psi = assemble_pure_state(
+        _spaced_weights(rank, rng), haar_unitary(d1, rng), haar_unitary(d2, rng), d1, d2
+    )
+    sf = schmidt_decompose(psi)
+    ref = _eigen_reference_schmidt(psi)
+    assert sf.rank == ref.rank == rank
+    assert np.max(np.abs(sf.weights - ref.weights)) <= 1e-10
+    assert np.max(np.abs(sf.left_basis - ref.left_basis)) <= 1e-10
+    assert np.max(np.abs(sf.right_basis - ref.right_basis)) <= 1e-10
+    pivots = sf.left_basis[np.argmax(np.abs(sf.left_basis), axis=0), np.arange(rank)]
+    assert np.all(np.abs(pivots.imag) <= 1e-15)
+    assert np.all(pivots.real > 0.0)
+
+    pair = find_hardy_pair(sf)
+    if rank == 1:
+        assert pair is None
+        return
+    sigma = random_density(d1, d2, rng)
+    tables = [
+        behavior_from_state(sigma, build_observables(build_bases(form, pair), d1, d2)).tables
+        for form in (sf, ref)
+    ]
+    assert np.max(np.abs(tables[0] - tables[1])) <= 1e-12
+    # A global phase on the candidate moves no number of the report.
+    phased = StateVector(d1=d1, d2=d2, amplitudes=np.exp(2.1j) * psi.amplitudes)
+    behaviors = [certify(sigma, cand).behavior.tables for cand in (psi, phased)]
+    assert np.max(np.abs(behaviors[0] - behaviors[1])) <= 1e-12
+
+
+@pytest.mark.parametrize("p1", [1e-6, 3e-6])
+def test_schmidt_keeps_small_weights(p1):
+    rng = np.random.default_rng(28)
+    large = np.array([0.8, 0.5, 0.3])
+    weights = np.append(large / np.linalg.norm(large) * np.sqrt(1.0 - p1**2), p1)
+    for _ in range(10):
+        psi = assemble_pure_state(weights, haar_unitary(4, rng), haar_unitary(4, rng), 4, 4)
+        sf = schmidt_decompose(psi)
+        assert sf.rank == 4
+        assert abs(sf.weights[-1] - p1) <= 1e-9 * p1
+
+
+def test_small_weight_pair_is_found_and_inconclusive():
+    p1 = 1e-6
+    p2 = np.sqrt(1.0 - 1e-12)
+    rng = np.random.default_rng(29)
+    psi = assemble_pure_state(np.array([p2, p1]), haar_unitary(2, rng), haar_unitary(2, rng), 2, 2)
+    pair = find_hardy_pair(schmidt_decompose(psi))
+    assert pair is not None
+    assert pair.p1 == pytest.approx(p1, rel=1e-9)
+    assert pair.p2 == pytest.approx(p2, abs=1e-12)
+    # a ~ 1e-12 is below the certification tolerance, but the pair exists.
+    assert certify(pure_density(psi), psi).verdict is Verdict.INCONCLUSIVE
 
 
 def test_schmidt_form_rejects_ascending_weights():
