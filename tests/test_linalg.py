@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hardycert.errors import NonHermitianError, NonSquareError
-from hardycert.linalg import trace_norm
+from hardycert.linalg import DEFAULT_HERMITICITY_TOL, _hermitian_part, trace_norm
 from support import random_hermitian
 
 
@@ -40,3 +40,15 @@ def test_trace_norm_rejects_non_hermitian():
 def test_trace_norm_rejects_non_square():
     with pytest.raises(NonSquareError):
         trace_norm(np.ones((2, 3)))
+
+
+def test_hermitian_eig_rejects_non_hermitian():
+    # The Hermiticity gate in front of every eigen solve in linalg.
+    with pytest.raises(NonHermitianError):
+        _hermitian_part(np.array([[0.0, 1.0], [0.0, 0.0]]), DEFAULT_HERMITICITY_TOL)
+    # ... but tolerates a defect inside the tolerance, returning the
+    # Hermitian part.
+    nearly = np.eye(2) + np.array([[0.0, 1e-12], [0.0, 0.0]])
+    sym = _hermitian_part(nearly, DEFAULT_HERMITICITY_TOL)
+    assert np.array_equal(sym, sym.conj().T)
+    assert np.max(np.abs(sym - nearly)) <= 1e-12
