@@ -54,6 +54,22 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _add_run_options(
+    parser: argparse.ArgumentParser, tol_help: str = "density-matrix validation tolerance"
+) -> None:
+    """--delta, --tol and --output, shared by the three report commands."""
+    parser.add_argument(
+        "--delta",
+        type=_tolerance,
+        default=DEFAULT_DELTA,
+        help="minimum admissible Schmidt-weight gap (default 1e-8)",
+    )
+    parser.add_argument(
+        "--tol", type=_tolerance, default=STATE_TOL, help=f"{tol_help} (default 1e-9)"
+    )
+    parser.add_argument("--output", type=Path, default=None, help="report path (default stdout)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hardycert",
@@ -89,19 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="pure candidate state file (default: top eigenvector of the state)",
     )
-    cert.add_argument(
-        "--delta",
-        type=_tolerance,
-        default=DEFAULT_DELTA,
-        help="minimum admissible Schmidt-weight gap (default 1e-8)",
-    )
-    cert.add_argument(
-        "--tol",
-        type=_tolerance,
-        default=STATE_TOL,
-        help="density-matrix validation tolerance (default 1e-9)",
-    )
-    cert.add_argument("--output", type=Path, default=None, help="report path (default stdout)")
+    _add_run_options(cert)
     cert.set_defaults(handler=cmd_certify)
 
     noise = sub.add_parser(
@@ -109,19 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     noise.add_argument("--state", type=Path, required=True, help="pure candidate state file")
     noise.add_argument("--noise", type=Path, required=True, help="noise state file")
-    noise.add_argument(
-        "--delta",
-        type=_tolerance,
-        default=DEFAULT_DELTA,
-        help="minimum admissible Schmidt-weight gap (default 1e-8)",
-    )
-    noise.add_argument(
-        "--tol",
-        type=_tolerance,
-        default=STATE_TOL,
-        help="density-matrix validation tolerance (default 1e-9)",
-    )
-    noise.add_argument("--output", type=Path, default=None, help="report path (default stdout)")
+    _add_run_options(noise)
     noise.set_defaults(handler=cmd_noise_threshold)
 
     lhv = sub.add_parser("lhv-check", help="search for a local model of the state's behavior")
@@ -129,19 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     lhv.add_argument(
         "--candidate", type=Path, required=True, help="pure candidate file defining the observables"
     )
-    lhv.add_argument(
-        "--delta",
-        type=_tolerance,
-        default=DEFAULT_DELTA,
-        help="minimum admissible Schmidt-weight gap (default 1e-8)",
-    )
-    lhv.add_argument(
-        "--tol",
-        type=_tolerance,
-        default=1e-9,
-        help="feasibility and validation tolerance (default 1e-9)",
-    )
-    lhv.add_argument("--output", type=Path, default=None, help="report path (default stdout)")
+    _add_run_options(lhv, tol_help="feasibility and validation tolerance")
     lhv.set_defaults(handler=cmd_lhv_check)
 
     return parser

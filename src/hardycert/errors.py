@@ -5,14 +5,6 @@ class HardycertError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
-class NonSquareError(HardycertError):
-    """A matrix operation expected a square matrix."""
-
-
-class NonHermitianError(HardycertError):
-    """A matrix deviates from its conjugate transpose beyond tolerance."""
-
-
 class DimensionMismatchError(HardycertError):
     """Operand shapes or subsystem dimensions are incompatible."""
 

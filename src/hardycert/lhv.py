@@ -103,20 +103,13 @@ def strategy_constraint_matrix() -> np.ndarray:
     dependent; the solver is expected to cope.  The matrix is a constant, so
     it is built once and returned read-only.
     """
-    strategies = enumerate_strategies()
-    rows = []
-    for i in range(len(ALICE_SETTINGS)):
-        for j in range(len(BOB_SETTINGS)):
-            for outcome_a in OUTCOMES:
-                for outcome_b in OUTCOMES:
-                    rows.append(
-                        [
-                            1.0 if s.alice(i) == outcome_a and s.bob(j) == outcome_b else 0.0
-                            for s in strategies
-                        ]
-                    )
-    rows.append([1.0] * len(strategies))
-    matrix = np.array(rows)
+    # Outcome indices of the 81 strategies in enumerate_strategies() order,
+    # one-hot as (setting slot, outcome, strategy): slots 0-1 are Alice's.
+    grid = np.array(list(itertools.product(range(len(OUTCOMES)), repeat=4)))
+    onehot = grid.T[:, None, :] == np.arange(len(OUTCOMES))[:, None]
+    alice, bob = onehot[: len(ALICE_SETTINGS)], onehot[len(ALICE_SETTINGS) :]
+    cells = alice[:, None, :, None] & bob[None, :, None, :]
+    matrix = np.vstack([cells.reshape(-1, len(grid)), np.ones(len(grid))])
     matrix.setflags(write=False)
     return matrix
 

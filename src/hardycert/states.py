@@ -1,6 +1,11 @@
 """Validated bipartite state types, Schmidt decomposition, and selection of a
 distinct-weight Schmidt pair.
 
+A state vector's squared norm is checked at ``NORM_TOL``.  Every
+density-matrix invariant is checked once, in ``_check_density``: at
+``STATE_TOL`` by ``DensityOperator``, at the caller's tolerance by
+``validate_density``.
+
 The Schmidt decomposition is one SVD of the amplitude coefficient matrix, in
 a fixed phase gauge: each pair of Schmidt vectors is only defined up to
 (u e^{i phi}, v e^{-i phi}), and the measurements built from them depend on
@@ -23,7 +28,8 @@ from .errors import (
 from .linalg import hermiticity_defect
 from .observables import hardy_parameter_a
 
-#: Allowed deviation of a state vector's norm from 1.
+#: Allowed deviation from 1 of a state vector's squared norm, which is the
+#: trace of its projector and the sum of its squared Schmidt weights.
 NORM_TOL = 1e-9
 
 #: Default validation tolerance for density operators.
@@ -59,85 +65,42 @@ class StateVector:
             )
         if not np.all(np.isfinite(amps)):
             raise InvalidStateError("amplitudes must be finite")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise InvalidStateError(f"state vector norm {norm!r} is not 1 within {NORM_TOL}")
+        norm_sq = float(np.vdot(amps, amps).real)
+        if abs(norm_sq - 1.0) > NORM_TOL:
+            raise InvalidStateError(
+                f"state vector squared norm {norm_sq!r} is not 1 within {NORM_TOL}"
+            )
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     def projector(self) -> np.ndarray:
-        """Rank-one density matrix |psi><psi|."""
-        return np.outer(self.amplitudes, self.amplitudes.conj())
+        """Rank-one density matrix |psi><psi|, made exactly Hermitian (the
+        complex products of ``np.outer`` can miss by an ulp)."""
+        outer = np.outer(self.amplitudes, self.amplitudes.conj())
+        return (outer + outer.conj().T) / 2.0
 
     def coefficient_matrix(self) -> np.ndarray:
         """Amplitudes reshaped to d1 x d2, row index running over subsystem 1."""
         return self.amplitudes.reshape(self.d1, self.d2)
 
 
-@dataclass(frozen=True)
-class DensityOperator:
-    """Hermitian, unit-trace, positive-semidefinite operator on C^d1 (x) C^d2.
+def _check_density(matrix, d1: int, d2: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one gate for density matrices: every invariant checked at ``tol``.
 
-    The stored matrix is the Hermitian part of the input (checked to deviate
-    by at most 1e-9 first), so spectral routines downstream meet their
-    preconditions exactly.  Use ``validate_density`` to construct from data
-    that may need round-off repair at a looser tolerance.
-
-    ``eigenvalues`` is the read-only ascending spectrum of ``matrix``, kept
-    from the positivity check; it takes no part in ``==`` or ``repr``.
-    """
-
-    d1: int
-    d2: int
-    matrix: np.ndarray
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.d1 < 1 or self.d2 < 1:
-            raise DimensionMismatchError("subsystem dimensions must be positive")
-        mat = np.array(self.matrix, dtype=complex)
-        dim = self.d1 * self.d2
-        if mat.shape != (dim, dim):
-            raise DimensionMismatchError(
-                f"matrix shape {mat.shape} does not match dims ({self.d1}, {self.d2})"
-            )
-        if not np.all(np.isfinite(mat)):
-            raise InvalidStateError("matrix entries must be finite")
-        if hermiticity_defect(mat) > STATE_TOL:
-            raise NotHermitianError(
-                f"hermiticity defect {hermiticity_defect(mat):.3e} exceeds {STATE_TOL}"
-            )
-        mat = (mat + mat.conj().T) / 2.0
-        trace = float(np.trace(mat).real)
-        if abs(trace - 1.0) > STATE_TOL:
-            raise NotUnitTraceError(f"trace {trace!r} is not 1 within {STATE_TOL}")
-        eigenvalues = np.linalg.eigvalsh(mat)
-        smallest = float(eigenvalues[0])
-        if smallest < -STATE_TOL:
-            raise NotPositiveError(f"eigenvalue {smallest!r} below -{STATE_TOL}")
-        mat.setflags(write=False)
-        eigenvalues.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-
-    @property
-    def dim(self) -> int:
-        return self.d1 * self.d2
-
-
-def validate_density(matrix, d1: int, d2: int, tol: float = STATE_TOL) -> DensityOperator:
-    """Validate and, where round-off requires, repair a candidate density matrix.
-
-    Hermiticity, unit trace, and positivity are each checked at ``tol``.
-    Eigenvalues in [-tol, 0) are clipped to zero and the operator renormalized
-    to unit trace, so slightly negative round-off noise cannot leak into
-    downstream spectral computations.
+    Returns the Hermitian part of ``matrix`` (exactly Hermitian, so spectral
+    routines downstream meet their preconditions) and its ascending spectrum.
 
     Raises
     ------
+    DimensionMismatchError
+        A dimension is not positive, or the shape is not (d1 d2, d1 d2).
+    InvalidStateError
+        An entry is not finite.
     NotHermitianError, NotUnitTraceError, NotPositiveError
         The corresponding check failed beyond ``tol``.
     """
+    if d1 < 1 or d2 < 1:
+        raise DimensionMismatchError("subsystem dimensions must be positive")
     mat = np.asarray(matrix, dtype=complex)
     dim = d1 * d2
     if mat.shape != (dim, dim):
@@ -153,10 +116,58 @@ def validate_density(matrix, d1: int, d2: int, tol: float = STATE_TOL) -> Densit
     trace = float(np.trace(sym).real)
     if abs(trace - 1.0) > tol:
         raise NotUnitTraceError(f"trace {trace!r} is not 1 within {tol}")
-    smallest = float(np.linalg.eigvalsh(sym)[0])
+    eigenvalues = np.linalg.eigvalsh(sym)
+    smallest = float(eigenvalues[0])
     if smallest < -tol:
         raise NotPositiveError(f"eigenvalue {smallest!r} below -{tol}")
-    if smallest < 0.0:
+    return sym, eigenvalues
+
+
+@dataclass(frozen=True)
+class DensityOperator:
+    """Hermitian, unit-trace, positive-semidefinite operator on C^d1 (x) C^d2.
+
+    The input passes ``_check_density`` at ``STATE_TOL`` and the stored
+    matrix is its Hermitian part.  Use ``validate_density`` to construct
+    from data that may need round-off repair at a looser tolerance.
+
+    ``eigenvalues`` is the read-only ascending spectrum of ``matrix``, kept
+    from the positivity check; it takes no part in ``==`` or ``repr``.
+    """
+
+    d1: int
+    d2: int
+    matrix: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        mat, eigenvalues = _check_density(self.matrix, self.d1, self.d2, STATE_TOL)
+        mat.setflags(write=False)
+        eigenvalues.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+
+    @property
+    def dim(self) -> int:
+        return self.d1 * self.d2
+
+
+def validate_density(matrix, d1: int, d2: int, tol: float = STATE_TOL) -> DensityOperator:
+    """Validate and, where round-off requires, repair a candidate density matrix.
+
+    The matrix passes ``_check_density`` at ``tol``.  Eigenvalues in
+    [-tol, 0) are then clipped to zero and the operator renormalized to unit
+    trace, so slightly negative round-off noise cannot leak into downstream
+    spectral computations.
+
+    Raises
+    ------
+    DimensionMismatchError, InvalidStateError, NotHermitianError,
+    NotUnitTraceError, NotPositiveError
+        As ``_check_density``.
+    """
+    sym, eigenvalues = _check_density(matrix, d1, d2, tol)
+    if eigenvalues[0] < 0.0:
         # Only the repair reads eigenvectors, so only it pays for them.
         values, vectors = np.linalg.eigh(sym)
         sym = (vectors * np.clip(values, 0.0, None)) @ vectors.conj().T
@@ -197,7 +208,7 @@ class SchmidtForm:
             raise InvalidStateError("Schmidt weights must be strictly positive")
         if np.any(np.diff(weights) > 0.0):
             raise InvalidStateError("Schmidt weights must be sorted in descending order")
-        if abs(float(np.sum(weights**2)) - 1.0) > 1e-9:
+        if abs(float(np.sum(weights**2)) - 1.0) > NORM_TOL:
             raise InvalidStateError("squared Schmidt weights must sum to 1")
         if self.left_basis.shape[1] != weights.size or self.right_basis.shape[1] != weights.size:
             raise DimensionMismatchError("basis column count must match the weight count")

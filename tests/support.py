@@ -33,11 +33,6 @@ def random_state_vector(d1: int, d2: int, rng: np.random.Generator) -> StateVect
     return StateVector(d1=d1, d2=d2, amplitudes=amps / np.linalg.norm(amps))
 
 
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (g + g.conj().T) / 2.0
-
-
 def random_single_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
     """Random density matrix on one subsystem (Ginibre construction)."""
     rank = rank or dim

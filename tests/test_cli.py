@@ -259,6 +259,33 @@ def test_tolerance_flags_must_be_finite_and_nonnegative(tmp_path, capsys):
     assert json.loads(out)["report"]["verdict"] == "NonlocalCertified"
 
 
+def write_pure(path, amplitudes):
+    path.write_text(json.dumps(
+        {"kind": "pure", "dims": [2, 2], "amplitudes": [[z.real, z.imag] for z in amplitudes]}
+    ))
+    return path
+
+
+@pytest.mark.parametrize("norm, code", [(1.0 + 4.5e-10, 0), (1.0 + 9e-10, 2)])
+def test_norm_edge_is_decided_up_front(tmp_path, capsys, norm, code):
+    amps = np.zeros(4, dtype=complex)
+    amps[0] = np.sqrt(0.2)
+    amps[3] = np.sqrt(0.8)
+    edge = write_pure(tmp_path / "edge.json", amps * norm)
+    mix = gen(tmp_path, "mix.json", "white-noise-mix")
+    commands = (
+        ["certify", "--state", str(edge)],
+        ["certify", "--state", str(mix), "--candidate", str(edge)],
+        ["lhv-check", "--state", str(mix), "--candidate", str(edge)],
+        ["noise-threshold", "--state", str(edge), "--noise", str(mix)],
+    )
+    for argv in commands:
+        got, _, err = run_cli(argv, capsys)
+        assert got == code, err
+        if code:
+            assert "squared norm" in err
+
+
 # ----------------------------------------------------------- noise-threshold
 
 

@@ -17,7 +17,8 @@ from hardycert import (
 )
 import hardycert.simplex as simplex
 from hardycert.errors import InvalidStateError, MalformedBehaviorError
-from hardycert.lhv import Behavior, strategy_constraint_matrix
+from hardycert.lhv import ALICE_SETTINGS, BOB_SETTINGS, Behavior, strategy_constraint_matrix
+from hardycert.observables import OUTCOMES
 from support import certified_mixture, random_hardy_state, random_separable
 
 
@@ -59,6 +60,33 @@ def test_constraint_matrix_combinatorics():
     # The matrix is a constant: built once and shared read-only.
     assert strategy_constraint_matrix() is matrix
     assert not matrix.flags.writeable
+
+
+def reference_constraint_matrix() -> np.ndarray:
+    """The constraint matrix built cell by cell, one strategy at a time."""
+    strategies = enumerate_strategies()
+    rows = []
+    for i in range(len(ALICE_SETTINGS)):
+        for j in range(len(BOB_SETTINGS)):
+            for outcome_a in OUTCOMES:
+                for outcome_b in OUTCOMES:
+                    rows.append(
+                        [
+                            1.0 if s.alice(i) == outcome_a and s.bob(j) == outcome_b else 0.0
+                            for s in strategies
+                        ]
+                    )
+    rows.append([1.0] * len(strategies))
+    return np.array(rows)
+
+
+def test_constraint_matrix_matches_reference_loop():
+    matrix = strategy_constraint_matrix()
+    reference = reference_constraint_matrix()
+    assert np.array_equal(matrix, reference)
+    # Same dtype and memory order, so matrix products round the same way.
+    assert matrix.dtype == reference.dtype
+    assert matrix.flags.c_contiguous
 
 
 def test_deterministic_behavior_recovers_its_strategy():

@@ -62,8 +62,25 @@ def test_explicit_candidate_needs_no_eigenvectors_of_sigma(files, solves, capsys
     run(["certify", "--state", files["state"], "--candidate", files["candidate"]], capsys)
     run(["lhv-check", "--state", files["state"], "--candidate", files["candidate"]], capsys)
     assert solves["eigh"].count((DIM, DIM)) == 0
-    # The trace distance still takes one spectrum of sigma - |psi><psi| per command.
-    assert solves["eigvalsh"].count((DIM, DIM)) >= 2
+
+
+@pytest.mark.parametrize(
+    "argv, eigenvectors",
+    [
+        (["certify", "--state", "state"], 1),
+        (["certify", "--state", "state", "--candidate", "candidate"], 0),
+        (["lhv-check", "--state", "state", "--candidate", "candidate"], 0),
+        (["noise-threshold", "--state", "candidate", "--noise", "state"], 0),
+    ],
+    ids=["certify", "certify-candidate", "lhv-check", "noise-threshold"],
+)
+def test_each_command_pays_three_spectra(argv, eigenvectors, files, solves, capsys):
+    # Two spectra of the mixed file (validate_density, then DensityOperator)
+    # and one of sigma - |psi><psi| for the trace distance; the candidate's
+    # projector is never validated as a state of its own.
+    run([files.get(arg, arg) for arg in argv], capsys)
+    assert solves["eigvalsh"].count((DIM, DIM)) == 3
+    assert solves["eigh"].count((DIM, DIM)) == eigenvectors
 
 
 @pytest.mark.parametrize("command", ["certify", "lhv-check"])

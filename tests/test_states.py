@@ -14,6 +14,7 @@ from hardycert import (
     find_hardy_pair,
     hardy_parameter_a,
     maximally_mixed,
+    noise_threshold,
     pure_density,
     schmidt_decompose,
     validate_density,
@@ -25,7 +26,7 @@ from hardycert.errors import (
     NotPositiveError,
     NotUnitTraceError,
 )
-from hardycert.states import SchmidtForm
+from hardycert.states import STATE_TOL, SchmidtForm
 from support import (
     assemble_pure_state,
     haar_unitary,
@@ -61,6 +62,7 @@ def test_state_vector_projector():
     psi = fixture_state()
     projector = psi.projector()
     assert abs(np.trace(projector).real - 1.0) < 1e-12
+    assert np.array_equal(projector, projector.conj().T)
     assert np.max(np.abs(projector @ projector - projector)) < 1e-12
 
 
@@ -124,6 +126,64 @@ def test_validate_density_reports_each_failure():
         validate_density(np.eye(4) / 3.0, 2, 2)
     with pytest.raises(DimensionMismatchError):
         validate_density(np.eye(4) / 4.0, 2, 3)
+
+
+def norm_edge_amplitudes(norm: float) -> np.ndarray:
+    """The fixture state's amplitudes, scaled to the given norm."""
+    return fixture_state().amplitudes * norm
+
+
+def test_state_vector_checks_the_squared_norm():
+    # Squared norm 1 + 1.8e-9: downstream it would fail as the projector's
+    # trace or the squared Schmidt weights, so it is refused here.
+    with pytest.raises(InvalidStateError, match="squared norm"):
+        StateVector(d1=2, d2=2, amplitudes=norm_edge_amplitudes(1.0 + 9e-10))
+
+
+def test_accepted_state_vector_is_accepted_downstream():
+    psi = StateVector(d1=2, d2=2, amplitudes=norm_edge_amplitudes(1.0 + 4.5e-10))
+    assert schmidt_decompose(psi).rank == 2
+    report = certify(maximally_mixed(2, 2), psi)
+    assert report.epsilon == pytest.approx(0.75, abs=1e-8)
+    threshold = noise_threshold(psi, maximally_mixed(2, 2))
+    assert threshold.d_noise == pytest.approx(0.75, abs=1e-8)
+
+
+# ---------------------------------------------------- the validation gate
+
+#: One input per invariant: (matrix, d1, d2, error raised at STATE_TOL).
+BAD_DENSITIES = {
+    "non-positive-dims": (np.zeros((0, 0)), 0, 1, DimensionMismatchError),
+    "shape-off-dims": (np.eye(4) / 4.0, 2, 3, DimensionMismatchError),
+    "non-finite": (np.diag([np.nan, 0.25, 0.25, 0.25]), 2, 2, InvalidStateError),
+    "non-hermitian": (np.eye(4) / 4.0 + 1e-3 * np.eye(4, k=1), 2, 2, NotHermitianError),
+    "trace-off-1": (np.eye(4) / 3.0, 2, 2, NotUnitTraceError),
+    "negative-eigenvalue": (np.diag([0.6, 0.5, -0.1, 0.0]), 2, 2, NotPositiveError),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_DENSITIES))
+def test_gate_raises_alike_for_constructor_and_validate(case):
+    matrix, d1, d2, expected = BAD_DENSITIES[case]
+    with pytest.raises(expected) as direct:
+        DensityOperator(d1=d1, d2=d2, matrix=matrix)
+    with pytest.raises(expected) as validated:
+        validate_density(matrix, d1, d2, tol=STATE_TOL)
+    assert type(direct.value) is type(validated.value) is expected
+    assert str(direct.value) == str(validated.value)
+
+
+def test_gate_refuses_non_hermitian_and_keeps_exact_hermitian_part():
+    for matrix in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 2.0], [0.0, 0.0]])):
+        with pytest.raises(NotHermitianError):
+            DensityOperator(d1=1, d2=2, matrix=matrix)
+        with pytest.raises(NotHermitianError):
+            validate_density(matrix, 1, 2)
+    # A defect inside the tolerance is accepted, and the Hermitian part kept.
+    nearly = np.eye(2) / 2.0 + np.array([[0.0, 1e-12], [0.0, 0.0]])
+    for rho in (DensityOperator(d1=1, d2=2, matrix=nearly), validate_density(nearly, 1, 2)):
+        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+        assert np.max(np.abs(rho.matrix - nearly)) <= 1e-12
 
 
 # ---------------------------------------------------- schmidt decomposition
