@@ -173,19 +173,6 @@ def test_gate_raises_alike_for_constructor_and_validate(case):
     assert str(direct.value) == str(validated.value)
 
 
-def test_gate_refuses_non_hermitian_and_keeps_exact_hermitian_part():
-    for matrix in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 2.0], [0.0, 0.0]])):
-        with pytest.raises(NotHermitianError):
-            DensityOperator(d1=1, d2=2, matrix=matrix)
-        with pytest.raises(NotHermitianError):
-            validate_density(matrix, 1, 2)
-    # A defect inside the tolerance is accepted, and the Hermitian part kept.
-    nearly = np.eye(2) / 2.0 + np.array([[0.0, 1e-12], [0.0, 0.0]])
-    for rho in (DensityOperator(d1=1, d2=2, matrix=nearly), validate_density(nearly, 1, 2)):
-        assert np.array_equal(rho.matrix, rho.matrix.conj().T)
-        assert np.max(np.abs(rho.matrix - nearly)) <= 1e-12
-
-
 # ---------------------------------------------------- schmidt decomposition
 
 
