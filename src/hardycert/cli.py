@@ -222,12 +222,8 @@ def cmd_lhv_check(args: argparse.Namespace) -> dict:
         )
     result = lhv_feasible(criterion.behavior, tol=args.tol)
     body = lhv_result_to_dict(result)
-    body["criterion"] = {
-        "epsilon": criterion.epsilon,
-        "a": criterion.a,
-        "margin": criterion.margin,
-        "verdict": criterion.verdict.value,
-    }
+    rendered = certification_to_dict(criterion)
+    body["criterion"] = {key: rendered[key] for key in ("epsilon", "a", "margin", "verdict")}
     # The criterion is one-sided: a certification must coincide with LP
     # infeasibility, while an inconclusive margin constrains nothing.
     certified = criterion.verdict is Verdict.NONLOCAL_CERTIFIED

@@ -4,8 +4,10 @@ For two settings per party and three outcomes per setting, stochastic local
 models and mixtures of deterministic assignments describe exactly the same
 behaviors, so deciding whether a behavior admits a local realistic model
 reduces to a membership test in the convex hull of the 81 deterministic
-strategies.  That test is a small equality-form LP: 36 joint-probability
-cells plus normalization against 81 nonnegative weights.
+strategies.  A strategy is the tuple ``(x1, y1, x2, y2)`` of outcomes, and
+``enumerate_strategies()`` is the one enumeration of them.  The test is a
+small equality-form LP: 36 joint-probability cells plus normalization
+against 81 nonnegative weights.
 
 This oracle is deliberately independent of the trace-distance criterion in
 the certification module; agreement between the two is a cross-check, not a
@@ -22,15 +24,12 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import InvalidStateError, MalformedBehaviorError
-from .observables import OUTCOMES, behavior_tables
+from .observables import OUTCOMES, PROBABILITY_CLIP, behavior_tables
 from .simplex import solve_feasibility_lp
 
 if TYPE_CHECKING:
     from .observables import HardyObservables
     from .states import DensityOperator
-
-ALICE_SETTINGS = ("X1", "Y1")
-BOB_SETTINGS = ("X2", "Y2")
 
 #: Behaviors whose tables fail to normalize within this are rejected outright.
 NORMALIZATION_TOL = 1e-6
@@ -44,7 +43,7 @@ class Behavior:
     A_0, A_1 = X1, Y1 and B_0, B_1 = X2, Y2.  Probabilities generated from a
     quantum state normalize and obey no-signaling automatically; the type
     itself only polices shape, finiteness, and the [0, 1] range up to
-    round-off.
+    PROBABILITY_CLIP.
     """
 
     tables: np.ndarray
@@ -55,37 +54,16 @@ class Behavior:
             raise InvalidStateError(f"behavior tables must have shape (2, 2, 3, 3), got {tables.shape}")
         if not np.all(np.isfinite(tables)):
             raise InvalidStateError("behavior entries must be finite")
-        if np.any(tables < -1e-12) or np.any(tables > 1.0 + 1e-12):
+        if np.any(tables < -PROBABILITY_CLIP) or np.any(tables > 1.0 + PROBABILITY_CLIP):
             raise InvalidStateError("behavior entries must lie in [0, 1]")
         tables.setflags(write=False)
         object.__setattr__(self, "tables", tables)
 
-    def table(self, alice_setting: str, bob_setting: str) -> np.ndarray:
-        """The 3x3 joint table for one setting pair, outcomes ordered as OUTCOMES."""
-        return self.tables[ALICE_SETTINGS.index(alice_setting), BOB_SETTINGS.index(bob_setting)]
 
-
-class DeterministicStrategy(NamedTuple):
-    """A definite outcome assignment for every setting of both parties."""
-
-    x1: int
-    y1: int
-    x2: int
-    y2: int
-
-    def alice(self, setting_index: int) -> int:
-        """Outcome for Alice's setting 0 (X1) or 1 (Y1)."""
-        return self[setting_index]
-
-    def bob(self, setting_index: int) -> int:
-        """Outcome for Bob's setting 0 (X2) or 1 (Y2)."""
-        return self[2 + setting_index]
-
-
-def enumerate_strategies() -> list[DeterministicStrategy]:
-    """All 81 deterministic strategies, lexicographic in (x1, y1, x2, y2)
+def enumerate_strategies() -> list[tuple[int, int, int, int]]:
+    """All 81 deterministic strategies ``(x1, y1, x2, y2)``, lexicographic
     over the outcome order (+1, 0, -1); the first maps every setting to +1."""
-    return [DeterministicStrategy(*combo) for combo in itertools.product(OUTCOMES, repeat=4)]
+    return list(itertools.product(OUTCOMES, repeat=4))
 
 
 def behavior_from_state(sigma: DensityOperator, obs: HardyObservables) -> Behavior:
@@ -103,13 +81,12 @@ def strategy_constraint_matrix() -> np.ndarray:
     dependent; the solver is expected to cope.  The matrix is a constant, so
     it is built once and returned read-only.
     """
-    # Outcome indices of the 81 strategies in enumerate_strategies() order,
-    # one-hot as (setting slot, outcome, strategy): slots 0-1 are Alice's.
-    grid = np.array(list(itertools.product(range(len(OUTCOMES)), repeat=4)))
-    onehot = grid.T[:, None, :] == np.arange(len(OUTCOMES))[:, None]
-    alice, bob = onehot[: len(ALICE_SETTINGS)], onehot[len(ALICE_SETTINGS) :]
+    # One-hot as (setting slot, outcome, strategy): slots 0-1 are Alice's.
+    strategies = np.array(enumerate_strategies())
+    onehot = strategies.T[:, None, :] == np.array(OUTCOMES)[:, None]
+    alice, bob = onehot[:2], onehot[2:]
     cells = alice[:, None, :, None] & bob[None, :, None, :]
-    matrix = np.vstack([cells.reshape(-1, len(grid)), np.ones(len(grid))])
+    matrix = np.vstack([cells.reshape(-1, len(strategies)), np.ones(len(strategies))])
     matrix.setflags(write=False)
     return matrix
 
@@ -157,11 +134,8 @@ def lhv_feasible(behavior: Behavior, tol: float = 1e-9) -> LhvResult:
 
 
 __all__ = [
-    "ALICE_SETTINGS",
-    "BOB_SETTINGS",
     "NORMALIZATION_TOL",
     "Behavior",
-    "DeterministicStrategy",
     "LhvResult",
     "behavior_from_state",
     "enumerate_strategies",

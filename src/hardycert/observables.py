@@ -15,7 +15,6 @@ That signature is what the certification module's criterion feeds on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -47,20 +46,9 @@ def hardy_parameter_a(p1: float, p2: float) -> float:
     return (p1 * p1) * (p2 * p2) * (p1 - p2) ** 2 / (denom * denom)
 
 
-@dataclass(frozen=True)
-class RotationPair:
-    """The two 2x2 unitaries that generate the measurement bases.
-
-    ``u`` maps the Schmidt pair to the x basis; ``v @ u`` maps it to the y
-    basis.  Both depend only on the selected weights.
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-
-
-def build_rotations(p1: float, p2: float) -> RotationPair:
-    """Construct the weight-dependent unitaries for a pair p1 != p2.
+def build_rotations(p1: float, p2: float) -> tuple[np.ndarray, np.ndarray]:
+    """The weight-dependent 2x2 unitaries ``(u, v)`` for a pair p1 != p2:
+    ``u`` maps the Schmidt pair to the x basis, ``v @ u`` to the y basis.
 
     With r = sqrt(p1 p2) and q = p2 - p1:
 
@@ -82,7 +70,7 @@ def build_rotations(p1: float, p2: float) -> RotationPair:
     q = p2 - p1
     sv = 1.0 / math.sqrt(p1 * p1 + p2 * p2 - p1 * p2)
     v = sv * np.array([[-1j * q, r], [r, -1j * q]])
-    return RotationPair(u=u, v=v)
+    return u, v
 
 
 def build_bases(sf: SchmidtForm, pair: HardyPair) -> tuple[np.ndarray, np.ndarray]:
@@ -100,8 +88,8 @@ def build_bases(sf: SchmidtForm, pair: HardyPair) -> tuple[np.ndarray, np.ndarra
     subsystem.  The slot assignment is pinned by the vanishing of the five
     designated joint probabilities, which the test suite checks directly.
     """
-    rot = build_rotations(pair.p1, pair.p2)
-    rotations = np.stack([rot.u, rot.v @ rot.u])
+    u, v = build_rotations(pair.p1, pair.p2)
+    rotations = np.stack([u, v @ u])
     slots = [pair.index_small, pair.index_large]
     # Row k of a rotation holds the coefficients of the k-th new vector in
     # the Schmidt-pair basis, so the image vectors are the rows of R @ basis.T.
@@ -234,7 +222,6 @@ __all__ = [
     "PROBABILITY_CLIP",
     "HardyObservables",
     "HardyProbabilityTable",
-    "RotationPair",
     "behavior_tables",
     "build_bases",
     "build_observables",

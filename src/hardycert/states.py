@@ -1,10 +1,11 @@
 """Validated bipartite state types, Schmidt decomposition, and selection of a
 distinct-weight Schmidt pair.
 
-A state vector's squared norm is checked at ``NORM_TOL``.  Every
-density-matrix invariant is checked once, in ``_check_density``: at
-``STATE_TOL`` by ``DensityOperator``, at the caller's tolerance by
-``validate_density``.
+A state's trace is held to one tolerance, ``STATE_TOL``: a state vector's
+squared norm (the trace of its projector) and, by default, a density
+matrix's trace.  Every density-matrix invariant is checked once, in
+``_check_density``: at ``STATE_TOL`` by ``DensityOperator``, at the caller's
+tolerance by ``validate_density``.
 
 The Schmidt decomposition is one SVD of the amplitude coefficient matrix, in
 a fixed phase gauge: each pair of Schmidt vectors is only defined up to
@@ -28,11 +29,10 @@ from .errors import (
 from .linalg import hermiticity_defect
 from .observables import hardy_parameter_a
 
-#: Allowed deviation from 1 of a state vector's squared norm, which is the
-#: trace of its projector and the sum of its squared Schmidt weights.
-NORM_TOL = 1e-9
-
-#: Default validation tolerance for density operators.
+#: Allowed deviation from 1 of a state's trace: a state vector's squared norm
+#: (the sum of its squared Schmidt weights) and a ``DensityOperator``'s trace.
+#: ``DensityOperator`` checks its other invariants at it too, and it is the
+#: default tolerance of ``validate_density``.
 STATE_TOL = 1e-9
 
 #: Schmidt weights at or below this floor are treated as exact zeros.  It sits
@@ -66,9 +66,9 @@ class StateVector:
         if not np.all(np.isfinite(amps)):
             raise InvalidStateError("amplitudes must be finite")
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if abs(norm_sq - 1.0) > STATE_TOL:
             raise InvalidStateError(
-                f"state vector squared norm {norm_sq!r} is not 1 within {NORM_TOL}"
+                f"state vector squared norm {norm_sq!r} is not 1 within {STATE_TOL}"
             )
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -97,7 +97,8 @@ def _check_density(matrix, d1: int, d2: int, tol: float) -> tuple[np.ndarray, np
     InvalidStateError
         An entry is not finite.
     NotHermitianError, NotUnitTraceError, NotPositiveError
-        The corresponding check failed beyond ``tol``.
+        The corresponding check failed beyond ``tol``, or the trace is not
+        positive.
     """
     if d1 < 1 or d2 < 1:
         raise DimensionMismatchError("subsystem dimensions must be positive")
@@ -114,8 +115,11 @@ def _check_density(matrix, d1: int, d2: int, tol: float) -> tuple[np.ndarray, np
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol}")
     sym = (mat + mat.conj().T) / 2.0
     trace = float(np.trace(sym).real)
-    if abs(trace - 1.0) > tol:
-        raise NotUnitTraceError(f"trace {trace!r} is not 1 within {tol}")
+    off_unit = abs(trace - 1.0) > tol
+    if off_unit or trace <= 0.0:
+        # A tol of 1 or more admits a trace <= 0, which no renormalisation repairs.
+        expected = f"1 within {tol}" if off_unit else "positive"
+        raise NotUnitTraceError(f"trace {trace!r} is not {expected}")
     eigenvalues = np.linalg.eigvalsh(sym)
     smallest = float(eigenvalues[0])
     if smallest < -tol:
@@ -208,7 +212,7 @@ class SchmidtForm:
             raise InvalidStateError("Schmidt weights must be strictly positive")
         if np.any(np.diff(weights) > 0.0):
             raise InvalidStateError("Schmidt weights must be sorted in descending order")
-        if abs(float(np.sum(weights**2)) - 1.0) > NORM_TOL:
+        if abs(float(np.sum(weights**2)) - 1.0) > STATE_TOL:
             raise InvalidStateError("squared Schmidt weights must sum to 1")
         if self.left_basis.shape[1] != weights.size or self.right_basis.shape[1] != weights.size:
             raise DimensionMismatchError("basis column count must match the weight count")
@@ -294,7 +298,6 @@ def find_hardy_pair(sf: SchmidtForm, delta: float = DEFAULT_DELTA) -> HardyPair 
 
 __all__ = [
     "DEFAULT_DELTA",
-    "NORM_TOL",
     "STATE_TOL",
     "WEIGHT_FLOOR",
     "DensityOperator",

@@ -79,6 +79,8 @@ def edge_case_files(seed=SEED):
 def _invocations(case, hardy):
     return (
         ["certify", "--state", case],
+        # A tol of 2 admits the zero- and negative-trace files as "1 within tol".
+        ["certify", "--state", case, "--tol", "2"],
         ["certify", "--state", case, "--candidate", case],
         ["certify", "--state", case, "--candidate", hardy],
         ["noise-threshold", "--state", case, "--noise", case],

@@ -17,8 +17,8 @@ from hardycert import (
 )
 import hardycert.simplex as simplex
 from hardycert.errors import InvalidStateError, MalformedBehaviorError
-from hardycert.lhv import ALICE_SETTINGS, BOB_SETTINGS, Behavior, strategy_constraint_matrix
-from hardycert.observables import OUTCOMES
+from hardycert.lhv import Behavior, strategy_constraint_matrix
+from hardycert.observables import OUTCOMES, PROBABILITY_CLIP
 from support import certified_mixture, random_hardy_state, random_separable
 
 
@@ -44,8 +44,12 @@ def test_enumerate_strategies_catalog():
     assert strategies[-1] == (-1, -1, -1, -1)
     for s in strategies:
         assert all(outcome in (1, 0, -1) for outcome in s)
-        assert s.alice(0) == s.x1 and s.alice(1) == s.y1
-        assert s.bob(0) == s.x2 and s.bob(1) == s.y2
+    # The full order, independent of how it is generated: outcome ranks in
+    # OUTCOMES order strictly increase lexicographically down the list.  The
+    # constraint matrix and its reference loop both take their columns from
+    # enumerate_strategies(), so only this pins the column order.
+    ranks = [tuple(OUTCOMES.index(outcome) for outcome in s) for s in strategies]
+    assert all(earlier < later for earlier, later in zip(ranks, ranks[1:]))
 
 
 def test_constraint_matrix_combinatorics():
@@ -66,13 +70,13 @@ def reference_constraint_matrix() -> np.ndarray:
     """The constraint matrix built cell by cell, one strategy at a time."""
     strategies = enumerate_strategies()
     rows = []
-    for i in range(len(ALICE_SETTINGS)):
-        for j in range(len(BOB_SETTINGS)):
+    for i in range(2):
+        for j in range(2):
             for outcome_a in OUTCOMES:
                 for outcome_b in OUTCOMES:
                     rows.append(
                         [
-                            1.0 if s.alice(i) == outcome_a and s.bob(j) == outcome_b else 0.0
+                            1.0 if s[i] == outcome_a and s[2 + j] == outcome_b else 0.0
                             for s in strategies
                         ]
                     )
@@ -113,6 +117,20 @@ def test_behavior_validation():
         Behavior(tables=bad)
     with pytest.raises(InvalidStateError):
         Behavior(tables=np.full((2, 2, 3, 3), np.nan))
+    # The round-off window: cells up to PROBABILITY_CLIP outside [0, 1] pass.
+    for value, accepted in (
+        (-PROBABILITY_CLIP, True),
+        (1.0 + PROBABILITY_CLIP, True),
+        (-2.0 * PROBABILITY_CLIP, False),
+        (1.0 + 2.0 * PROBABILITY_CLIP, False),
+    ):
+        cells = np.zeros((2, 2, 3, 3))
+        cells[1, 0, 2, 1] = value
+        if accepted:
+            assert Behavior(tables=cells).tables[1, 0, 2, 1] == value
+        else:
+            with pytest.raises(InvalidStateError):
+                Behavior(tables=cells)
 
 
 def test_behavior_from_white_noise():
@@ -124,13 +142,6 @@ def test_behavior_from_white_noise():
             assert np.allclose(table[np.ix_([0, 2], [0, 2])], 0.25, atol=1e-12)
             assert np.max(np.abs(table[1, :])) < 1e-12
             assert np.max(np.abs(table[:, 1])) < 1e-12
-
-
-def test_behavior_table_accessor():
-    _, obs = fixture_observables()
-    behavior = behavior_from_state(maximally_mixed(2, 2), obs)
-    assert np.array_equal(behavior.table("X1", "Y2"), behavior.tables[0, 1])
-    assert np.array_equal(behavior.table("Y1", "X2"), behavior.tables[1, 0])
 
 
 def test_behavior_normalization_and_no_signaling():

@@ -80,28 +80,28 @@ def test_hardy_parameter_rejects_bad_weights():
 
 def test_build_rotations_equal_weights():
     p = 1.0 / math.sqrt(2.0)
-    rot = build_rotations(p, p)
+    u, v = build_rotations(p, p)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    assert np.allclose(rot.u, inv_sqrt2 * np.array([[1.0, -1.0j], [-1.0j, 1.0]]), atol=1e-12)
-    assert np.allclose(rot.v, np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-12)
+    assert np.allclose(u, inv_sqrt2 * np.array([[1.0, -1.0j], [-1.0j, 1.0]]), atol=1e-12)
+    assert np.allclose(v, np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-12)
 
 
 def test_build_rotations_fixture_entries():
-    rot = build_rotations(math.sqrt(0.2), math.sqrt(0.8))
+    u, v = build_rotations(math.sqrt(0.2), math.sqrt(0.8))
     # sqrt(0.8) - sqrt(0.2) = sqrt(0.2), so the diagonal is -i sqrt(0.2)/sqrt(0.6).
     expected_diag = -1.0j * math.sqrt(0.2) / math.sqrt(0.6)
-    assert rot.v[0, 0] == pytest.approx(expected_diag, abs=1e-12)
-    assert rot.v[1, 1] == pytest.approx(expected_diag, abs=1e-12)
+    assert v[0, 0] == pytest.approx(expected_diag, abs=1e-12)
+    assert v[1, 1] == pytest.approx(expected_diag, abs=1e-12)
     expected_u00 = math.sqrt(math.sqrt(0.8)) / math.sqrt(math.sqrt(0.2) + math.sqrt(0.8))
-    assert rot.u[0, 0] == pytest.approx(expected_u00, abs=1e-12)
+    assert u[0, 0] == pytest.approx(expected_u00, abs=1e-12)
 
 
 def test_build_rotations_unitary():
     rng = np.random.default_rng(31)
     for _ in range(1000):
         p1, p2 = rng.uniform(0.05, 1.0, size=2)
-        rot = build_rotations(float(p1), float(p2))
-        for mat in (rot.u, rot.v):
+        u, v = build_rotations(float(p1), float(p2))
+        for mat in (u, v):
             assert np.max(np.abs(mat @ mat.conj().T - np.eye(2))) < 1e-12
 
 
@@ -142,8 +142,8 @@ def test_build_bases_y_vectors_compose_rotations():
     sf = schmidt_decompose(psi)
     pair = find_hardy_pair(sf)
     alice, _ = build_bases(sf, pair)
-    rot = build_rotations(pair.p1, pair.p2)
-    w = rot.v @ rot.u
+    u, v = build_rotations(pair.p1, pair.p2)
+    w = v @ u
     alpha1 = sf.left_basis[:, pair.index_small]
     alpha2 = sf.left_basis[:, pair.index_large]
     expected = w[0, 0] * alpha1 + w[0, 1] * alpha2

@@ -126,6 +126,11 @@ def test_validate_density_reports_each_failure():
         validate_density(np.eye(4) / 3.0, 2, 2)
     with pytest.raises(DimensionMismatchError):
         validate_density(np.eye(4) / 4.0, 2, 3)
+    # A tol of 1 or more admits traces of 0 and -1 as "1 within tol", and
+    # renormalising them would divide by a zero trace.
+    for matrix, tol in ((np.zeros((4, 4)), 1.0), (-np.eye(4) / 4.0, 2.0)):
+        with pytest.raises(NotUnitTraceError, match="is not positive"):
+            validate_density(matrix, 2, 2, tol=tol)
 
 
 def norm_edge_amplitudes(norm: float) -> np.ndarray:
