@@ -1,10 +1,13 @@
-"""Search for local hidden variable models with a feasibility LP.
+"""Search for local hidden variable models: facets first, then an LP.
 
 A behavior (the four joint outcome tables, one per measurement-setting
 pair) admits a local model exactly when it is a convex mixture of the 81
 deterministic strategies -- assignments of a definite outcome to every
-setting of each party.  That makes "is there a local model?" a linear
-feasibility problem, solved here by a phase-1 simplex method.
+setting of each party.  The hull of those strategies has 1,116 known
+facets (positivity, liftings of CHSH, relabelings of CGLMP).  A behavior
+that violates one has no local model, and the facet is the witness; any
+other behavior goes to a linear feasibility problem, solved by a phase-1
+simplex method, whose solution is the local model.
 
 The LP is an oracle that is independent of the trace-distance criterion:
 where the criterion certifies, the LP must come up infeasible, and for
@@ -27,6 +30,7 @@ from hardycert import (
     schmidt_decompose,
     validate_density,
 )
+from hardycert.lhv import facet_table
 
 amps = np.zeros(4, dtype=complex)
 amps[0] = np.sqrt(0.2)
@@ -58,6 +62,10 @@ def examine(label, sigma):
         for idx in heaviest:
             print(f"      weight {result.weights[idx]:.4f} on strategy "
                   f"(x1,y1,x2,y2) = {tuple(strategies[idx])}")
+    elif result.facet is not None:
+        table = facet_table()
+        print(f"  no local model: {table.classes[result.facet]} facet #{result.facet} "
+              f"exceeds its bound {table.bounds[result.facet]:g} by {result.max_violation:.3e}")
     else:
         print(f"  LP: INFEASIBLE (best artificial residual {result.max_violation:.3e})")
     print()

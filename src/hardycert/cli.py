@@ -11,6 +11,7 @@ exits 0 on completion, 2 on any input or validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -54,9 +55,7 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_run_options(
-    parser: argparse.ArgumentParser, tol_help: str = "density-matrix validation tolerance"
-) -> None:
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
     """--delta, --tol and --output, shared by the three report commands."""
     parser.add_argument(
         "--delta",
@@ -65,7 +64,10 @@ def _add_run_options(
         help="minimum admissible Schmidt-weight gap (default 1e-8)",
     )
     parser.add_argument(
-        "--tol", type=_tolerance, default=STATE_TOL, help=f"{tol_help} (default 1e-9)"
+        "--tol",
+        type=_tolerance,
+        default=STATE_TOL,
+        help="density-matrix validation tolerance (default 1e-9)",
     )
     parser.add_argument("--output", type=Path, default=None, help="report path (default stdout)")
 
@@ -121,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     lhv.add_argument(
         "--candidate", type=Path, required=True, help="pure candidate file defining the observables"
     )
-    _add_run_options(lhv, tol_help="feasibility and validation tolerance")
+    _add_run_options(lhv)
     lhv.set_defaults(handler=cmd_lhv_check)
 
     return parser
@@ -220,7 +222,8 @@ def cmd_lhv_check(args: argparse.Namespace) -> dict:
         raise NotHardyError(
             f"candidate file {args.candidate} has no admissible pair of distinct Schmidt weights"
         )
-    result = lhv_feasible(criterion.behavior, tol=args.tol)
+    # --tol is the validation tolerance; the local-model search keeps its own.
+    result = lhv_feasible(criterion.behavior)
     body = lhv_result_to_dict(result)
     rendered = certification_to_dict(criterion)
     body["criterion"] = {key: rendered[key] for key in ("epsilon", "a", "margin", "verdict")}
@@ -235,9 +238,14 @@ def cmd_lhv_check(args: argparse.Namespace) -> dict:
     )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         payload = args.handler(args)
         text = dump_json(payload)

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .certification import CertificationReport, NoiseThresholdReport, Verdict
 from .errors import StateFileError
-from .lhv import LhvResult
+from .lhv import LhvResult, facet_table
 from .states import STATE_TOL, DensityOperator, StateVector, validate_density
 
 TOOL_NAME = "hardycert"
@@ -185,7 +185,24 @@ def noise_threshold_to_dict(report: NoiseThresholdReport) -> dict:
 
 
 def lhv_result_to_dict(result: LhvResult) -> dict:
+    """The verdict, its weights, and the facet that decided it, if one did.
+
+    The facet block is a checkable witness: integer coefficients on the
+    ``[alice setting][bob setting][alice outcome][bob outcome]`` cells and an
+    integer bound that no mixture of deterministic strategies exceeds.
+    """
+    facet = None
+    if result.facet is not None:
+        table = facet_table()
+        coefficients = table.coefficients[result.facet].astype(int).reshape(2, 2, 3, 3)
+        facet = {
+            "class": str(table.classes[result.facet]),
+            "coefficients": coefficients.tolist(),
+            "bound": int(table.bounds[result.facet]),
+            "violation": result.max_violation,
+        }
     return {
+        "facet": facet,
         "feasible": result.feasible,
         "max_violation": result.max_violation,
         "weights": None if result.weights is None else result.weights.tolist(),

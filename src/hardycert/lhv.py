@@ -5,9 +5,17 @@ models and mixtures of deterministic assignments describe exactly the same
 behaviors, so deciding whether a behavior admits a local realistic model
 reduces to a membership test in the convex hull of the 81 deterministic
 strategies.  A strategy is the tuple ``(x1, y1, x2, y2)`` of outcomes, and
-``enumerate_strategies()`` is the one enumeration of them.  The test is a
-small equality-form LP: 36 joint-probability cells plus normalization
-against 81 nonnegative weights.
+``enumerate_strategies()`` is the one enumeration of them.
+
+The hull has 1,116 facets, known in closed form: 36 positivity rows, 648
+liftings of CHSH and 432 relabelings of CGLMP (Collins & Gisin, J. Phys. A 37,
+1775 (2004); Collins, Gisin, Linden, Massar & Popescu, PRL 88, 040404
+(2002)).  ``facet_table()`` holds them with integer coefficients on the 36
+cells.  ``lhv_feasible`` checks them first: a violated facet excludes the
+behavior from the hull outright and is its witness.  Only a behavior that
+violates none goes on to a small equality-form LP, 36 joint-probability
+cells plus normalization against 81 nonnegative weights, whose solution is
+the local model.
 
 This oracle is deliberately independent of the trace-distance criterion in
 the certification module; agreement between the two is a cross-check, not a
@@ -91,27 +99,106 @@ def strategy_constraint_matrix() -> np.ndarray:
     return matrix
 
 
+class FacetTable(NamedTuple):
+    """The facets of the local polytope: ``coefficients[r] @ cells <=
+    bounds[r]`` holds for every local behavior, cells in the row order of
+    ``strategy_constraint_matrix()``.
+
+    ``classes[r]`` names the family of row r: ``"positivity"`` (rows 0-35),
+    ``"chsh"`` (36-683) or ``"cglmp"`` (684-1115).  Coefficients are -1, 0
+    or 1 and bounds 0 or 2, stored as floats.
+    """
+
+    coefficients: np.ndarray
+    bounds: np.ndarray
+    classes: np.ndarray
+
+
+# Seed of the CGLMP inequality for three outcomes (Collins et al. 2002):
+# P(A0=B0) + P(B0=A1+1) + P(A1=B1) + P(B1=A0) - P(A0=B0-1) - P(B0=A1)
+# - P(A1=B1-1) - P(B1=A0-1) <= 2, outcomes read as 0, 1, 2 mod 3.  Entry
+# [i, j, s] is the coefficient of every cell of setting pair (i, j) whose
+# outcome indices satisfy l - k = s (mod 3).
+_CGLMP_SEED = np.array([[[1, -1, 0], [1, 0, -1]], [[-1, 1, 0], [1, -1, 0]]], dtype=np.int8)
+
+
+@functools.cache
+def facet_table() -> FacetTable:
+    """All 1,116 facets of the hull of the 81 deterministic strategies.
+
+    Each family is built straight from one seed inequality, with no
+    deduplication pass:
+
+    * positivity: ``-cell <= 0`` for each of the 36 cells;
+    * CHSH, ``E00 + E01 + E10 - E11 <= 2`` with each setting's outcomes
+      coarse-grained to +-1 by a non-constant map (6 per setting).  Negating
+      all four maps gives the same row, so Alice's X1 map keeps +1 at +1:
+      3 * 6**3 = 648 rows;
+    * CGLMP, the seed above under every outcome permutation of each setting.
+      Shifting all outcomes by one mod 3 gives the same row, so Alice's X1
+      permutation fixes the first outcome: 2 * 6**3 = 432 rows.
+
+    The table is a constant, so it is built once and returned read-only.
+    """
+    # Small integer dtypes keep the transient arrays, and the peak memory of
+    # the first call, small.  The 6 non-constant +-1 maps of the outcomes
+    # (+1, 0, -1); the first 3 send +1 to +1.
+    maps = np.array(list(itertools.product((1, -1), repeat=3))[1:-1], dtype=np.int8)
+    x1, y1, x2, y2 = np.indices((3, 6, 6, 6)).reshape(4, -1)
+    alice = np.stack([maps[x1], maps[y1]], axis=1)
+    bob = np.stack([maps[x2], maps[y2]], axis=1)
+    chsh = np.einsum("ij,rik,rjl->rijkl", np.array([[1, 1], [1, -1]], dtype=np.int8), alice, bob)
+
+    # The 6 permutations of the outcome indices; the first 2 fix index 0.
+    perms = np.array(list(itertools.permutations(range(3))), dtype=np.int8)
+    x1, y1, x2, y2 = np.indices((2, 6, 6, 6)).reshape(4, -1)
+    alice = np.stack([perms[x1], perms[y1]], axis=1)[:, :, None, :, None]
+    bob = np.stack([perms[x2], perms[y2]], axis=1)[:, None, :, None, :]
+    i, j = np.indices((2, 2))[:, None, :, :, None, None]
+    cglmp = _CGLMP_SEED[i, j, (bob - alice) % 3]
+
+    cells = 36
+    rows = [-np.eye(cells, dtype=np.int8), chsh.reshape(-1, cells), cglmp.reshape(-1, cells)]
+    table = FacetTable(
+        coefficients=np.vstack(rows, dtype=float),
+        bounds=np.repeat([0.0, 2.0, 2.0], [cells, len(chsh), len(cglmp)]),
+        classes=np.repeat(["positivity", "chsh", "cglmp"], [cells, len(chsh), len(cglmp)]),
+    )
+    for array in table:
+        array.setflags(write=False)
+    return table
+
+
 class LhvResult(NamedTuple):
     """Verdict of the local-model search.
 
     ``weights`` is the mixture over ``enumerate_strategies()`` order when one
-    exists, else None.  ``max_violation`` is the largest equation residual at
-    the solution when feasible, and the minimized L1 infeasibility when not.
+    exists, else None.  When a facet decided the verdict, ``facet`` is its row
+    in ``facet_table()`` and ``max_violation`` its violation,
+    ``coefficients[facet] @ cells - bounds[facet]``.  Otherwise ``facet`` is
+    None and the LP decided: ``max_violation`` is the largest equation
+    residual at the solution when feasible, and the minimized L1
+    infeasibility when not.
     """
 
     feasible: bool
     weights: np.ndarray | None
     max_violation: float
+    facet: int | None = None
 
 
 def lhv_feasible(behavior: Behavior, tol: float = 1e-9) -> LhvResult:
     """Decide whether any mixture of deterministic strategies reproduces the
     behavior.
 
-    Every one of the 36 cells is constrained, redundancies included, plus the
-    normalization of the weights; feasibility at ``tol`` then certifies a
-    local realistic model for the behavior, and infeasibility certifies that
-    none exists.
+    The facets come first: one violated by more than ``tol`` certifies that
+    no local model exists, and the most violated one is returned as the
+    witness.  This is sound for any behavior, signalling or not, since a
+    valid inequality holds on every mixture of the strategies.  Otherwise
+    every one of the 36 cells is constrained, redundancies included, plus
+    the normalization of the weights; feasibility at ``tol`` then certifies
+    a local realistic model for the behavior, and infeasibility certifies
+    that none exists.
 
     Raises
     ------
@@ -124,8 +211,16 @@ def lhv_feasible(behavior: Behavior, tol: float = 1e-9) -> LhvResult:
         raise MalformedBehaviorError(
             f"table normalization off by {worst:.3e}, beyond {NORMALIZATION_TOL}"
         )
+    cells = behavior.tables.reshape(-1)
+    facets = facet_table()
+    violations = facets.coefficients @ cells - facets.bounds
+    facet = int(violations.argmax())
+    if violations[facet] > tol:
+        return LhvResult(
+            feasible=False, weights=None, max_violation=float(violations[facet]), facet=facet
+        )
     matrix = strategy_constraint_matrix()
-    rhs = np.concatenate([behavior.tables.reshape(-1), [1.0]])
+    rhs = np.concatenate([cells, [1.0]])
     result = solve_feasibility_lp(matrix, rhs, tol=tol)
     if not result.feasible:
         return LhvResult(feasible=False, weights=None, max_violation=result.residual)
@@ -136,9 +231,11 @@ def lhv_feasible(behavior: Behavior, tol: float = 1e-9) -> LhvResult:
 __all__ = [
     "NORMALIZATION_TOL",
     "Behavior",
+    "FacetTable",
     "LhvResult",
     "behavior_from_state",
     "enumerate_strategies",
+    "facet_table",
     "lhv_feasible",
     "strategy_constraint_matrix",
 ]

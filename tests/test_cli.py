@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardycert.cli import main
+from hardycert import cli
+from hardycert.cli import build_parser, main
+from hardycert.lhv import strategy_constraint_matrix
 
 
 def run_cli(argv, capsys):
@@ -348,6 +350,31 @@ def test_lhv_check_pure_hardy_infeasible(tmp_path, capsys):
     assert report["weights"] is None
     assert report["criterion"]["verdict"] == "NonlocalCertified"
     assert report["consistent"] is True
+    assert report["facet"]["violation"] == report["max_violation"] > 0
+
+
+def test_lhv_check_tol_is_not_the_lp_tolerance(tmp_path, capsys):
+    # A loose validation tolerance must not loosen the local-model search.
+    state = gen(tmp_path, "hardy.json", "hardy")
+    code, out, _ = run_cli(
+        ["lhv-check", "--state", str(state), "--candidate", str(state), "--tol", "0.9"], capsys
+    )
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["feasible"] is False
+    assert report["weights"] is None
+    assert report["criterion"]["verdict"] == "NonlocalCertified"
+    assert report["consistent"] is True
+    facet = report["facet"]
+    assert set(facet) == {"class", "coefficients", "bound", "violation"}
+    assert facet["class"] in ("positivity", "chsh", "cglmp")
+    assert facet["violation"] == report["max_violation"] > 1e-9
+    # The witness checks with integers alone: no strategy exceeds the bound.
+    coefficients = np.array(facet["coefficients"])
+    assert coefficients.shape == (2, 2, 3, 3) and coefficients.dtype.kind == "i"
+    assert isinstance(facet["bound"], int)
+    strategies = coefficients.reshape(-1) @ strategy_constraint_matrix()[:36]
+    assert strategies.max() == facet["bound"]
 
 
 def test_lhv_check_product_state_feasible(tmp_path, capsys):
@@ -363,6 +390,7 @@ def test_lhv_check_product_state_feasible(tmp_path, capsys):
     assert sum(report["weights"]) == pytest.approx(1.0, abs=1e-9)
     assert report["criterion"]["verdict"] == "Inconclusive"
     assert report["consistent"] is True
+    assert report["facet"] is None
 
 
 def test_lhv_check_bell_candidate_fails(tmp_path, capsys):
@@ -424,3 +452,50 @@ def test_each_input_file_is_read_once(tmp_path, capsys, monkeypatch):
         for name, path in inputs.items():
             with plain_open(path, "rb") as f:
                 assert reported[name]["sha256"] == hashlib.sha256(f.read()).hexdigest()
+
+
+# ------------------------------------------------------------------- parser
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    state = gen(tmp_path, "hardy.json", "hardy")
+    mix = gen(tmp_path, "mix.json", "white-noise-mix")
+    written = tmp_path / "written.json"
+    # Each option is given, then left to its default, so a value that stuck
+    # to the parser from one call to the next would show.
+    sequence = [
+        ["certify", "--state", str(mix), "--candidate", str(state)],
+        ["certify", "--state", str(mix)],
+        ["gen-state", "hardy", "--output", str(written)],
+        ["gen-state", "hardy"],
+        ["lhv-check", "--state", str(mix), "--candidate", str(state), "--tol", "0.5"],
+        ["lhv-check", "--state", str(mix), "--candidate", str(state)],
+        ["certify", "--state", str(tmp_path / "missing.json")],
+    ]
+
+    def run(argv):
+        code, out, err = run_cli(argv, capsys)
+        text = written.read_bytes() if written.exists() else None
+        written.unlink(missing_ok=True)
+        return code, out, err, text
+
+    reused = [run(argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert cli._parser() is cli._parser()
+
+
+@pytest.mark.parametrize("command", [[], ["gen-state"], ["certify"], ["noise-threshold"], ["lhv-check"]])
+def test_help_is_unchanged_by_reuse(command, capsys):
+    main(["gen-state", "bell"])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--help"])
+    assert exit_info.value.code == 0
+    reused = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([*command, "--help"])
+    assert reused == capsys.readouterr().out

@@ -1,3 +1,6 @@
+import itertools
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from hardycert import (
 )
 import hardycert.simplex as simplex
 from hardycert.errors import InvalidStateError, MalformedBehaviorError
-from hardycert.lhv import Behavior, strategy_constraint_matrix
+from hardycert.lhv import Behavior, facet_table, strategy_constraint_matrix
 from hardycert.observables import OUTCOMES, PROBABILITY_CLIP
 from support import certified_mixture, random_hardy_state, random_separable
 
@@ -264,13 +267,189 @@ def test_lhv_pivot_path_is_pinned(monkeypatch):
 
     monkeypatch.setattr(simplex, "_pivot", counted)
     psi, obs = fixture_observables()
-    cases = [
-        (p * pure_density(psi).matrix + (1.0 - p) * np.eye(4) / 4.0, feasible, count)
-        for p, feasible, count in ((0.99, False, 17), (0.6, True, 48))
-    ]
-    cases.append((random_separable(2, 2, np.random.default_rng(0)).matrix, True, 41))
-    for matrix, feasible, count in cases:
+
+    def behavior(matrix):
+        return behavior_from_state(DensityOperator(d1=2, d2=2, matrix=matrix), obs)
+
+    def mixture(p):
+        return p * pure_density(psi).matrix + (1.0 - p) * np.eye(4) / 4.0
+
+    # p = 0.99 is nonlocal: a facet decides it with no pivot, while the LP on
+    # the same system still walks its 17 pivots to infeasibility.
+    nonlocal_behavior = behavior(mixture(0.99))
+    rhs = np.concatenate([nonlocal_behavior.tables.reshape(-1), [1.0]])
+    assert not simplex.solve_feasibility_lp(strategy_constraint_matrix(), rhs).feasible
+    assert pivots == 17
+    pivots = 0
+    result = lhv_feasible(nonlocal_behavior)
+    assert not result.feasible and result.facet is not None
+    assert pivots == 0
+    # Local behaviors violate no facet and still go through the simplex.
+    cases = [(mixture(0.6), 48), (random_separable(2, 2, np.random.default_rng(0)).matrix, 41)]
+    for matrix, count in cases:
         pivots = 0
-        result = lhv_feasible(behavior_from_state(DensityOperator(d1=2, d2=2, matrix=matrix), obs))
-        assert result.feasible is feasible
+        result = lhv_feasible(behavior(matrix))
+        assert result.feasible and result.facet is None
         assert pivots == count
+
+
+# ---------------------------------------------------------------- the facets
+
+
+def vertex_slacks() -> np.ndarray:
+    """Each facet's value minus its bound on each of the 81 strategies."""
+    table = facet_table()
+    return table.coefficients @ strategy_constraint_matrix()[:36] - table.bounds[:, None]
+
+
+def test_facet_table_shape_and_classes():
+    table = facet_table()
+    assert table.coefficients.shape == (1116, 36)
+    assert table.bounds.shape == table.classes.shape == (1116,)
+    # 36 positivity, 648 CHSH-lifting and 432 CGLMP rows, in that order.
+    assert table.classes.tolist() == ["positivity"] * 36 + ["chsh"] * 648 + ["cglmp"] * 432
+    # The table is a constant: built once and shared read-only.
+    assert facet_table() is table
+    assert not any(array.flags.writeable for array in table)
+
+
+def test_facet_coefficients_are_small_integers():
+    table = facet_table()
+    assert set(np.unique(table.coefficients).tolist()) == {-1.0, 0.0, 1.0}
+    assert set(table.bounds.tolist()) == {0.0, 2.0}
+    # Positivity rows are -cell <= 0, one cell each.
+    assert np.array_equal(table.coefficients[:36], -np.eye(36))
+
+
+def test_facets_are_valid_and_tight():
+    # No strategy exceeds a bound, and some strategy attains each one.
+    assert np.array_equal(vertex_slacks().max(axis=1), np.zeros(1116))
+
+
+def test_each_row_is_a_facet():
+    # The 81 strategies, with the normalization row, have rank 25: the local
+    # polytope is 24-dimensional.  A facet is 23-dimensional, so its tight
+    # strategies have rank 24 with the normalization row.
+    matrix = strategy_constraint_matrix()
+    assert np.linalg.matrix_rank(matrix) == 25
+    for slack in vertex_slacks():
+        assert np.linalg.matrix_rank(matrix[:, slack == 0]) == 24
+
+
+def test_facets_are_pairwise_distinct():
+    # Rows are compared on the strategies, where the cell coordinates'
+    # normalization and no-signaling redundancies cannot hide a duplicate.
+    assert len(np.unique(vertex_slacks(), axis=0)) == 1116
+
+
+def test_hardy_inequality_is_one_chsh_facet():
+    # P(Y1+,Y2+) <= P(X1+,X2+) + P(Y1+,X2-) + P(X1-,Y2+) + P(Y1+,X2 0)
+    # + P(X1 0,Y2+), written as hardy @ cells <= 0.
+    hardy = np.zeros((2, 2, 3, 3))
+    hardy[1, 1, 0, 0] = 1.0
+    for cell in ((0, 0, 0, 0), (1, 0, 0, 2), (0, 1, 2, 0), (1, 0, 0, 1), (0, 1, 1, 0)):
+        hardy[cell] = -1.0
+    values = hardy.reshape(-1) @ strategy_constraint_matrix()[:36]
+    assert values.max() == 0.0
+    assert np.count_nonzero(values == 0.0) == 45
+    slacks = vertex_slacks()
+    # slack_r = c * values with c > 0, on all 81 strategies.
+    scale = (slacks @ values) / (values @ values)
+    proportional = np.flatnonzero(
+        (scale > 0) & np.all(np.abs(slacks - scale[:, None] * values) < 1e-12, axis=1)
+    )
+    assert len(proportional) == 1
+    assert facet_table().classes[proportional[0]] == "chsh"
+
+
+def hardy_observables(psi):
+    sf = schmidt_decompose(psi)
+    return build_observables(build_bases(sf, find_hardy_pair(sf)), psi.d1, psi.d2)
+
+
+def lp_checked_verdict(behavior: Behavior) -> bool:
+    """lhv_feasible's verdict, after checking it against the bare LP."""
+    cells = behavior.tables.reshape(-1)
+    reference = simplex.solve_feasibility_lp(strategy_constraint_matrix(), np.append(cells, 1.0))
+    result = lhv_feasible(behavior)
+    assert result.feasible is reference.feasible
+    if result.feasible:
+        # Local verdicts are the LP's own, bit for bit.
+        assert result.facet is None
+        assert np.array_equal(result.weights, reference.solution)
+    elif result.facet is not None:
+        # The witness recomputes from the table alone.
+        table = facet_table()
+        violation = table.coefficients[result.facet] @ cells - table.bounds[result.facet]
+        assert violation > 1e-9
+        assert violation == pytest.approx(result.max_violation, rel=1e-12, abs=1e-15)
+    return result.feasible
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 2), (2, 3), (3, 3), (4, 4)])
+def test_facet_verdict_matches_lp_on_states(d1, d2):
+    rng = np.random.default_rng(65 + 10 * d1 + d2)
+    for _ in range(6):
+        sigma, psi = certified_mixture(rng, d1=d1, d2=d2)
+        certified = behavior_from_state(sigma, hardy_observables(psi))
+        assert not lp_checked_verdict(certified)
+        assert lhv_feasible(certified).facet is not None
+        obs = hardy_observables(random_hardy_state(rng, d1=d1, d2=d2))
+        assert lp_checked_verdict(behavior_from_state(random_separable(d1, d2, rng), obs))
+
+
+def relabeled(tables: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``tables`` with each setting's outcomes permuted at random."""
+    alice = [rng.permutation(3) for _ in range(2)]
+    bob = [rng.permutation(3) for _ in range(2)]
+    out = np.empty_like(tables)
+    for i, j in itertools.product(range(2), repeat=2):
+        out[i, j] = tables[i, j][np.ix_(alice[i], bob[j])]
+    return out
+
+
+def test_facet_verdict_matches_lp_along_no_signaling_directions():
+    # Two maximally nonlocal no-signaling boxes: the Popescu-Rohrlich box on
+    # outcomes +-1 and the box saturating the CGLMP seed, each at 4 where
+    # local models reach 2.
+    chsh_box = np.zeros((2, 2, 3, 3))
+    for i, j in itertools.product(range(2), repeat=2):
+        pairs = ((0, 2), (2, 0)) if (i, j) == (1, 1) else ((0, 0), (2, 2))
+        for k, l in pairs:
+            chsh_box[i, j, k, l] = 0.5
+    shift = (np.arange(3)[None, :] - np.arange(3)[:, None]) % 3
+    cglmp_box = np.stack([(shift == s) / 3.0 for s in (0, 0, 1, 0)]).reshape(2, 2, 3, 3)
+    cells = strategy_constraint_matrix()[:36]
+    center = cells.mean(axis=1)  # the uniform mixture of all strategies
+    table = facet_table()
+    rng = np.random.default_rng(73)
+    verdicts = Counter()
+    for _ in range(60):
+        # A random no-signaling point: relabeled boxes mixed with strategies.
+        parts = [relabeled(chsh_box, rng).reshape(-1), relabeled(cglmp_box, rng).reshape(-1)]
+        parts += [cells[:, s] for s in rng.integers(0, 81, size=3)]
+        direction = rng.dirichlet(np.ones(len(parts))) @ np.array(parts) - center
+        # Where the facets put the edge of the local region along it.
+        rate = table.coefficients @ direction
+        room = table.bounds - table.coefficients @ center
+        edge = np.min(room[rate > 0] / rate[rate > 0])
+        steps = [rng.uniform(0.0, 1.0)]
+        if edge * (1.0 + 1e-3) <= 1.0:
+            steps += [edge * (1.0 - 1e-3), edge * (1.0 + 1e-3)]
+        for t in steps:
+            behavior = Behavior(tables=(center + t * direction).reshape(2, 2, 3, 3))
+            verdicts[lp_checked_verdict(behavior)] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 30
+
+
+def test_signaling_behavior_is_never_feasible():
+    # Alice's outcome follows Bob's setting.
+    tables = np.zeros((2, 2, 3, 3))
+    tables[:, 0, 0, 0] = tables[:, 1, 2, 0] = 1.0
+    assert not lhv_feasible(Behavior(tables=tables)).feasible
+    # Independent random tables signal almost surely.
+    rng = np.random.default_rng(74)
+    for _ in range(20):
+        tables = rng.dirichlet(np.ones(9), size=4).reshape(2, 2, 3, 3)
+        result = lhv_feasible(Behavior(tables=tables))
+        assert not result.feasible and result.weights is None
