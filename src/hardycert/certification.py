@@ -71,14 +71,21 @@ class CertificationReport:
         return HardyProbabilityTable.from_behavior(self.behavior.tables)
 
 
+def _check_dims(role1: str, op1, role2: str, op2) -> None:
+    """Refuse two operands on different subsystem dimensions, naming both."""
+    if (op1.d1, op1.d2) != (op2.d1, op2.d2):
+        raise DimensionMismatchError(
+            f"{role1} dims ({op1.d1}, {op1.d2}) do not match {role2} dims ({op2.d1}, {op2.d2})"
+        )
+
+
 def _trace_distance(difference: np.ndarray) -> float:
     """Half the trace norm of a Hermitian difference of two states, in [0, 1].
 
     Both operands are validated states (or a state and a unit vector's
     projector), so the difference needs no Hermiticity check of its own.
     """
-    value = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(difference))))
-    return min(max(value, 0.0), 1.0)
+    return min(0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(difference)))), 1.0)
 
 
 def trace_distance(s1: DensityOperator, s2: DensityOperator) -> float:
@@ -87,10 +94,7 @@ def trace_distance(s1: DensityOperator, s2: DensityOperator) -> float:
     This metric dominates every projector-probability gap between the two
     states, which is the only property the criterion needs from it.
     """
-    if (s1.d1, s1.d2) != (s2.d1, s2.d2):
-        raise DimensionMismatchError(
-            f"dims ({s1.d1}, {s1.d2}) and ({s2.d1}, {s2.d2}) do not match"
-        )
+    _check_dims("s1", s1, "s2", s2)
     return _trace_distance(s1.matrix - s2.matrix)
 
 
@@ -108,11 +112,7 @@ def certify(
     probabilities of ``sigma`` on the constructed observables are evaluated
     and included for inspection and for the local-model search.
     """
-    if (sigma.d1, sigma.d2) != (candidate.d1, candidate.d2):
-        raise DimensionMismatchError(
-            f"state dims ({sigma.d1}, {sigma.d2}) do not match candidate "
-            f"dims ({candidate.d1}, {candidate.d2})"
-        )
+    _check_dims("state", sigma, "candidate", candidate)
     epsilon = _trace_distance(sigma.matrix - candidate.projector())
     sf = schmidt_decompose(candidate)
     pair = find_hardy_pair(sf, delta=delta)
@@ -186,11 +186,7 @@ def noise_threshold(
     NotHardyError
         The candidate has no admissible pair of distinct Schmidt weights.
     """
-    if (psi.d1, psi.d2) != (noise.d1, noise.d2):
-        raise DimensionMismatchError(
-            f"candidate dims ({psi.d1}, {psi.d2}) do not match noise "
-            f"dims ({noise.d1}, {noise.d2})"
-        )
+    _check_dims("candidate", psi, "noise", noise)
     pair = find_hardy_pair(schmidt_decompose(psi), delta=delta)
     if pair is None:
         raise NotHardyError("candidate state has no admissible pair of distinct Schmidt weights")

@@ -11,8 +11,8 @@ exits 0 on completion, 2 on any input or validation error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -31,7 +31,6 @@ from .io import (
     dump_json,
     lhv_result_to_dict,
     load_state_file,
-    noise_threshold_to_dict,
     report_payload,
     state_to_dict,
 )
@@ -61,13 +60,13 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         "--delta",
         type=_tolerance,
         default=DEFAULT_DELTA,
-        help="minimum admissible Schmidt-weight gap (default 1e-8)",
+        help="minimum admissible Schmidt-weight gap (default %(default)g)",
     )
     parser.add_argument(
         "--tol",
         type=_tolerance,
         default=STATE_TOL,
-        help="density-matrix validation tolerance (default 1e-9)",
+        help="density-matrix validation tolerance (default %(default)g)",
     )
     parser.add_argument("--output", type=Path, default=None, help="report path (default stdout)")
 
@@ -86,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--p1-sq",
         type=float,
         default=0.2,
-        help="squared smaller Schmidt weight for hardy / white-noise-mix (default 0.2)",
+        help="squared smaller Schmidt weight for hardy / white-noise-mix (default %(default)g)",
     )
     gen.add_argument("--d1", type=int, default=2, help="first subsystem dimension (hardy only)")
     gen.add_argument("--d2", type=int, default=2, help="second subsystem dimension (hardy only)")
@@ -94,10 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--p",
         type=float,
         default=0.99,
-        help="pure-state weight of the white-noise mixture (default 0.99)",
+        help="pure-state weight of the white-noise mixture (default %(default)g)",
     )
     gen.add_argument("--output", type=Path, default=None, help="state file path (default stdout)")
-    gen.set_defaults(handler=cmd_gen_state)
 
     cert = sub.add_parser("certify", help="run the 6*epsilon < a criterion")
     cert.add_argument("--state", type=Path, required=True, help="state file to certify")
@@ -108,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pure candidate state file (default: top eigenvector of the state)",
     )
     _add_run_options(cert)
-    cert.set_defaults(handler=cmd_certify)
 
     noise = sub.add_parser(
         "noise-threshold", help="critical mixing weight for pure-state + noise mixtures"
@@ -116,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     noise.add_argument("--state", type=Path, required=True, help="pure candidate state file")
     noise.add_argument("--noise", type=Path, required=True, help="noise state file")
     _add_run_options(noise)
-    noise.set_defaults(handler=cmd_noise_threshold)
 
     lhv = sub.add_parser("lhv-check", help="search for a local model of the state's behavior")
     lhv.add_argument("--state", type=Path, required=True, help="state file to examine")
@@ -124,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--candidate", type=Path, required=True, help="pure candidate file defining the observables"
     )
     _add_run_options(lhv)
-    lhv.set_defaults(handler=cmd_lhv_check)
 
     return parser
 
@@ -206,12 +201,8 @@ def cmd_noise_threshold(args: argparse.Namespace) -> dict:
     psi, psi_digest = _load_pure(args.state, "state", args.tol)
     noise, noise_digest = _load_density(args.noise, args.tol)
     report = noise_threshold(psi, noise, delta=args.delta)
-    body = noise_threshold_to_dict(report)
-    return report_payload(
-        "noise-threshold",
-        body,
-        {"state": (args.state, psi_digest), "noise": (args.noise, noise_digest)},
-    )
+    inputs = {"state": (args.state, psi_digest), "noise": (args.noise, noise_digest)}
+    return report_payload("noise-threshold", dataclasses.asdict(report), inputs)
 
 
 def cmd_lhv_check(args: argparse.Namespace) -> dict:
@@ -246,14 +237,21 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    # Looked up per call, so a handler replaced after the parser was cached runs.
+    handler = {
+        "gen-state": cmd_gen_state,
+        "certify": cmd_certify,
+        "noise-threshold": cmd_noise_threshold,
+        "lhv-check": cmd_lhv_check,
+    }[args.command]
     try:
-        payload = args.handler(args)
+        payload = handler(args)
         text = dump_json(payload)
         if args.output is None:
             sys.stdout.write(text)
         else:
             args.output.write_text(text)
-    except (HardycertError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (HardycertError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

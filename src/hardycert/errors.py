@@ -26,7 +26,7 @@ class NotPositiveError(InvalidStateError):
 
 
 class NonPositiveWeightError(HardycertError):
-    """Schmidt weights entering the measurement construction must be > 0."""
+    """Schmidt weights entering the measurement construction must be finite and > 0."""
 
 
 class NotHardyError(HardycertError):

@@ -18,6 +18,7 @@ A state file is read once; the report's input digest is of the bytes parsed.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from io import BytesIO, TextIOWrapper
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certification import CertificationReport, NoiseThresholdReport, Verdict
+from .certification import CertificationReport, Verdict
 from .errors import StateFileError
 from .lhv import LhvResult, facet_table
 from .states import STATE_TOL, DensityOperator, StateVector, validate_density
@@ -158,30 +159,18 @@ def dump_json(data: dict) -> str:
 
 
 def certification_to_dict(report: CertificationReport) -> dict:
-    body: dict = {
+    """The criterion's numbers; ``pair`` and ``table`` are the report's own
+    fields, or None for a NotHardy candidate."""
+    table = report.table
+    return {
         "epsilon": report.epsilon,
         "a": report.a,
         "margin": report.margin,
         "verdict": report.verdict.value,
         "nonseparable": report.verdict is Verdict.NONLOCAL_CERTIFIED,
-        "pair": None,
-        "table": None,
+        "pair": None if report.pair is None else dataclasses.asdict(report.pair),
+        "table": None if table is None else table._asdict(),
     }
-    if report.pair is not None:
-        body["pair"] = {
-            "index_small": report.pair.index_small,
-            "index_large": report.pair.index_large,
-            "p1": report.pair.p1,
-            "p2": report.pair.p2,
-            "a": report.pair.a,
-        }
-    if report.table is not None:
-        body["table"] = dict(report.table._asdict())
-    return body
-
-
-def noise_threshold_to_dict(report: NoiseThresholdReport) -> dict:
-    return {"p_star": report.p_star, "d_noise": report.d_noise, "a": report.a}
 
 
 def lhv_result_to_dict(result: LhvResult) -> dict:
@@ -232,7 +221,6 @@ __all__ = [
     "dump_json",
     "lhv_result_to_dict",
     "load_state_file",
-    "noise_threshold_to_dict",
     "parse_state_dict",
     "report_payload",
     "state_to_dict",

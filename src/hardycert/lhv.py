@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidStateError, MalformedBehaviorError
 from .observables import OUTCOMES, PROBABILITY_CLIP, behavior_tables
-from .simplex import solve_feasibility_lp
+from .simplex import FEASIBILITY_TOL, solve_feasibility_lp
 
 if TYPE_CHECKING:
     from .observables import HardyObservables
@@ -50,14 +50,17 @@ class Behavior:
     ``tables[i, j, k, l]`` is P(A_i = OUTCOMES[k], B_j = OUTCOMES[l]) with
     A_0, A_1 = X1, Y1 and B_0, B_1 = X2, Y2.  Probabilities generated from a
     quantum state normalize and obey no-signaling automatically; the type
-    itself only polices shape, finiteness, and the [0, 1] range up to
-    PROBABILITY_CLIP.
+    itself only polices shape, realness, finiteness, and the [0, 1] range up
+    to PROBABILITY_CLIP.
     """
 
     tables: np.ndarray
 
     def __post_init__(self) -> None:
-        tables = np.array(self.tables, dtype=float)
+        raw = np.asarray(self.tables)
+        if np.iscomplexobj(raw) and np.any(raw.imag):
+            raise InvalidStateError("behavior entries must be real")
+        tables = np.array(raw.real, dtype=float)
         if tables.shape != (2, 2, 3, 3):
             raise InvalidStateError(f"behavior tables must have shape (2, 2, 3, 3), got {tables.shape}")
         if not np.all(np.isfinite(tables)):
@@ -187,18 +190,18 @@ class LhvResult(NamedTuple):
     facet: int | None = None
 
 
-def lhv_feasible(behavior: Behavior, tol: float = 1e-9) -> LhvResult:
+def lhv_feasible(behavior: Behavior) -> LhvResult:
     """Decide whether any mixture of deterministic strategies reproduces the
     behavior.
 
-    The facets come first: one violated by more than ``tol`` certifies that
-    no local model exists, and the most violated one is returned as the
-    witness.  This is sound for any behavior, signalling or not, since a
-    valid inequality holds on every mixture of the strategies.  Otherwise
-    every one of the 36 cells is constrained, redundancies included, plus
-    the normalization of the weights; feasibility at ``tol`` then certifies
-    a local realistic model for the behavior, and infeasibility certifies
-    that none exists.
+    The facets come first: one violated by more than FEASIBILITY_TOL
+    certifies that no local model exists, and the most violated one is
+    returned as the witness.  This is sound for any behavior, signalling or
+    not, since a valid inequality holds on every mixture of the strategies.
+    Otherwise every one of the 36 cells is constrained, redundancies
+    included, plus the normalization of the weights; feasibility at
+    FEASIBILITY_TOL then certifies a local realistic model for the behavior,
+    and infeasibility certifies that none exists.
 
     Raises
     ------
@@ -215,13 +218,13 @@ def lhv_feasible(behavior: Behavior, tol: float = 1e-9) -> LhvResult:
     facets = facet_table()
     violations = facets.coefficients @ cells - facets.bounds
     facet = int(violations.argmax())
-    if violations[facet] > tol:
+    if violations[facet] > FEASIBILITY_TOL:
         return LhvResult(
             feasible=False, weights=None, max_violation=float(violations[facet]), facet=facet
         )
     matrix = strategy_constraint_matrix()
     rhs = np.concatenate([cells, [1.0]])
-    result = solve_feasibility_lp(matrix, rhs, tol=tol)
+    result = solve_feasibility_lp(matrix, rhs)
     if not result.feasible:
         return LhvResult(feasible=False, weights=None, max_violation=result.residual)
     violation = float(np.max(np.abs(matrix @ result.solution - rhs)))

@@ -32,14 +32,18 @@ OUTCOMES = (1, 0, -1)
 PROBABILITY_CLIP = 1e-12
 
 
+def _check_weights(p1: float, p2: float) -> None:
+    if not (0.0 < p1 < math.inf and 0.0 < p2 < math.inf):  # NaN fails it too
+        raise NonPositiveWeightError(f"weights must be positive and finite, got ({p1}, {p2})")
+
+
 def hardy_parameter_a(p1: float, p2: float) -> float:
     """Closed form of the single nonzero probability in the designated table.
 
     Symmetric in its arguments and zero exactly when the weights coincide, so
     equal-weight states certify nothing.
     """
-    if p1 <= 0.0 or p2 <= 0.0:
-        raise NonPositiveWeightError(f"weights must be positive, got ({p1}, {p2})")
+    _check_weights(p1, p2)
     if p1 == p2:
         return 0.0
     denom = p1 * p1 + p2 * p2 - p1 * p2
@@ -57,8 +61,7 @@ def build_rotations(p1: float, p2: float) -> tuple[np.ndarray, np.ndarray]:
         v = (p1^2 + p2^2 - p1 p2)^(-1/2) [[-i q, r],
                                           [r, -i q]]
     """
-    if p1 <= 0.0 or p2 <= 0.0:
-        raise NonPositiveWeightError(f"weights must be positive, got ({p1}, {p2})")
+    _check_weights(p1, p2)
     su = 1.0 / math.sqrt(p1 + p2)
     u = su * np.array(
         [

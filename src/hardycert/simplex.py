@@ -20,6 +20,10 @@ from .errors import DimensionMismatchError, NumericalBreakdownError
 #: Entries smaller than this are not trusted as pivots or reduced costs.
 PIVOT_EPS = 1e-12
 
+#: Largest minimized artificial mass still reported as feasible.  The
+#: local-model oracle reads the same constant as its facet threshold.
+FEASIBILITY_TOL = 1e-9
+
 #: Hard iteration guard.  Bland's rule terminates on its own; hitting the
 #: guard means float noise broke the bookkeeping and the result is unusable.
 MAX_PIVOTS = 50_000
@@ -37,13 +41,13 @@ class FeasibilityResult(NamedTuple):
     residual: float
 
 
-def solve_feasibility_lp(constraint_matrix, rhs, tol: float = 1e-9) -> FeasibilityResult:
+def solve_feasibility_lp(constraint_matrix, rhs) -> FeasibilityResult:
     """Decide feasibility of ``{x >= 0 : constraint_matrix @ x = rhs}``.
 
     Runs a phase-one simplex on the tableau [A | I | b] (rows with negative
     b are sign-flipped first).  Reports ``feasible`` when the minimized
-    artificial mass does not exceed ``tol``; the returned ``solution`` holds
-    the original variables either way.
+    artificial mass does not exceed FEASIBILITY_TOL; the returned
+    ``solution`` holds the original variables either way.
 
     Raises
     ------
@@ -100,7 +104,8 @@ def solve_feasibility_lp(constraint_matrix, rhs, tol: float = 1e-9) -> Feasibili
     # Artificials stranded in the basis at (numerically) zero level still
     # count toward the reported residual; the solution itself is unaffected.
     residual = max(float(values[basis >= n].sum()), 0.0)
-    return FeasibilityResult(feasible=residual <= tol, solution=solution, residual=residual)
+    feasible = residual <= FEASIBILITY_TOL
+    return FeasibilityResult(feasible=feasible, solution=solution, residual=residual)
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -110,4 +115,10 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[row] = pivot_row
 
 
-__all__ = ["MAX_PIVOTS", "PIVOT_EPS", "FeasibilityResult", "solve_feasibility_lp"]
+__all__ = [
+    "FEASIBILITY_TOL",
+    "MAX_PIVOTS",
+    "PIVOT_EPS",
+    "FeasibilityResult",
+    "solve_feasibility_lp",
+]

@@ -208,7 +208,7 @@ class SchmidtForm:
         weights = np.array(self.weights, dtype=float)
         if weights.ndim != 1 or weights.size == 0:
             raise InvalidStateError("weights must be a non-empty 1-D array")
-        if np.any(weights <= 0.0):
+        if not np.all(weights > 0.0):  # NaN fails it too
             raise InvalidStateError("Schmidt weights must be strictly positive")
         if np.any(np.diff(weights) > 0.0):
             raise InvalidStateError("Schmidt weights must be sorted in descending order")

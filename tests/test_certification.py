@@ -74,7 +74,7 @@ def test_trace_distance_metric_axioms():
 
 
 def test_trace_distance_rejects_mismatched_dims():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match=r"s1 dims \(2, 2\) do not match s2 dims \(2, 3\)"):
         trace_distance(maximally_mixed(2, 2), maximally_mixed(2, 3))
 
 
@@ -147,7 +147,7 @@ def test_certify_delta_forwarding():
 
 
 def test_certify_rejects_mismatched_dims():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match=r"state dims \(2, 3\) .* candidate dims \(2, 2\)"):
         certify(maximally_mixed(2, 3), fixture_state())
 
 
@@ -225,7 +225,7 @@ def test_noise_threshold_requires_distinct_weights():
 
 
 def test_noise_threshold_rejects_mismatched_dims():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match=r"candidate dims \(2, 2\) .* noise dims \(2, 3\)"):
         noise_threshold(fixture_state(), maximally_mixed(2, 3))
 
 

@@ -10,6 +10,7 @@ import pytest
 from hardycert import cli
 from hardycert.cli import build_parser, main
 from hardycert.lhv import strategy_constraint_matrix
+from hardycert.states import DEFAULT_DELTA, STATE_TOL
 
 
 def run_cli(argv, capsys):
@@ -486,6 +487,35 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
         fresh.append(run(argv))
     assert reused == fresh
     assert cli._parser() is cli._parser()
+
+
+def test_handler_is_looked_up_when_the_command_runs(monkeypatch, capsys):
+    # The first call builds and caches the parser.
+    assert main(["gen-state", "bell"]) == 0
+    capsys.readouterr()
+    calls = []
+
+    def stub(args):
+        calls.append(args.kind)
+        return {"stub": True}
+
+    monkeypatch.setattr(cli, "cmd_gen_state", stub)
+    code, out, _ = run_cli(["gen-state", "bell"], capsys)
+    assert code == 0
+    assert calls == ["bell"]
+    assert json.loads(out) == {"stub": True}
+
+
+def test_help_prints_the_parser_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["certify", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"(default {DEFAULT_DELTA:g})" in text
+    assert f"(default {STATE_TOL:g})" in text
+    with pytest.raises(SystemExit):
+        main(["gen-state", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "(default 0.2)" in text and "(default 0.99)" in text
 
 
 @pytest.mark.parametrize("command", [[], ["gen-state"], ["certify"], ["noise-threshold"], ["lhv-check"]])

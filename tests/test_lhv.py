@@ -22,6 +22,7 @@ import hardycert.simplex as simplex
 from hardycert.errors import InvalidStateError, MalformedBehaviorError
 from hardycert.lhv import Behavior, facet_table, strategy_constraint_matrix
 from hardycert.observables import OUTCOMES, PROBABILITY_CLIP
+from hardycert.simplex import FEASIBILITY_TOL
 from support import certified_mixture, random_hardy_state, random_separable
 
 
@@ -120,6 +121,16 @@ def test_behavior_validation():
         Behavior(tables=bad)
     with pytest.raises(InvalidStateError):
         Behavior(tables=np.full((2, 2, 3, 3), np.nan))
+    # A complex table is accepted when its imaginary part is zero, and
+    # refused, not silently truncated, when it is not.
+    uniform = np.full((2, 2, 3, 3), 1.0 / 9.0)
+    for tables in (uniform.astype(complex), uniform.tolist()):
+        assert np.array_equal(Behavior(tables=tables).tables, uniform)
+    for imag in (1e-3, np.nan):
+        tables = uniform.astype(complex)
+        tables[0, 1, 2, 0] += 1j * imag
+        with pytest.raises(InvalidStateError, match="real"):
+            Behavior(tables=tables)
     # The round-off window: cells up to PROBABILITY_CLIP outside [0, 1] pass.
     for value, accepted in (
         (-PROBABILITY_CLIP, True),
@@ -381,7 +392,7 @@ def lp_checked_verdict(behavior: Behavior) -> bool:
         # The witness recomputes from the table alone.
         table = facet_table()
         violation = table.coefficients[result.facet] @ cells - table.bounds[result.facet]
-        assert violation > 1e-9
+        assert violation > FEASIBILITY_TOL
         assert violation == pytest.approx(result.max_violation, rel=1e-12, abs=1e-15)
     return result.feasible
 

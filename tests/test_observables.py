@@ -68,11 +68,13 @@ def test_hardy_parameter_maximum_identity():
     assert value == pytest.approx((5.0 * math.sqrt(5.0) - 11.0) / 2.0, abs=1e-12)
 
 
+BAD_WEIGHTS = [(0.0, 0.5), (0.5, -0.1), (math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5)]
+
+
 def test_hardy_parameter_rejects_bad_weights():
-    with pytest.raises(NonPositiveWeightError):
-        hardy_parameter_a(0.0, 0.5)
-    with pytest.raises(NonPositiveWeightError):
-        hardy_parameter_a(0.5, -0.1)
+    for weights in BAD_WEIGHTS:
+        with pytest.raises(NonPositiveWeightError):
+            hardy_parameter_a(*weights)
 
 
 # --------------------------------------------------------------- rotations
@@ -106,8 +108,9 @@ def test_build_rotations_unitary():
 
 
 def test_build_rotations_rejects_bad_weights():
-    with pytest.raises(NonPositiveWeightError):
-        build_rotations(0.0, 0.5)
+    for weights in BAD_WEIGHTS:
+        with pytest.raises(NonPositiveWeightError):
+            build_rotations(*weights)
 
 
 # ------------------------------------------------------------------- bases

@@ -4,7 +4,7 @@ import pytest
 from hardycert.certification import certify
 from hardycert.errors import DimensionMismatchError, NumericalBreakdownError
 from hardycert.lhv import strategy_constraint_matrix
-from hardycert.simplex import MAX_PIVOTS, PIVOT_EPS, solve_feasibility_lp
+from hardycert.simplex import FEASIBILITY_TOL, MAX_PIVOTS, PIVOT_EPS, solve_feasibility_lp
 from support import certified_mixture, random_hardy_state, random_separable
 
 
@@ -75,13 +75,11 @@ def test_infeasible_by_sign():
 
 def test_tolerance_threshold():
     matrix = np.array([[1.0]])
-    result = solve_feasibility_lp(matrix, np.array([5e-7]), tol=1e-9)
+    result = solve_feasibility_lp(matrix, np.array([5e-7]))
     # Perfectly solvable: x = 5e-7.
     assert result.feasible
-    # An infeasibility of 5e-7 is invisible at tol=1e-6 but not at 1e-9.
-    loose = solve_feasibility_lp(np.array([[0.0]]), np.array([5e-7]), tol=1e-6)
-    tight = solve_feasibility_lp(np.array([[0.0]]), np.array([5e-7]), tol=1e-9)
-    assert loose.feasible
+    # An infeasibility of 5e-7 is well above FEASIBILITY_TOL.
+    tight = solve_feasibility_lp(np.array([[0.0]]), np.array([5e-7]))
     assert not tight.feasible
     assert tight.residual == pytest.approx(5e-7, abs=1e-15)
 
@@ -106,7 +104,7 @@ def test_shape_validation():
 # ------------------------------------------------ reference phase-one loop
 
 
-def _reference_solve(constraint_matrix, rhs, tol=1e-9):
+def _reference_solve(constraint_matrix, rhs):
     """Phase one that rebuilds the reduced costs from the artificial-basic
     rows on every iteration and pivots row by row: the solver as it was
     before the cost row moved into the tableau."""
@@ -144,7 +142,7 @@ def _reference_solve(constraint_matrix, rhs, tol=1e-9):
     solution = np.zeros(n)
     solution[basis[basis < n]] = values[basis < n]
     residual = max(float(values[basis >= n].sum()), 0.0)
-    return residual <= tol, solution, residual
+    return residual <= FEASIBILITY_TOL, solution, residual
 
 
 def _assert_matches_reference(matrix, rhs):

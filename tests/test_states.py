@@ -346,6 +346,11 @@ def test_schmidt_form_rejects_ascending_weights():
         )
 
 
+def test_schmidt_form_rejects_nan_weights():
+    with pytest.raises(InvalidStateError, match="strictly positive"):
+        SchmidtForm(weights=np.array([np.nan, 0.5]), left_basis=np.eye(2), right_basis=np.eye(2))
+
+
 # ------------------------------------------------------------ pair selection
 
 
