@@ -17,10 +17,9 @@ import numpy as np
 from hardycert import (
     StateVector,
     build_bases,
-    build_observables,
+    certify,
     find_hardy_pair,
     hardy_parameter_a,
-    hardy_probability_table,
     pure_density,
     schmidt_decompose,
 )
@@ -53,16 +52,16 @@ print()
 # the two-dimensional Schmidt sector.
 # build_bases returns one array per party, indexed [setting, sign, component]:
 # setting 0 is x and 1 is y, sign 0 is the +1 vector and 1 the -1 vector.
-bases = build_bases(sf, pair)
-alice, _ = bases
+alice, _ = build_bases(sf, pair)
 print("first party's x-basis vectors (rows +1, -1):")
 print(alice[0])
 print("first party's y-basis vectors (rows +1, -1):")
 print(alice[1])
 print()
 
-obs = build_observables(bases, psi.d1, psi.d2)
-table = hardy_probability_table(pure_density(psi), obs)
+# certify builds the four observables from the same pair and reads the six
+# designated cells off the state's 36-cell behavior on them.
+table = certify(pure_density(psi), psi).table
 
 print("the six designated probabilities:")
 print(f"  P(X1=+1, X2=+1) = {table.x1_plus_x2_plus: .3e}   (must vanish)")

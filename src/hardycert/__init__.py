@@ -23,13 +23,7 @@ from .certification import (
 )
 from .errors import HardycertError
 from .lhv import behavior_from_state, enumerate_strategies, lhv_feasible
-from .observables import (
-    build_bases,
-    build_observables,
-    hardy_parameter_a,
-    hardy_probability_table,
-    joint_probability,
-)
+from .observables import build_bases, build_observables, hardy_parameter_a
 from .states import (
     DensityOperator,
     StateVector,
@@ -54,8 +48,6 @@ __all__ = [
     "enumerate_strategies",
     "find_hardy_pair",
     "hardy_parameter_a",
-    "hardy_probability_table",
-    "joint_probability",
     "lhv_feasible",
     "maximally_mixed",
     "noise_threshold",

@@ -35,22 +35,29 @@ from .io import (
     state_to_dict,
 )
 from .lhv import lhv_feasible
-from .states import DEFAULT_DELTA, STATE_TOL, DensityOperator, StateVector, pure_density
+from .states import (
+    DEFAULT_DELTA,
+    STATE_TOL,
+    DensityOperator,
+    StateVector,
+    _check_tolerance,
+    pure_density,
+)
 
 GEN_KINDS = ("hardy", "bell", "product", "white-noise-mix")
 
 
 def _tolerance(text: str) -> float:
-    """argparse type of --tol and --delta: a finite number >= 0.
-
-    NaN would make every ``x > tol`` check false and switch validation off.
-    """
+    """argparse type of --tol and --delta: a finite number >= 0, by the rule
+    ``validate_density`` and ``find_hardy_pair`` apply to their own."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    try:
+        _check_tolerance("tolerance", value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from None
     return value
 
 

@@ -31,8 +31,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidStateError, MalformedBehaviorError
-from .observables import OUTCOMES, PROBABILITY_CLIP, behavior_tables
+from .errors import DimensionMismatchError, InvalidStateError, MalformedBehaviorError
+from .observables import OUTCOMES, PROBABILITY_CLIP
 from .simplex import FEASIBILITY_TOL, solve_feasibility_lp
 
 if TYPE_CHECKING:
@@ -78,8 +78,31 @@ def enumerate_strategies() -> list[tuple[int, int, int, int]]:
 
 
 def behavior_from_state(sigma: DensityOperator, obs: HardyObservables) -> Behavior:
-    """Quantum behavior of a state on the four constructed observables."""
-    return Behavior(tables=behavior_tables(sigma, *obs))
+    """Quantum behavior of a state on an ``(alice, bob)`` pair of projector
+    stacks, such as ``build_observables`` returns.
+
+    ``tables[s, t, k, l]`` is Tr[(alice[s, k] (x) bob[t, l]) sigma], all 36
+    cells at once.  Values within PROBABILITY_CLIP outside [0, 1] are clipped
+    to the boundary against round-off overshoot.
+
+    Raises
+    ------
+    DimensionMismatchError
+        The stacks' dims differ from the state's.
+    """
+    alice, bob = obs
+    d1, d2 = alice.shape[-1], bob.shape[-1]
+    if (sigma.d1, sigma.d2) != (d1, d2):
+        raise DimensionMismatchError(
+            f"projector dims ({d1}, {d2}) do not match state dims ({sigma.d1}, {sigma.d2})"
+        )
+    # Tr[(A (x) B) rho] = sum_ijmn A[i,j] B[m,n] rho[(j,n),(i,m)] = vec(A) . R . vec(B)
+    # with R[(i,j),(m,n)] = rho[(j,n),(i,m)]: one bilinear form per cell.
+    r = sigma.matrix.reshape(d1, d2, d1, d2).transpose(2, 0, 3, 1).reshape(d1 * d1, d2 * d2)
+    cells = alice.reshape(-1, d1 * d1) @ r @ bob.reshape(-1, d2 * d2).T
+    values = cells.real.reshape(alice.shape[:2] + bob.shape[:2]).transpose(0, 2, 1, 3)
+    clipped = np.clip(values, 0.0, 1.0)
+    return Behavior(tables=np.where(np.abs(values - clipped) <= PROBABILITY_CLIP, clipped, values))
 
 
 @functools.cache

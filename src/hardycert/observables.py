@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NonPositiveWeightError
 
 if TYPE_CHECKING:
-    from .states import DensityOperator, HardyPair, SchmidtForm
+    from .states import HardyPair, SchmidtForm
 
 #: Canonical outcome order for the three-outcome observables.  Lexicographic
 #: enumerations elsewhere (deterministic strategies, behavior tables) follow it.
@@ -107,27 +107,13 @@ class HardyObservables(NamedTuple):
     ``alice[s, k]`` is the projector of setting s (0 = X1, 1 = Y1) onto
     outcome ``OUTCOMES[k]``, a ``(2, 3, d1, d1)`` stack; ``bob`` holds X2, Y2
     on subsystem 2 the same way.  The +1 and -1 projectors are rank one and
-    the 0 projector covers the rest of the space (zero on a qubit).
+    the 0 projector covers the rest of the space (zero on a qubit).  This
+    pair of stacks is the one representation of a measurement: a state's
+    cells on it are read only through ``lhv.behavior_from_state``.
     """
 
     alice: np.ndarray
     bob: np.ndarray
-
-    @property
-    def x1(self) -> np.ndarray:
-        return self.alice[0]
-
-    @property
-    def y1(self) -> np.ndarray:
-        return self.alice[1]
-
-    @property
-    def x2(self) -> np.ndarray:
-        return self.bob[0]
-
-    @property
-    def y2(self) -> np.ndarray:
-        return self.bob[1]
 
 
 def _projector_stack(vectors: np.ndarray, dim: int) -> np.ndarray:
@@ -147,46 +133,6 @@ def build_observables(bases: tuple[np.ndarray, np.ndarray], d1: int, d2: int) ->
             f"expected ({d1}, {d2})"
         )
     return HardyObservables(alice=_projector_stack(alice, d1), bob=_projector_stack(bob, d2))
-
-
-def behavior_tables(sigma: DensityOperator, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    """Joint probabilities of a state on two parties' projector stacks.
-
-    ``tables[s, t, k, l]`` is Tr[(alice[s, k] (x) bob[t, l]) sigma].  For
-    ``build_observables`` stacks (pass ``*obs``) that is all 36 cells,
-    P(A_s = OUTCOMES[k], B_t = OUTCOMES[l]) with A_0, A_1 = X1, Y1 and
-    B_0, B_1 = X2, Y2.  Values within PROBABILITY_CLIP outside [0, 1] are
-    clipped to the boundary against round-off overshoot.
-    """
-    d1, d2 = alice.shape[-1], bob.shape[-1]
-    if (sigma.d1, sigma.d2) != (d1, d2):
-        raise DimensionMismatchError(
-            f"projector dims ({d1}, {d2}) do not match state dims ({sigma.d1}, {sigma.d2})"
-        )
-    # Tr[(A (x) B) rho] = sum_ijmn A[i,j] B[m,n] rho[(j,n),(i,m)] = vec(A) . R . vec(B)
-    # with R[(i,j),(m,n)] = rho[(j,n),(i,m)]: one bilinear form per cell.
-    r = sigma.matrix.reshape(d1, d2, d1, d2).transpose(2, 0, 3, 1).reshape(d1 * d1, d2 * d2)
-    cells = alice.reshape(-1, d1 * d1) @ r @ bob.reshape(-1, d2 * d2).T
-    values = cells.real.reshape(alice.shape[:2] + bob.shape[:2]).transpose(0, 2, 1, 3)
-    clipped = np.clip(values, 0.0, 1.0)
-    return np.where(np.abs(values - clipped) <= PROBABILITY_CLIP, clipped, values)
-
-
-def joint_probability(
-    sigma: DensityOperator,
-    proj_a: np.ndarray,
-    outcome_a: int,
-    proj_b: np.ndarray,
-    outcome_b: int,
-) -> float:
-    """P(A = outcome_a, B = outcome_b) for one subsystem-1 projector stack
-    ``proj_a`` (such as ``obs.x1``) and one subsystem-2 stack ``proj_b``."""
-    for outcome in (outcome_a, outcome_b):
-        if outcome not in OUTCOMES:
-            raise ValueError(f"outcome must be one of {OUTCOMES}, got {outcome!r}")
-    a = proj_a[OUTCOMES.index(outcome_a)]
-    b = proj_b[OUTCOMES.index(outcome_b)]
-    return float(behavior_tables(sigma, a[None, None], b[None, None])[0, 0, 0, 0])
 
 
 #: (alice setting, bob setting, alice outcome, bob outcome) indices into the
@@ -214,22 +160,14 @@ class HardyProbabilityTable(NamedTuple):
         return cls._make(float(tables[cell]) for cell in HARDY_CELLS)
 
 
-def hardy_probability_table(sigma: DensityOperator, obs: HardyObservables) -> HardyProbabilityTable:
-    """Evaluate the six designated probabilities of a state on the observables."""
-    return HardyProbabilityTable.from_behavior(behavior_tables(sigma, *obs))
-
-
 __all__ = [
     "HARDY_CELLS",
     "OUTCOMES",
     "PROBABILITY_CLIP",
     "HardyObservables",
     "HardyProbabilityTable",
-    "behavior_tables",
     "build_bases",
     "build_observables",
     "build_rotations",
     "hardy_parameter_a",
-    "hardy_probability_table",
-    "joint_probability",
 ]

@@ -15,6 +15,7 @@ that choice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +83,16 @@ class StateVector:
     def coefficient_matrix(self) -> np.ndarray:
         """Amplitudes reshaped to d1 x d2, row index running over subsystem 1."""
         return self.amplitudes.reshape(self.d1, self.d2)
+
+
+def _check_tolerance(name: str, value: float) -> None:
+    """Refuse a tolerance that is not a finite number >= 0, naming it.
+
+    A NaN would make every ``x > tol`` comparison false and switch its check
+    off; a negative one admits what a zero refuses.
+    """
+    if not 0.0 <= value < math.inf:  # NaN fails it too
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def _check_density(matrix, d1: int, d2: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -166,10 +177,13 @@ def validate_density(matrix, d1: int, d2: int, tol: float = STATE_TOL) -> Densit
 
     Raises
     ------
+    ValueError
+        ``tol`` is not a finite number >= 0.
     DimensionMismatchError, InvalidStateError, NotHermitianError,
     NotUnitTraceError, NotPositiveError
         As ``_check_density``.
     """
+    _check_tolerance("tol", tol)
     sym, eigenvalues = _check_density(matrix, d1, d2, tol)
     if eigenvalues[0] < 0.0:
         # Only the repair reads eigenvectors, so only it pays for them.
@@ -281,7 +295,13 @@ def find_hardy_pair(sf: SchmidtForm, delta: float = DEFAULT_DELTA) -> HardyPair 
     gap, so such pairs certify nothing and only invite round-off trouble.
     Returns None when no admissible pair exists (the state is not usable for
     this construction).
+
+    Raises
+    ------
+    ValueError
+        ``delta`` is not a finite number >= 0.
     """
+    _check_tolerance("delta", delta)
     weights = sf.weights
     best: HardyPair | None = None
     for j in range(weights.size):

@@ -11,6 +11,8 @@ import numpy as np
 from hardycert import (
     DensityOperator,
     StateVector,
+    build_bases,
+    build_observables,
     find_hardy_pair,
     hardy_parameter_a,
     pure_density,
@@ -18,6 +20,30 @@ from hardycert import (
     trace_distance,
     validate_density,
 )
+from hardycert.observables import HardyObservables
+from hardycert.states import SchmidtForm
+
+#: The certification parameter of ``fixture_state()``, in closed form at
+#: weights sqrt(0.2), sqrt(0.8).
+A_FIXTURE = 4.0 / 45.0
+
+
+def fixture_state() -> StateVector:
+    """The two-qubit fixture sqrt(0.2)|00> + sqrt(0.8)|11>."""
+    amps = np.zeros(4, dtype=complex)
+    amps[0] = np.sqrt(0.2)
+    amps[3] = np.sqrt(0.8)
+    return StateVector(d1=2, d2=2, amplitudes=amps)
+
+
+def hardy_observables(psi: StateVector, sf: SchmidtForm | None = None) -> HardyObservables:
+    """A candidate's four observables, by the chain ``certify`` runs:
+    schmidt_decompose, find_hardy_pair, build_bases, build_observables.
+    ``sf`` stands in for the candidate's own Schmidt form."""
+    sf = schmidt_decompose(psi) if sf is None else sf
+    pair = find_hardy_pair(sf)
+    assert pair is not None
+    return build_observables(build_bases(sf, pair), psi.d1, psi.d2)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -11,27 +11,22 @@ import math
 import numpy as np
 
 from hardycert import (
-    StateVector,
     Verdict,
     behavior_from_state,
-    build_bases,
-    build_observables,
     certify,
-    find_hardy_pair,
     hardy_parameter_a,
-    hardy_probability_table,
-    joint_probability,
     lhv_feasible,
     maximally_mixed,
     noise_threshold,
     pure_density,
-    schmidt_decompose,
     trace_distance,
     validate_density,
 )
 from hardycert.cli import main as cli_main
 from support import (
     certified_mixture,
+    fixture_state,
+    hardy_observables,
     random_density,
     random_hardy_state,
     random_projector,
@@ -44,20 +39,6 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
     assert ok, f"acceptance criterion {num} failed: {detail}"
 
 
-def _fixture_state() -> StateVector:
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = np.sqrt(0.2)
-    amps[3] = np.sqrt(0.8)
-    return StateVector(d1=2, d2=2, amplitudes=amps)
-
-
-def _observables_for(psi: StateVector):
-    sf = schmidt_decompose(psi)
-    pair = find_hardy_pair(sf)
-    assert pair is not None
-    return pair, build_observables(build_bases(sf, pair), psi.d1, psi.d2)
-
-
 def test_acceptance_1_zero_conditions():
     """200 random states, d1, d2 in {2..5}: five vanishing probabilities and
     the sixth equal to its closed form, all within 1e-10."""
@@ -66,8 +47,8 @@ def test_acceptance_1_zero_conditions():
     worst_sixth = 0.0
     for _ in range(200):
         psi = random_hardy_state(rng)
-        pair, obs = _observables_for(psi)
-        table = hardy_probability_table(pure_density(psi), obs)
+        report = certify(pure_density(psi), psi)
+        table, pair = report.table, report.pair
         worst_zero = max(worst_zero, max(abs(v) for v in table[:5]))
         worst_sixth = max(worst_sixth, abs(table.y1_plus_y2_plus - pair.a))
     ok = worst_zero <= 1e-10 and worst_sixth <= 1e-10
@@ -82,10 +63,10 @@ def test_acceptance_1_zero_conditions():
 def test_acceptance_2_criterion_fixture():
     """p1^2 = 0.2 fixture: a = 0.0888889 via the closed form and via the
     spectral projectors, both within 1e-7."""
-    psi = _fixture_state()
+    psi = fixture_state()
     closed = hardy_parameter_a(math.sqrt(0.2), math.sqrt(0.8))
-    _, obs = _observables_for(psi)
-    spectral = joint_probability(pure_density(psi), obs.y1, 1, obs.y2, 1)
+    obs = hardy_observables(psi)
+    spectral = float(behavior_from_state(pure_density(psi), obs).tables[1, 1, 0, 0])
     ok = abs(closed - 0.0888889) <= 1e-7 and abs(spectral - 0.0888889) <= 1e-7
     _verdict(
         2,
@@ -121,7 +102,7 @@ def test_acceptance_3_maximum_hardy_parameter():
 def test_acceptance_4_noise_threshold():
     """White-noise threshold for the fixture state: closed form matches the
     pinned value and a bisection on the numerical trace distance."""
-    psi = _fixture_state()
+    psi = fixture_state()
     noise = maximally_mixed(2, 2)
     report = noise_threshold(psi, noise)
     psi_proj = pure_density(psi)
@@ -158,7 +139,7 @@ def test_acceptance_5_soundness():
         sigma, psi = certified_mixture(rng, d1=2, d2=2)
         report = certify(sigma, psi)
         assert report.margin > 0.0
-        _, obs = _observables_for(psi)
+        obs = hardy_observables(psi)
         if not lhv_feasible(behavior_from_state(sigma, obs)).feasible:
             infeasible += 1
     feasible = 0
@@ -166,7 +147,7 @@ def test_acceptance_5_soundness():
         d1 = int(rng.integers(2, 4))
         d2 = int(rng.integers(2, 4))
         psi = random_hardy_state(rng, d1=d1, d2=d2)
-        _, obs = _observables_for(psi)
+        obs = hardy_observables(psi)
         sigma = random_separable(d1, d2, rng)
         if lhv_feasible(behavior_from_state(sigma, obs)).feasible:
             feasible += 1
@@ -203,13 +184,13 @@ def test_acceptance_7_table_bound():
     worst = -np.inf
     for _ in range(100):
         psi = random_hardy_state(rng, d1=2, d2=2)
-        pair, obs = _observables_for(psi)
         tau = random_density(2, 2, rng)
         w = float(rng.uniform(0.0, 0.3))
         sigma = validate_density((1.0 - w) * psi.projector() + w * tau.matrix, 2, 2)
         epsilon = trace_distance(sigma, pure_density(psi))
-        table = hardy_probability_table(sigma, obs)
-        target = (0.0, 0.0, 0.0, 0.0, 0.0, pair.a)
+        report = certify(sigma, psi)
+        table = report.table
+        target = (0.0, 0.0, 0.0, 0.0, 0.0, report.a)
         deviation = max(abs(v - t) for v, t in zip(table, target))
         worst = max(worst, deviation - epsilon)
     ok = worst <= 1e-10

@@ -16,20 +16,13 @@ from hardycert import (
 )
 from hardycert.errors import DimensionMismatchError, NotHardyError
 from support import (
+    A_FIXTURE,
     certified_mixture,
+    fixture_state,
     random_density,
     random_hardy_state,
     random_projector,
 )
-
-A_FIXTURE = 4.0 / 45.0
-
-
-def fixture_state() -> StateVector:
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = np.sqrt(0.2)
-    amps[3] = np.sqrt(0.8)
-    return StateVector(d1=2, d2=2, amplitudes=amps)
 
 
 def white_noise_mixture(p: float) -> "validate_density":
@@ -144,6 +137,19 @@ def test_certify_delta_forwarding():
     # sqrt(0.8) - sqrt(0.2) ~ 0.447; a delta beyond that leaves no pair.
     report = certify(pure_density(psi), psi, delta=0.5)
     assert report.verdict is Verdict.NOT_HARDY
+
+
+@pytest.mark.parametrize("delta", [float("nan"), -1e-3])
+def test_certify_and_noise_threshold_reject_nan_or_negative_delta(delta):
+    # The default delta gives NotHardy for a Bell state; these would certify
+    # its equal-weight pair as Inconclusive with a = 0.
+    bell = np.zeros(4, dtype=complex)
+    bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
+    psi = StateVector(2, 2, bell)
+    with pytest.raises(ValueError, match="delta must be a finite number >= 0"):
+        certify(pure_density(psi), psi, delta=delta)
+    with pytest.raises(ValueError, match="delta must be a finite number >= 0"):
+        noise_threshold(fixture_state(), maximally_mixed(2, 2), delta=delta)
 
 
 def test_certify_rejects_mismatched_dims():

@@ -22,14 +22,7 @@ from hardycert.io import (
     state_to_dict,
 )
 from hardycert.states import STATE_TOL, validate_density
-from support import random_density, random_state_vector
-
-
-def fixture_state() -> StateVector:
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = np.sqrt(0.2)
-    amps[3] = np.sqrt(0.8)
-    return StateVector(d1=2, d2=2, amplitudes=amps)
+from support import fixture_state, random_density, random_state_vector
 
 
 # ------------------------------------------- per-entry reference (the old io)

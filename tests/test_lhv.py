@@ -8,32 +8,25 @@ from hardycert import (
     DensityOperator,
     StateVector,
     behavior_from_state,
-    build_bases,
-    build_observables,
     certify,
     enumerate_strategies,
-    find_hardy_pair,
     lhv_feasible,
     maximally_mixed,
     pure_density,
-    schmidt_decompose,
 )
 import hardycert.simplex as simplex
 from hardycert.errors import InvalidStateError, MalformedBehaviorError
 from hardycert.lhv import Behavior, facet_table, strategy_constraint_matrix
 from hardycert.observables import OUTCOMES, PROBABILITY_CLIP
 from hardycert.simplex import FEASIBILITY_TOL
-from support import certified_mixture, random_hardy_state, random_separable
-
-
-def fixture_observables():
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = np.sqrt(0.2)
-    amps[3] = np.sqrt(0.8)
-    psi = StateVector(d1=2, d2=2, amplitudes=amps)
-    sf = schmidt_decompose(psi)
-    pair = find_hardy_pair(sf)
-    return psi, build_observables(build_bases(sf, pair), 2, 2)
+from support import (
+    A_FIXTURE,
+    certified_mixture,
+    fixture_state,
+    hardy_observables,
+    random_hardy_state,
+    random_separable,
+)
 
 
 # ---------------------------------------------------------------- strategies
@@ -148,7 +141,7 @@ def test_behavior_validation():
 
 
 def test_behavior_from_white_noise():
-    _, obs = fixture_observables()
+    obs = hardy_observables(fixture_state())
     behavior = behavior_from_state(maximally_mixed(2, 2), obs)
     for i in range(2):
         for j in range(2):
@@ -161,10 +154,7 @@ def test_behavior_from_white_noise():
 def test_behavior_normalization_and_no_signaling():
     rng = np.random.default_rng(61)
     for _ in range(15):
-        psi = random_hardy_state(rng, d1=2, d2=3)
-        sf = schmidt_decompose(psi)
-        pair = find_hardy_pair(sf)
-        obs = build_observables(build_bases(sf, pair), 2, 3)
+        obs = hardy_observables(random_hardy_state(rng, d1=2, d2=3))
         sigma = random_separable(2, 3, rng)
         behavior = behavior_from_state(sigma, obs)
         sums = behavior.tables.sum(axis=(2, 3))
@@ -178,7 +168,7 @@ def test_behavior_normalization_and_no_signaling():
 
 def test_behavior_of_product_state_factorizes():
     rng = np.random.default_rng(62)
-    _, obs = fixture_observables()
+    obs = hardy_observables(fixture_state())
     for _ in range(10):
         a = rng.normal(size=2) + 1j * rng.normal(size=2)
         b = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -194,7 +184,8 @@ def test_behavior_of_product_state_factorizes():
 
 
 def test_behavior_zero_cells_for_pure_fixture():
-    psi, obs = fixture_observables()
+    psi = fixture_state()
+    obs = hardy_observables(psi)
     behavior = behavior_from_state(pure_density(psi), obs)
     # Outcome order is (+1, 0, -1): the five vanishing cells sit at
     # (X1,X2)[+,+], (Y1,X2)[+,-], (X1,Y2)[-,+], (Y1,X2)[+,0], (X1,Y2)[0,+].
@@ -203,14 +194,14 @@ def test_behavior_zero_cells_for_pure_fixture():
     assert abs(behavior.tables[0, 1, 2, 0]) <= 1e-10
     assert abs(behavior.tables[1, 0, 0, 1]) <= 1e-10
     assert abs(behavior.tables[0, 1, 1, 0]) <= 1e-10
-    assert behavior.tables[1, 1, 0, 0] == pytest.approx(4.0 / 45.0, abs=1e-10)
+    assert behavior.tables[1, 1, 0, 0] == pytest.approx(A_FIXTURE, abs=1e-10)
 
 
 # ---------------------------------------------------------------- the oracle
 
 
 def test_lhv_feasible_white_noise():
-    _, obs = fixture_observables()
+    obs = hardy_observables(fixture_state())
     behavior = behavior_from_state(maximally_mixed(2, 2), obs)
     result = lhv_feasible(behavior)
     assert result.feasible
@@ -227,17 +218,15 @@ def test_lhv_feasible_white_noise():
 def test_lhv_feasible_separable_states():
     rng = np.random.default_rng(63)
     for _ in range(20):
-        psi = random_hardy_state(rng, d1=2, d2=2)
-        sf = schmidt_decompose(psi)
-        pair = find_hardy_pair(sf)
-        obs = build_observables(build_bases(sf, pair), 2, 2)
+        obs = hardy_observables(random_hardy_state(rng, d1=2, d2=2))
         sigma = random_separable(2, 2, rng)
         result = lhv_feasible(behavior_from_state(sigma, obs))
         assert result.feasible
 
 
 def test_lhv_infeasible_for_pure_hardy_state():
-    psi, obs = fixture_observables()
+    psi = fixture_state()
+    obs = hardy_observables(psi)
     result = lhv_feasible(behavior_from_state(pure_density(psi), obs))
     assert not result.feasible
     assert result.weights is None
@@ -250,15 +239,13 @@ def test_lhv_infeasible_whenever_margin_is_positive():
         sigma, psi = certified_mixture(rng, d1=2, d2=2)
         report = certify(sigma, psi)
         assert report.margin > 0
-        sf = schmidt_decompose(psi)
-        pair = find_hardy_pair(sf)
-        obs = build_observables(build_bases(sf, pair), 2, 2)
+        obs = hardy_observables(psi)
         result = lhv_feasible(behavior_from_state(sigma, obs))
         assert not result.feasible
 
 
 def test_lhv_rejects_malformed_behavior():
-    _, obs = fixture_observables()
+    obs = hardy_observables(fixture_state())
     tables = behavior_from_state(maximally_mixed(2, 2), obs).tables * 0.9
     with pytest.raises(MalformedBehaviorError):
         lhv_feasible(Behavior(tables=tables))
@@ -277,7 +264,8 @@ def test_lhv_pivot_path_is_pinned(monkeypatch):
         step(*args)
 
     monkeypatch.setattr(simplex, "_pivot", counted)
-    psi, obs = fixture_observables()
+    psi = fixture_state()
+    obs = hardy_observables(psi)
 
     def behavior(matrix):
         return behavior_from_state(DensityOperator(d1=2, d2=2, matrix=matrix), obs)
@@ -371,11 +359,6 @@ def test_hardy_inequality_is_one_chsh_facet():
     )
     assert len(proportional) == 1
     assert facet_table().classes[proportional[0]] == "chsh"
-
-
-def hardy_observables(psi):
-    sf = schmidt_decompose(psi)
-    return build_observables(build_bases(sf, find_hardy_pair(sf)), psi.d1, psi.d2)
 
 
 def lp_checked_verdict(behavior: Behavior) -> bool:

@@ -4,38 +4,27 @@ import numpy as np
 import pytest
 
 from hardycert import (
-    StateVector,
     behavior_from_state,
     build_bases,
     build_observables,
+    certify,
     find_hardy_pair,
     hardy_parameter_a,
-    hardy_probability_table,
-    joint_probability,
     maximally_mixed,
     pure_density,
     schmidt_decompose,
     validate_density,
 )
 from hardycert.errors import DimensionMismatchError, NonPositiveWeightError
-from hardycert.observables import OUTCOMES, build_rotations
-from support import certified_mixture, random_density, random_hardy_state
-
-A_FIXTURE = 4.0 / 45.0  # closed form at weights sqrt(0.2), sqrt(0.8)
-
-
-def fixture_state() -> StateVector:
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = np.sqrt(0.2)
-    amps[3] = np.sqrt(0.8)
-    return StateVector(d1=2, d2=2, amplitudes=amps)
-
-
-def fixture_observables():
-    psi = fixture_state()
-    sf = schmidt_decompose(psi)
-    pair = find_hardy_pair(sf)
-    return psi, build_observables(build_bases(sf, pair), 2, 2)
+from hardycert.observables import OUTCOMES, HardyProbabilityTable, build_rotations
+from support import (
+    A_FIXTURE,
+    certified_mixture,
+    fixture_state,
+    hardy_observables,
+    random_density,
+    random_hardy_state,
+)
 
 
 # ------------------------------------------------------------- closed form
@@ -157,8 +146,8 @@ def test_build_bases_y_vectors_compose_rotations():
 
 
 def test_build_observables_completeness_and_idempotence():
-    _, obs = fixture_observables()
-    for stack in (obs.x1, obs.y1, obs.x2, obs.y2):
+    obs = hardy_observables(fixture_state())
+    for stack in (*obs.alice, *obs.bob):
         plus, zero, minus = stack
         assert np.max(np.abs(plus + zero + minus - np.eye(2))) < 1e-12
         for proj in (plus, minus):
@@ -172,15 +161,13 @@ def test_build_observables_completeness_and_idempotence():
 def test_build_observables_null_outcome_in_higher_dims():
     rng = np.random.default_rng(33)
     psi = random_hardy_state(rng, d1=3, d2=4)
-    sf = schmidt_decompose(psi)
-    pair = find_hardy_pair(sf)
-    obs = build_observables(build_bases(sf, pair), 3, 4)
+    obs = hardy_observables(psi)
     assert obs.alice.shape == (2, 3, 3, 3) and obs.bob.shape == (2, 3, 4, 4)
-    assert abs(np.trace(obs.x1[1]).real - 1.0) < 1e-10  # rank d1 - 2
-    assert abs(np.trace(obs.x2[1]).real - 2.0) < 1e-10  # rank d2 - 2
-    zero = obs.x2[1]
+    assert abs(np.trace(obs.alice[0, 1]).real - 1.0) < 1e-10  # rank d1 - 2
+    assert abs(np.trace(obs.bob[0, 1]).real - 2.0) < 1e-10  # rank d2 - 2
+    zero = obs.bob[0, 1]
     assert np.max(np.abs(zero @ zero - zero)) < 1e-10
-    spectrum = np.sort(np.linalg.eigvalsh(obs.x2[0] - obs.x2[2]))
+    spectrum = np.sort(np.linalg.eigvalsh(obs.bob[0, 0] - obs.bob[0, 2]))
     assert np.allclose(spectrum, [-1.0, 0.0, 0.0, 1.0], atol=1e-10)
 
 
@@ -192,61 +179,43 @@ def test_build_observables_rejects_wrong_dims():
 
 
 def test_observable_projector_lookup():
-    psi, obs = fixture_observables()
+    psi = fixture_state()
+    obs = hardy_observables(psi)
     sf = schmidt_decompose(psi)
-    alice, bob = build_bases(sf, find_hardy_pair(sf))
+    bases = build_bases(sf, find_hardy_pair(sf))
     # Settings index the stacks (X before Y) and outcomes follow OUTCOMES.
     assert OUTCOMES == (1, 0, -1)
-    for stack, vectors in ((obs.x1, alice[0]), (obs.y1, alice[1]), (obs.x2, bob[0]), (obs.y2, bob[1])):
-        assert np.max(np.abs(stack[0] - np.outer(vectors[0], vectors[0].conj()))) < 1e-12
-        assert np.max(np.abs(stack[2] - np.outer(vectors[1], vectors[1].conj()))) < 1e-12
-    rho = maximally_mixed(2, 2)
-    with pytest.raises(ValueError):
-        joint_probability(rho, obs.x1, 2, obs.x2, 1)
-    with pytest.raises(ValueError):
-        joint_probability(rho, obs.x1, 1, obs.x2, 2)
-
-
-def test_joint_probability_white_noise():
-    _, obs = fixture_observables()
-    rho = maximally_mixed(2, 2)
-    for outcome_a in (1, -1):
-        for outcome_b in (1, -1):
-            value = joint_probability(rho, obs.x1, outcome_a, obs.x2, outcome_b)
-            assert value == pytest.approx(0.25, abs=1e-12)
-    assert abs(joint_probability(rho, obs.x1, 0, obs.x2, 1)) < 1e-12
-
-
-def test_joint_probability_completeness():
-    rng = np.random.default_rng(34)
-    _, obs = fixture_observables()
-    for _ in range(10):
-        rho = random_density(2, 2, rng)
-        total = sum(
-            joint_probability(rho, obs.y1, a, obs.y2, b)
-            for a in (1, 0, -1)
-            for b in (1, 0, -1)
-        )
-        assert total == pytest.approx(1.0, abs=1e-10)
-
-
-def test_joint_probability_rejects_wrong_dims():
-    _, obs = fixture_observables()
-    with pytest.raises(DimensionMismatchError):
-        joint_probability(maximally_mixed(2, 3), obs.x1, 1, obs.x2, 1)
+    for stacks, vectors in zip(obs, bases):
+        for stack, (plus, minus) in zip(stacks, vectors):
+            assert np.max(np.abs(stack[0] - np.outer(plus, plus.conj()))) < 1e-12
+            assert np.max(np.abs(stack[2] - np.outer(minus, minus.conj()))) < 1e-12
 
 
 # ---------------------------------------------------------------- behavior
 
 
+def test_behavior_completeness():
+    rng = np.random.default_rng(34)
+    obs = hardy_observables(fixture_state())
+    for _ in range(10):
+        tables = behavior_from_state(random_density(2, 2, rng), obs).tables
+        assert np.max(np.abs(tables.sum(axis=(2, 3)) - 1.0)) <= 1e-10
+
+
+def test_behavior_rejects_wrong_dims():
+    obs = hardy_observables(fixture_state())
+    with pytest.raises(DimensionMismatchError):
+        behavior_from_state(maximally_mixed(2, 3), obs)
+
+
 def _kron_reference(sigma, obs) -> np.ndarray:
     """Tr[(A (x) B) sigma] cell by cell, with an explicit Kronecker product."""
     tables = np.empty((2, 2, 3, 3))
-    for s, stack_a in enumerate((obs.x1, obs.y1)):
-        for t, stack_b in enumerate((obs.x2, obs.y2)):
+    for s in range(2):
+        for t in range(2):
             for k in range(3):
                 for l in range(3):
-                    proj = np.kron(stack_a[k], stack_b[l])
+                    proj = np.kron(obs.alice[s, k], obs.bob[t, l])
                     tables[s, t, k, l] = np.trace(proj @ sigma.matrix).real
     return tables
 
@@ -260,14 +229,12 @@ def test_behavior_matches_kron_reference():
     for d1, d2 in ((2, 2), (2, 3), (3, 5), (4, 4), (8, 8)):
         for _ in range(3):
             psi = random_hardy_state(rng, d1=d1, d2=d2)
-            sf = schmidt_decompose(psi)
-            obs = build_observables(build_bases(sf, find_hardy_pair(sf)), d1, d2)
+            obs = hardy_observables(psi)
             mixture, _ = certified_mixture(rng, d1=d1, d2=d2)
             for sigma in (pure_density(psi), random_density(d1, d2, rng), mixture):
                 tables = behavior_from_state(sigma, obs).tables
                 assert np.max(np.abs(tables - _kron_reference(sigma, obs))) <= tol
-                table = hardy_probability_table(sigma, obs)
-                assert table == (
+                assert HardyProbabilityTable.from_behavior(tables) == (
                     tables[0, 0, 0, 0],
                     tables[1, 0, 0, 2],
                     tables[0, 1, 2, 0],
@@ -275,28 +242,21 @@ def test_behavior_matches_kron_reference():
                     tables[0, 1, 1, 0],
                     tables[1, 1, 0, 0],
                 )
-                for s, stack_a in enumerate((obs.x1, obs.y1)):
-                    for t, stack_b in enumerate((obs.x2, obs.y2)):
-                        for k, outcome_a in enumerate(OUTCOMES):
-                            for l, outcome_b in enumerate(OUTCOMES):
-                                value = joint_probability(sigma, stack_a, outcome_a, stack_b, outcome_b)
-                                assert abs(value - tables[s, t, k, l]) <= tol
 
 
 # -------------------------------------------------------- probability table
 
 
 def test_table_pure_fixture():
-    psi, obs = fixture_observables()
-    table = hardy_probability_table(pure_density(psi), obs)
+    psi = fixture_state()
+    table = certify(pure_density(psi), psi).table
     for value in table[:5]:
         assert abs(value) <= 1e-10
     assert table.y1_plus_y2_plus == pytest.approx(A_FIXTURE, abs=1e-10)
 
 
 def test_table_white_noise():
-    _, obs = fixture_observables()
-    table = hardy_probability_table(maximally_mixed(2, 2), obs)
+    table = certify(maximally_mixed(2, 2), fixture_state()).table
     expected = (0.25, 0.25, 0.25, 0.0, 0.0, 0.25)
     for value, target in zip(table, expected):
         assert value == pytest.approx(target, abs=1e-12)
@@ -306,24 +266,22 @@ def test_table_zero_conditions_random_states():
     rng = np.random.default_rng(35)
     for _ in range(30):
         psi = random_hardy_state(rng)
-        sf = schmidt_decompose(psi)
-        pair = find_hardy_pair(sf)
-        obs = build_observables(build_bases(sf, pair), psi.d1, psi.d2)
-        table = hardy_probability_table(pure_density(psi), obs)
+        report = certify(pure_density(psi), psi)
+        table, pair = report.table, report.pair
         assert max(abs(v) for v in table[:5]) <= 1e-10
         assert abs(table.y1_plus_y2_plus - hardy_parameter_a(pair.p1, pair.p2)) <= 1e-10
 
 
 def test_table_is_affine_in_the_state():
     rng = np.random.default_rng(36)
-    psi, obs = fixture_observables()
+    psi = fixture_state()
     rho1 = random_density(2, 2, rng)
     rho2 = random_density(2, 2, rng)
     for weight in (0.25, 0.5, 0.75):
         blend = validate_density(
             weight * rho1.matrix + (1 - weight) * rho2.matrix, 2, 2
         )
-        t1 = np.array(hardy_probability_table(rho1, obs))
-        t2 = np.array(hardy_probability_table(rho2, obs))
-        tb = np.array(hardy_probability_table(blend, obs))
+        t1 = np.array(certify(rho1, psi).table)
+        t2 = np.array(certify(rho2, psi).table)
+        tb = np.array(certify(blend, psi).table)
         assert np.max(np.abs(tb - (weight * t1 + (1 - weight) * t2))) < 1e-12

@@ -8,8 +8,6 @@ from hardycert import (
     StateVector,
     Verdict,
     behavior_from_state,
-    build_bases,
-    build_observables,
     certify,
     find_hardy_pair,
     hardy_parameter_a,
@@ -29,20 +27,14 @@ from hardycert.errors import (
 from hardycert.states import STATE_TOL, SchmidtForm
 from support import (
     assemble_pure_state,
+    fixture_state,
     haar_unitary,
+    hardy_observables,
     random_density,
     random_single_density,
     random_state_vector,
     random_weights,
 )
-
-
-def fixture_state() -> StateVector:
-    """sqrt(0.2)|00> + sqrt(0.8)|11>."""
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = np.sqrt(0.2)
-    amps[3] = np.sqrt(0.8)
-    return StateVector(d1=2, d2=2, amplitudes=amps)
 
 
 # ---------------------------------------------------------------- state types
@@ -131,6 +123,17 @@ def test_validate_density_reports_each_failure():
     for matrix, tol in ((np.zeros((4, 4)), 1.0), (-np.eye(4) / 4.0, 2.0)):
         with pytest.raises(NotUnitTraceError, match="is not positive"):
             validate_density(matrix, 2, 2, tol=tol)
+
+
+BAD_TOLERANCES = [float("nan"), -1e-3, float("inf")]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_validate_density_rejects_nan_or_negative_tol(tol):
+    # At tol = nan every "x > tol" check is false, and this matrix, which is
+    # no state, would be "repaired" into |00><00|.
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        validate_density(np.diag([1.5, -0.5, 0.0, 0.0]), 2, 2, tol=tol)
 
 
 def norm_edge_amplitudes(norm: float) -> np.ndarray:
@@ -301,10 +304,7 @@ def test_schmidt_gauge_matches_eigen_reference(d1, d2):
         assert pair is None
         return
     sigma = random_density(d1, d2, rng)
-    tables = [
-        behavior_from_state(sigma, build_observables(build_bases(form, pair), d1, d2)).tables
-        for form in (sf, ref)
-    ]
+    tables = [behavior_from_state(sigma, hardy_observables(psi, form)).tables for form in (sf, ref)]
     assert np.max(np.abs(tables[0] - tables[1])) <= 1e-12
     # A global phase on the candidate moves no number of the report.
     phased = StateVector(d1=d1, d2=d2, amplitudes=np.exp(2.1j) * psi.amplitudes)
@@ -415,6 +415,15 @@ def test_find_hardy_pair_delta_screens_tiny_weights():
     )
     assert find_hardy_pair(sf, delta=1e-8) is None
     assert find_hardy_pair(sf, delta=1e-10) is not None
+
+
+@pytest.mark.parametrize("delta", BAD_TOLERANCES)
+def test_find_hardy_pair_rejects_nan_or_negative_delta(delta):
+    # Equal weights admit no pair; a nan or negative delta would admit one.
+    equal = np.full(2, np.sqrt(0.5))
+    sf = SchmidtForm(weights=equal, left_basis=np.eye(2), right_basis=np.eye(2))
+    with pytest.raises(ValueError, match="delta must be a finite number >= 0"):
+        find_hardy_pair(sf, delta=delta)
 
 
 def test_pair_values_invariant_under_global_phase_and_relabeling():
