@@ -22,14 +22,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NotHardyError
 from .lhv import Behavior, behavior_from_state
 from .observables import HardyProbabilityTable, build_bases, build_observables
-from .states import (
-    DEFAULT_DELTA,
-    DensityOperator,
-    HardyPair,
-    StateVector,
-    find_hardy_pair,
-    schmidt_decompose,
-)
+from .states import DensityOperator, HardyPair, StateVector, find_hardy_pair, schmidt_decompose
 
 #: A margin must exceed this to count as a certification; anything closer to
 #: zero is numerically indistinguishable from the boundary.
@@ -98,15 +91,11 @@ def trace_distance(s1: DensityOperator, s2: DensityOperator) -> float:
     return _trace_distance(s1.matrix - s2.matrix)
 
 
-def certify(
-    sigma: DensityOperator,
-    candidate: StateVector,
-    delta: float = DEFAULT_DELTA,
-) -> CertificationReport:
+def certify(sigma: DensityOperator, candidate: StateVector) -> CertificationReport:
     """Run the criterion for ``sigma`` against a candidate pure state.
 
     Schmidt-decomposes the candidate, selects the weight pair maximizing the
-    parameter ``a`` (weights closer than ``delta`` are not admissible),
+    parameter ``a`` (``find_hardy_pair`` says which pairs are admissible),
     measures epsilon as the trace distance from ``sigma`` to the candidate's
     projector, and compares ``6 * epsilon`` against ``a``.  The joint
     probabilities of ``sigma`` on the constructed observables are evaluated
@@ -115,7 +104,7 @@ def certify(
     _check_dims("state", sigma, "candidate", candidate)
     epsilon = _trace_distance(sigma.matrix - candidate.projector())
     sf = schmidt_decompose(candidate)
-    pair = find_hardy_pair(sf, delta=delta)
+    pair = find_hardy_pair(sf)
     if pair is None:
         return CertificationReport(
             epsilon=epsilon,
@@ -165,11 +154,7 @@ class NoiseThresholdReport:
     a: float
 
 
-def noise_threshold(
-    psi: StateVector,
-    noise: DensityOperator,
-    delta: float = DEFAULT_DELTA,
-) -> NoiseThresholdReport:
+def noise_threshold(psi: StateVector, noise: DensityOperator) -> NoiseThresholdReport:
     """Critical mixing weight, in closed form.
 
     The Hermitian difference between the mixture and the pure projector
@@ -187,7 +172,7 @@ def noise_threshold(
         The candidate has no admissible pair of distinct Schmidt weights.
     """
     _check_dims("candidate", psi, "noise", noise)
-    pair = find_hardy_pair(schmidt_decompose(psi), delta=delta)
+    pair = find_hardy_pair(schmidt_decompose(psi))
     if pair is None:
         raise NotHardyError("candidate state has no admissible pair of distinct Schmidt weights")
     d_noise = _trace_distance(noise.matrix - psi.projector())

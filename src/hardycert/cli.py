@@ -35,21 +35,14 @@ from .io import (
     state_to_dict,
 )
 from .lhv import lhv_feasible
-from .states import (
-    DEFAULT_DELTA,
-    STATE_TOL,
-    DensityOperator,
-    StateVector,
-    _check_tolerance,
-    pure_density,
-)
+from .states import STATE_TOL, DensityOperator, StateVector, _check_tolerance, pure_density
 
 GEN_KINDS = ("hardy", "bell", "product", "white-noise-mix")
 
 
 def _tolerance(text: str) -> float:
-    """argparse type of --tol and --delta: a finite number >= 0, by the rule
-    ``validate_density`` and ``find_hardy_pair`` apply to their own."""
+    """argparse type of --tol: a finite number >= 0, by the rule
+    ``validate_density`` applies to its own."""
     try:
         value = float(text)
     except ValueError:
@@ -62,13 +55,7 @@ def _tolerance(text: str) -> float:
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    """--delta, --tol and --output, shared by the three report commands."""
-    parser.add_argument(
-        "--delta",
-        type=_tolerance,
-        default=DEFAULT_DELTA,
-        help="minimum admissible Schmidt-weight gap (default %(default)g)",
-    )
+    """--tol and --output, shared by the three report commands."""
     parser.add_argument(
         "--tol",
         type=_tolerance,
@@ -198,7 +185,7 @@ def cmd_certify(args: argparse.Namespace) -> dict:
             )
         candidate = candidate_from_state(sigma)
         candidate_info = {"source": "top-eigenvector", "degeneracy_gap": gap}
-    report = certify(sigma, candidate, delta=args.delta)
+    report = certify(sigma, candidate)
     body = certification_to_dict(report)
     body["candidate"] = candidate_info
     return report_payload("certify", body, inputs)
@@ -207,7 +194,7 @@ def cmd_certify(args: argparse.Namespace) -> dict:
 def cmd_noise_threshold(args: argparse.Namespace) -> dict:
     psi, psi_digest = _load_pure(args.state, "state", args.tol)
     noise, noise_digest = _load_density(args.noise, args.tol)
-    report = noise_threshold(psi, noise, delta=args.delta)
+    report = noise_threshold(psi, noise)
     inputs = {"state": (args.state, psi_digest), "noise": (args.noise, noise_digest)}
     return report_payload("noise-threshold", dataclasses.asdict(report), inputs)
 
@@ -215,7 +202,7 @@ def cmd_noise_threshold(args: argparse.Namespace) -> dict:
 def cmd_lhv_check(args: argparse.Namespace) -> dict:
     sigma, sigma_digest = _load_density(args.state, args.tol)
     candidate, candidate_digest = _load_pure(args.candidate, "candidate", args.tol)
-    criterion = certify(sigma, candidate, delta=args.delta)
+    criterion = certify(sigma, candidate)
     if criterion.behavior is None:
         raise NotHardyError(
             f"candidate file {args.candidate} has no admissible pair of distinct Schmidt weights"

@@ -7,7 +7,10 @@ A state file is a single JSON object:
 
 Amplitudes are indexed row-major over |i>|j| and matrix rows run over the
 same product basis.  Serialization goes through Python's shortest-repr float
-formatting, so parse(serialize(x)) reproduces every number bit for bit.
+formatting, so every number in a file parses back bit for bit, and so does a
+pure state.  A mixed state is parsed through ``validate_density``, whose
+division by the trace can move matrix entries in the last bits (by under
+1e-15 on seeded 2x2 to 8x8 states).
 
 Each direction is one array conversion per file, not one Python call per
 entry: the pairs are parsed through one object array, and written from one

@@ -81,8 +81,10 @@ def behavior_from_state(sigma: DensityOperator, obs: HardyObservables) -> Behavi
     """Quantum behavior of a state on an ``(alice, bob)`` pair of projector
     stacks, such as ``build_observables`` returns.
 
-    ``tables[s, t, k, l]`` is Tr[(alice[s, k] (x) bob[t, l]) sigma], all 36
-    cells at once.  Values within PROBABILITY_CLIP outside [0, 1] are clipped
+    ``tables[s, t, k, l]`` is Tr[(alice[s, k] (x) bob[t, l]) sigma] / Tr sigma,
+    all 36 cells at once.  A state's trace may miss 1 by up to ``STATE_TOL``,
+    and the facets and the LP read tables that sum to 1, so the cells are
+    divided by it.  Values within PROBABILITY_CLIP outside [0, 1] are clipped
     to the boundary against round-off overshoot.
 
     Raises
@@ -100,7 +102,8 @@ def behavior_from_state(sigma: DensityOperator, obs: HardyObservables) -> Behavi
     # with R[(i,j),(m,n)] = rho[(j,n),(i,m)]: one bilinear form per cell.
     r = sigma.matrix.reshape(d1, d2, d1, d2).transpose(2, 0, 3, 1).reshape(d1 * d1, d2 * d2)
     cells = alice.reshape(-1, d1 * d1) @ r @ bob.reshape(-1, d2 * d2).T
-    values = cells.real.reshape(alice.shape[:2] + bob.shape[:2]).transpose(0, 2, 1, 3)
+    cells = cells.real / np.trace(sigma.matrix).real
+    values = cells.reshape(alice.shape[:2] + bob.shape[:2]).transpose(0, 2, 1, 3)
     clipped = np.clip(values, 0.0, 1.0)
     return Behavior(tables=np.where(np.abs(values - clipped) <= PROBABILITY_CLIP, clipped, values))
 

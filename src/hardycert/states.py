@@ -37,12 +37,29 @@ from .observables import hardy_parameter_a
 STATE_TOL = 1e-9
 
 #: Schmidt weights at or below this floor are treated as exact zeros.  It sits
-#: far above SVD round-off (about 1e-16) and below ``DEFAULT_DELTA``, so no
-#: weight that a pair may use at the default gap is dropped.
+#: far above SVD round-off (about 1e-16) and below ``PAIR_FLOOR``, so no
+#: weight that a pair may use is dropped.
 WEIGHT_FLOOR = 1e-12
 
-#: Default minimum weight gap (and minimum weight) for an admissible pair.
-DEFAULT_DELTA = 1e-8
+#: A weight pair is admissible when its smaller weight and its gap both exceed
+#: this floor.  The floor loses no certificate: the denominator of
+#: ``hardy_parameter_a`` is at least ``p1*p2`` and at least ``p2*(p2 - p1)``,
+#: so ``a <= min((p2 - p1)**2, p1**2)``, and a pair at the floor has
+#: ``a <= 1e-16``, far below ``certification.CERTIFICATION_TOL``.
+PAIR_FLOOR = 1e-8
+
+
+def _check_subsystem_dims(d1, d2) -> None:
+    """Refuse subsystem dimensions that are not integers >= 1.
+
+    Python and numpy integers pass; a bool (``True`` would be a dimension of
+    1) and a float (numpy's shape arithmetic then fails) do not.
+    """
+    for d in (d1, d2):
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+            raise DimensionMismatchError(
+                f"subsystem dimensions must be positive integers, got ({d1!r}, {d2!r})"
+            )
 
 
 @dataclass(frozen=True)
@@ -57,8 +74,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.d1 < 1 or self.d2 < 1:
-            raise DimensionMismatchError("subsystem dimensions must be positive")
+        _check_subsystem_dims(self.d1, self.d2)
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         if amps.size != self.d1 * self.d2:
             raise DimensionMismatchError(
@@ -104,15 +120,14 @@ def _check_density(matrix, d1: int, d2: int, tol: float) -> tuple[np.ndarray, np
     Raises
     ------
     DimensionMismatchError
-        A dimension is not positive, or the shape is not (d1 d2, d1 d2).
+        A dimension is not an integer >= 1, or the shape is not (d1 d2, d1 d2).
     InvalidStateError
         An entry is not finite.
     NotHermitianError, NotUnitTraceError, NotPositiveError
         The corresponding check failed beyond ``tol``, or the trace is not
         positive.
     """
-    if d1 < 1 or d2 < 1:
-        raise DimensionMismatchError("subsystem dimensions must be positive")
+    _check_subsystem_dims(d1, d2)
     mat = np.asarray(matrix, dtype=complex)
     dim = d1 * d2
     if mat.shape != (dim, dim):
@@ -200,6 +215,7 @@ def pure_density(psi: StateVector) -> DensityOperator:
 
 def maximally_mixed(d1: int, d2: int) -> DensityOperator:
     """The white-noise state I / (d1 d2)."""
+    _check_subsystem_dims(d1, d2)
     dim = d1 * d2
     return DensityOperator(d1=d1, d2=d2, matrix=np.eye(dim) / dim)
 
@@ -286,29 +302,22 @@ class HardyPair:
     a: float
 
 
-def find_hardy_pair(sf: SchmidtForm, delta: float = DEFAULT_DELTA) -> HardyPair | None:
+def find_hardy_pair(sf: SchmidtForm) -> HardyPair | None:
     """Pick the admissible weight pair that maximizes the certification
     parameter.
 
-    Pairs whose weights differ by at most ``delta``, or whose smaller weight
-    is at most ``delta``, are skipped: the parameter scales like the squared
-    gap, so such pairs certify nothing and only invite round-off trouble.
-    Returns None when no admissible pair exists (the state is not usable for
-    this construction).
-
-    Raises
-    ------
-    ValueError
-        ``delta`` is not a finite number >= 0.
+    Pairs whose weights differ by at most ``PAIR_FLOOR``, or whose smaller
+    weight is at most ``PAIR_FLOOR``, are skipped: such pairs certify nothing
+    and only invite round-off trouble.  Returns None when no admissible pair
+    exists (the state is not usable for this construction).
     """
-    _check_tolerance("delta", delta)
     weights = sf.weights
     best: HardyPair | None = None
     for j in range(weights.size):
         for i in range(j + 1, weights.size):
             p2 = float(weights[j])
             p1 = float(weights[i])
-            if p1 <= delta or p2 - p1 <= delta:
+            if p1 <= PAIR_FLOOR or p2 - p1 <= PAIR_FLOOR:
                 continue
             value = hardy_parameter_a(p1, p2)
             if best is None or value > best.a:
@@ -317,7 +326,7 @@ def find_hardy_pair(sf: SchmidtForm, delta: float = DEFAULT_DELTA) -> HardyPair 
 
 
 __all__ = [
-    "DEFAULT_DELTA",
+    "PAIR_FLOOR",
     "STATE_TOL",
     "WEIGHT_FLOOR",
     "DensityOperator",

@@ -7,6 +7,7 @@ from hardycert import (
     candidate_from_state,
     certify,
     find_hardy_pair,
+    hardy_parameter_a,
     maximally_mixed,
     noise_threshold,
     pure_density,
@@ -14,11 +15,15 @@ from hardycert import (
     trace_distance,
     validate_density,
 )
+from hardycert.certification import CERTIFICATION_TOL
 from hardycert.errors import DimensionMismatchError, NotHardyError
+from hardycert.states import PAIR_FLOOR
 from support import (
     A_FIXTURE,
+    assemble_pure_state,
     certified_mixture,
     fixture_state,
+    haar_unitary,
     random_density,
     random_hardy_state,
     random_projector,
@@ -132,24 +137,57 @@ def test_certify_margin_identity_and_verdict_consistency():
             assert report.verdict is not Verdict.NONLOCAL_CERTIFIED
 
 
-def test_certify_delta_forwarding():
-    psi = fixture_state()
-    # sqrt(0.8) - sqrt(0.2) ~ 0.447; a delta beyond that leaves no pair.
-    report = certify(pure_density(psi), psi, delta=0.5)
-    assert report.verdict is Verdict.NOT_HARDY
+def test_hardy_parameter_is_bounded_by_gap_and_smaller_weight():
+    # a <= min((p2 - p1)**2, p1**2): a pair whose gap or smaller weight is at
+    # the pair floor has a <= PAIR_FLOOR**2, which no margin can clear.
+    rng = np.random.default_rng(44)
+    pairs = [tuple(np.sort(rng.uniform(1e-3, 1.0, size=2))) for _ in range(200)]
+    pairs += [(p, p + gap) for p in rng.uniform(1e-3, 0.7, size=50) for gap in (1e-6, 1e-9)]
+    pairs += [(1e-9, p) for p in rng.uniform(1e-3, 1.0, size=50)]
+    for p1, p2 in pairs:
+        # The relative slack covers the closed form's own rounding.
+        assert hardy_parameter_a(p1, p2) <= min((p2 - p1) ** 2, p1**2) * (1.0 + 1e-12)
+    assert PAIR_FLOOR**2 < CERTIFICATION_TOL
 
 
-@pytest.mark.parametrize("delta", [float("nan"), -1e-3])
-def test_certify_and_noise_threshold_reject_nan_or_negative_delta(delta):
-    # The default delta gives NotHardy for a Bell state; these would certify
-    # its equal-weight pair as Inconclusive with a = 0.
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
-    psi = StateVector(2, 2, bell)
-    with pytest.raises(ValueError, match="delta must be a finite number >= 0"):
-        certify(pure_density(psi), psi, delta=delta)
-    with pytest.raises(ValueError, match="delta must be a finite number >= 0"):
-        noise_threshold(fixture_state(), maximally_mixed(2, 2), delta=delta)
+def _reference_certified(sigma, psi) -> tuple[bool, float]:
+    """The criterion with every pair of a > 0 admissible: (certified, a)."""
+    weights = [float(w) for w in schmidt_decompose(psi).weights]
+    values = [
+        hardy_parameter_a(p1, p2)
+        for j, p2 in enumerate(weights)
+        for p1 in weights[j + 1:]
+    ]
+    a = max([value for value in values if value > 0.0], default=0.0)
+    epsilon = trace_distance(sigma, pure_density(psi))
+    return a - 6.0 * epsilon > CERTIFICATION_TOL, a
+
+
+def test_pair_floor_loses_no_certificate():
+    rng = np.random.default_rng(45)
+    profiles = [
+        [0.8, 0.2],
+        [0.6, 0.3, 1e-9],  # a 1e-9 weight
+        [0.5, 0.5 - 1e-9],  # a 1e-9 gap and nothing else
+        [0.4, 0.4 - 1e-9, 0.2],  # a 1e-9 gap beside a usable pair
+        [0.5, 0.5 - 1e-9, 1e-9],  # no pair clears the floor
+    ]
+    certified = 0
+    for raw in profiles:
+        weights = np.array(raw) / np.linalg.norm(raw)
+        d = len(raw)
+        for _ in range(6):
+            psi = assemble_pure_state(weights, haar_unitary(d, rng), haar_unitary(d, rng), d, d)
+            p = rng.uniform(0.97, 1.0)
+            noise = random_density(d, d, rng).matrix
+            sigma = validate_density(p * psi.projector() + (1.0 - p) * noise, d, d)
+            report = certify(sigma, psi)
+            expected, a = _reference_certified(sigma, psi)
+            assert (report.verdict is Verdict.NONLOCAL_CERTIFIED) == expected
+            if expected:
+                certified += 1
+                assert report.a == a
+    assert 0 < certified < 30
 
 
 def test_certify_rejects_mismatched_dims():

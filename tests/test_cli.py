@@ -10,7 +10,7 @@ import pytest
 from hardycert import cli
 from hardycert.cli import build_parser, main
 from hardycert.lhv import strategy_constraint_matrix
-from hardycert.states import DEFAULT_DELTA, STATE_TOL
+from hardycert.states import STATE_TOL
 
 
 def run_cli(argv, capsys):
@@ -251,13 +251,12 @@ def test_tolerance_flags_must_be_finite_and_nonnegative(tmp_path, capsys):
         ["lhv-check", "--state", str(bad), "--candidate", str(state)],
     )
     for argv in commands:
-        for flag in ("--tol", "--delta"):
-            for value in ("nan", "inf", "-1"):
-                with pytest.raises(SystemExit) as exc:
-                    main([*argv, flag, value])
-                assert exc.value.code == 2
-                assert "must be a finite number >= 0" in capsys.readouterr().err
-    code, out, _ = run_cli(["certify", "--state", str(state), "--tol", "0", "--delta", "0"], capsys)
+        for value in ("nan", "inf", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--tol", value])
+            assert exc.value.code == 2
+            assert "must be a finite number >= 0" in capsys.readouterr().err
+    code, out, _ = run_cli(["certify", "--state", str(state), "--tol", "0"], capsys)
     assert code == 0
     assert json.loads(out)["report"]["verdict"] == "NonlocalCertified"
 
@@ -394,6 +393,30 @@ def test_lhv_check_product_state_feasible(tmp_path, capsys):
     assert report["facet"] is None
 
 
+@pytest.mark.parametrize("d, index", [(2, 0), (3, 8)])
+def test_product_state_off_unit_norm_is_local(tmp_path, capsys, d, index):
+    # |00> (2x2) and |22> (3x3), stored with squared norm 1 + 5e-10, inside
+    # STATE_TOL.  Cells read without dividing by the trace summed to
+    # 1 + 5e-10: the 2x2 behavior violated a CHSH facet, and the 3x3 one had
+    # a cell above 1 + PROBABILITY_CLIP and exited 2.
+    amps = np.zeros(d * d)
+    amps[index] = np.sqrt(1.0 + 5e-10)
+    product = tmp_path / "product.json"
+    product.write_text(json.dumps(
+        {"kind": "pure", "dims": [d, d], "amplitudes": [[z, 0.0] for z in amps]}
+    ))
+    candidate = gen(tmp_path, "cand.json", "hardy", "--d1", str(d), "--d2", str(d))
+    argv = ["--state", str(product), "--candidate", str(candidate)]
+    code, out, err = run_cli(["lhv-check", *argv], capsys)
+    assert code == 0, err
+    report = json.loads(out)["report"]
+    assert report["feasible"] is True and report["facet"] is None
+    assert report["consistent"] is True
+    code, out, err = run_cli(["certify", *argv], capsys)
+    assert code == 0, err
+    assert json.loads(out)["report"]["verdict"] == "Inconclusive"
+
+
 def test_lhv_check_bell_candidate_fails(tmp_path, capsys):
     state = gen(tmp_path, "hardy.json", "hardy")
     bell = gen(tmp_path, "bell.json", "bell")
@@ -510,7 +533,6 @@ def test_help_prints_the_parser_defaults(capsys):
     with pytest.raises(SystemExit):
         main(["certify", "--help"])
     text = " ".join(capsys.readouterr().out.split())
-    assert f"(default {DEFAULT_DELTA:g})" in text
     assert f"(default {STATE_TOL:g})" in text
     with pytest.raises(SystemExit):
         main(["gen-state", "--help"])

@@ -26,6 +26,7 @@ from support import (
     hardy_observables,
     random_hardy_state,
     random_separable,
+    random_single_density,
 )
 
 
@@ -222,6 +223,25 @@ def test_lhv_feasible_separable_states():
         sigma = random_separable(2, 2, rng)
         result = lhv_feasible(behavior_from_state(sigma, obs))
         assert result.feasible
+
+
+def test_product_states_off_unit_trace_are_local():
+    # A state's trace may miss 1 by up to STATE_TOL.  Its cells are divided by
+    # the trace, so they sum to 1 and a product state violates no facet; read
+    # undivided, these cells summed to 1 + 5e-10 and facet 82 or 421 rejected
+    # them.
+    rng = np.random.default_rng(64)
+    obs = hardy_observables(fixture_state())
+    ket00 = np.zeros((4, 4))
+    ket00[0, 0] = 1.0
+    products = [ket00] + [
+        np.kron(random_single_density(2, rng), random_single_density(2, rng)) for _ in range(10)
+    ]
+    for rho in products:
+        behavior = behavior_from_state(DensityOperator(2, 2, rho * (1.0 + 5e-10)), obs)
+        assert np.max(np.abs(behavior.tables.sum(axis=(2, 3)) - 1.0)) < 1e-12
+        result = lhv_feasible(behavior)
+        assert result.feasible and result.facet is None
 
 
 def test_lhv_infeasible_for_pure_hardy_state():

@@ -24,7 +24,7 @@ from hardycert.errors import (
     NotPositiveError,
     NotUnitTraceError,
 )
-from hardycert.states import STATE_TOL, SchmidtForm
+from hardycert.states import STATE_TOL, WEIGHT_FLOOR, SchmidtForm
 from support import (
     assemble_pure_state,
     fixture_state,
@@ -123,6 +123,32 @@ def test_validate_density_reports_each_failure():
     for matrix, tol in ((np.zeros((4, 4)), 1.0), (-np.eye(4) / 4.0, 2.0)):
         with pytest.raises(NotUnitTraceError, match="is not positive"):
             validate_density(matrix, 2, 2, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "d1, d2",
+    [(2.0, 2), (2, 2.0), (np.float64(2.0), 2), (True, 4), (4, True), (-2, -2), (0, 4)],
+    ids=["float-d1", "float-d2", "numpy-float", "bool-d1", "bool-d2", "negative", "zero"],
+)
+def test_dims_must_be_positive_integers(d1, d2):
+    # Each pair multiplies to 4 (or 0), so only the dims rule can refuse it.
+    amplitudes = np.full(4, 0.5)
+    matrix = np.eye(4) / 4.0
+    for build in (
+        lambda: StateVector(d1=d1, d2=d2, amplitudes=amplitudes),
+        lambda: DensityOperator(d1=d1, d2=d2, matrix=matrix),
+        lambda: validate_density(matrix, d1, d2),
+        lambda: maximally_mixed(d1, d2),
+    ):
+        with pytest.raises(DimensionMismatchError, match="must be positive integers"):
+            build()
+
+
+def test_numpy_integer_dims_are_accepted():
+    d = np.int64(2)
+    assert StateVector(d1=d, d2=d, amplitudes=np.full(4, 0.5)).d1 == 2
+    assert validate_density(np.eye(4) / 4.0, d, d).d2 == 2
+    assert maximally_mixed(d, np.int32(2)).dim == 4
 
 
 BAD_TOLERANCES = [float("nan"), -1e-3, float("inf")]
@@ -395,17 +421,8 @@ def test_find_hardy_pair_maximizes_parameter():
     assert pair.p2 == pytest.approx(np.sqrt(0.5), abs=1e-9)
 
 
-def test_find_hardy_pair_delta_screens_close_pairs():
-    weights = np.sqrt(np.array([0.5, 0.3, 0.2]))
-    rng = np.random.default_rng(25)
-    psi = assemble_pure_state(weights, haar_unitary(3, rng), haar_unitary(3, rng), 3, 3)
-    sf = schmidt_decompose(psi)
-    # The widest gap is sqrt(0.5) - sqrt(0.2) ~ 0.260; past that, nothing is left.
-    assert find_hardy_pair(sf, delta=0.26) is None
-    assert find_hardy_pair(sf, delta=0.25) is not None
-
-
-def test_find_hardy_pair_delta_screens_tiny_weights():
+def test_find_hardy_pair_screens_tiny_weights():
+    # A 1e-9 weight is kept by the Schmidt floor but refused by the pair floor.
     tiny = 1e-9
     big = np.sqrt(1.0 - tiny**2)
     sf = SchmidtForm(
@@ -413,17 +430,8 @@ def test_find_hardy_pair_delta_screens_tiny_weights():
         left_basis=np.eye(2),
         right_basis=np.eye(2),
     )
-    assert find_hardy_pair(sf, delta=1e-8) is None
-    assert find_hardy_pair(sf, delta=1e-10) is not None
-
-
-@pytest.mark.parametrize("delta", BAD_TOLERANCES)
-def test_find_hardy_pair_rejects_nan_or_negative_delta(delta):
-    # Equal weights admit no pair; a nan or negative delta would admit one.
-    equal = np.full(2, np.sqrt(0.5))
-    sf = SchmidtForm(weights=equal, left_basis=np.eye(2), right_basis=np.eye(2))
-    with pytest.raises(ValueError, match="delta must be a finite number >= 0"):
-        find_hardy_pair(sf, delta=delta)
+    assert tiny > WEIGHT_FLOOR
+    assert find_hardy_pair(sf) is None
 
 
 def test_pair_values_invariant_under_global_phase_and_relabeling():
