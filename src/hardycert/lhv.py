@@ -204,10 +204,10 @@ class LhvResult(NamedTuple):
     ``weights`` is the mixture over ``enumerate_strategies()`` order when one
     exists, else None.  When a facet decided the verdict, ``facet`` is its row
     in ``facet_table()`` and ``max_violation`` its violation,
-    ``coefficients[facet] @ cells - bounds[facet]``.  Otherwise ``facet`` is
-    None and the LP decided: ``max_violation`` is the largest equation
-    residual at the solution when feasible, and the minimized L1
-    infeasibility when not.
+    ``coefficients[facet] @ cells - bounds[facet]``, with the cells of each
+    table divided by its sum.  Otherwise ``facet`` is None and the LP
+    decided: ``max_violation`` is the largest equation residual at the
+    solution when feasible, and the minimized L1 infeasibility when not.
     """
 
     feasible: bool
@@ -219,6 +219,11 @@ class LhvResult(NamedTuple):
 def lhv_feasible(behavior: Behavior) -> LhvResult:
     """Decide whether any mixture of deterministic strategies reproduces the
     behavior.
+
+    Both checks read the cells of each table divided by its own sum, as
+    ``behavior_from_state`` divides by the trace: a table may miss 1 by up
+    to NORMALIZATION_TOL, far more than the FEASIBILITY_TOL the facets and
+    the LP allow, so slack that is admitted is not read as nonlocality.
 
     The facets come first: one violated by more than FEASIBILITY_TOL
     certifies that no local model exists, and the most violated one is
@@ -240,7 +245,7 @@ def lhv_feasible(behavior: Behavior) -> LhvResult:
         raise MalformedBehaviorError(
             f"table normalization off by {worst:.3e}, beyond {NORMALIZATION_TOL}"
         )
-    cells = behavior.tables.reshape(-1)
+    cells = (behavior.tables / sums[:, :, None, None]).reshape(-1)
     facets = facet_table()
     violations = facets.coefficients @ cells - facets.bounds
     facet = int(violations.argmax())

@@ -3,9 +3,14 @@ distinct-weight Schmidt pair.
 
 A state's trace is held to one tolerance, ``STATE_TOL``: a state vector's
 squared norm (the trace of its projector) and, by default, a density
-matrix's trace.  Every density-matrix invariant is checked once, in
-``_check_density``: at ``STATE_TOL`` by ``DensityOperator``, at the caller's
-tolerance by ``validate_density``.
+matrix's trace.  Every density-matrix invariant is checked by one gate in
+two steps, ``_check_entries`` (dims, shape, finite entries, Hermiticity,
+trace) and ``_check_spectrum`` (positivity, from one ``eigvalsh`` whose
+spectrum the state keeps): at ``STATE_TOL`` by ``DensityOperator``, at the
+caller's tolerance by ``validate_density``.  A validated state costs one
+spectral solve: ``validate_density`` solves the matrix it stores and builds
+the state without passing it through the gate again, and
+``maximally_mixed`` knows its spectrum and solves nothing.
 
 The Schmidt decomposition is one SVD of the amplitude coefficient matrix, in
 a fixed phase gauge: each pair of Schmidt vectors is only defined up to
@@ -111,11 +116,12 @@ def _check_tolerance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
-def _check_density(matrix, d1: int, d2: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The one gate for density matrices: every invariant checked at ``tol``.
+def _check_entries(matrix, d1: int, d2: int, tol: float) -> tuple[np.ndarray, float]:
+    """The entry checks of the density gate, every invariant but positivity,
+    at ``tol``.
 
     Returns the Hermitian part of ``matrix`` (exactly Hermitian, so spectral
-    routines downstream meet their preconditions) and its ascending spectrum.
+    routines downstream meet their preconditions) and its trace.
 
     Raises
     ------
@@ -123,7 +129,7 @@ def _check_density(matrix, d1: int, d2: int, tol: float) -> tuple[np.ndarray, np
         A dimension is not an integer >= 1, or the shape is not (d1 d2, d1 d2).
     InvalidStateError
         An entry is not finite.
-    NotHermitianError, NotUnitTraceError, NotPositiveError
+    NotHermitianError, NotUnitTraceError
         The corresponding check failed beyond ``tol``, or the trace is not
         positive.
     """
@@ -146,23 +152,50 @@ def _check_density(matrix, d1: int, d2: int, tol: float) -> tuple[np.ndarray, np
         # A tol of 1 or more admits a trace <= 0, which no renormalisation repairs.
         expected = f"1 within {tol}" if off_unit else "positive"
         raise NotUnitTraceError(f"trace {trace!r} is not {expected}")
-    eigenvalues = np.linalg.eigvalsh(sym)
-    smallest = float(eigenvalues[0])
+    return sym, trace
+
+
+def _check_spectrum(matrix: np.ndarray, scale: float, tol: float) -> np.ndarray:
+    """The spectrum step of the density gate: the ascending spectrum of
+    ``matrix``, one ``eigvalsh``.
+
+    ``matrix`` is a Hermitian part from ``_check_entries`` divided by
+    ``scale`` (1 when it is stored undivided), so the smallest eigenvalue of
+    that Hermitian part is ``scale`` times the smallest one here, up to
+    round-off.  It is refused below ``-tol``.
+
+    The entries were finite, but forming the Hermitian part or dividing it
+    can overflow; ``eigvalsh`` would then return NaNs or fail to converge,
+    so a matrix that is not finite is refused first.
+
+    Raises
+    ------
+    InvalidStateError
+        ``matrix`` has an entry that is not finite.
+    NotPositiveError
+        The smallest eigenvalue of the Hermitian part is below ``-tol``.
+    """
+    if not np.all(np.isfinite(matrix)):
+        raise InvalidStateError("matrix entries overflow the floating-point range")
+    eigenvalues = np.linalg.eigvalsh(matrix)
+    smallest = float(eigenvalues[0]) * scale
     if smallest < -tol:
         raise NotPositiveError(f"eigenvalue {smallest!r} below -{tol}")
-    return sym, eigenvalues
+    return eigenvalues
 
 
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian, unit-trace, positive-semidefinite operator on C^d1 (x) C^d2.
 
-    The input passes ``_check_density`` at ``STATE_TOL`` and the stored
-    matrix is its Hermitian part.  Use ``validate_density`` to construct
-    from data that may need round-off repair at a looser tolerance.
+    The constructor takes outside input, so it runs the whole density gate
+    at ``STATE_TOL``; the stored matrix is the input's Hermitian part.  Use
+    ``validate_density`` to construct from data that may need round-off
+    repair at a looser tolerance.
 
-    ``eigenvalues`` is the read-only ascending spectrum of ``matrix``, kept
-    from the positivity check; it takes no part in ``==`` or ``repr``.
+    ``eigenvalues`` is the read-only ascending spectrum of ``matrix``, bit
+    for bit ``np.linalg.eigvalsh(matrix)``, kept from the positivity check;
+    it takes no part in ``==`` or ``repr``.
     """
 
     d1: int
@@ -171,24 +204,48 @@ class DensityOperator:
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        mat, eigenvalues = _check_density(self.matrix, self.d1, self.d2, STATE_TOL)
-        mat.setflags(write=False)
-        eigenvalues.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
+        sym, _ = _check_entries(self.matrix, self.d1, self.d2, STATE_TOL)
+        _store(self, sym, _check_spectrum(sym, 1.0, STATE_TOL))
 
     @property
     def dim(self) -> int:
         return self.d1 * self.d2
 
 
+def _store(state: DensityOperator, matrix: np.ndarray, eigenvalues: np.ndarray) -> DensityOperator:
+    """Set ``state``'s matrix and spectrum, both made read-only."""
+    for name, value in (("matrix", matrix), ("eigenvalues", eigenvalues)):
+        value.setflags(write=False)
+        object.__setattr__(state, name, value)
+    return state
+
+
+def _checked_density(d1: int, d2: int, matrix: np.ndarray, eigenvalues: np.ndarray) -> DensityOperator:
+    """A ``DensityOperator`` over a matrix that this module has already
+    checked, and its exact ascending spectrum, built without the
+    constructor's gate, which it would pass."""
+    state = object.__new__(DensityOperator)
+    object.__setattr__(state, "d1", d1)
+    object.__setattr__(state, "d2", d2)
+    return _store(state, matrix, eigenvalues)
+
+
 def validate_density(matrix, d1: int, d2: int, tol: float = STATE_TOL) -> DensityOperator:
     """Validate and, where round-off requires, repair a candidate density matrix.
 
-    The matrix passes ``_check_density`` at ``tol``.  Eigenvalues in
-    [-tol, 0) are then clipped to zero and the operator renormalized to unit
-    trace, so slightly negative round-off noise cannot leak into downstream
-    spectral computations.
+    The matrix passes the entry checks at ``tol``.  Its Hermitian part
+    ``sym`` divided by its trace is the matrix to store, and one ``eigvalsh``
+    of it gives the spectrum.  The trace is positive, so the smallest
+    eigenvalue of ``sym`` is the trace times that spectrum's smallest, and
+    below ``-tol`` it is refused.
+
+    With no negative eigenvalue the quotient is stored with that spectrum
+    and not checked again: the constructor's gate could not fail on it,
+    since ``sym / trace`` is exactly Hermitian, its trace is 1 within
+    round-off and its spectrum is >= 0.  Otherwise eigenvalues in [-tol, 0)
+    are clipped to zero and the operator renormalized to unit trace, so
+    slightly negative round-off noise cannot leak into downstream spectral
+    computations; the repaired matrix goes through the constructor.
 
     Raises
     ------
@@ -196,16 +253,18 @@ def validate_density(matrix, d1: int, d2: int, tol: float = STATE_TOL) -> Densit
         ``tol`` is not a finite number >= 0.
     DimensionMismatchError, InvalidStateError, NotHermitianError,
     NotUnitTraceError, NotPositiveError
-        As ``_check_density``.
+        As ``_check_entries`` and ``_check_spectrum``.
     """
     _check_tolerance("tol", tol)
-    sym, eigenvalues = _check_density(matrix, d1, d2, tol)
-    if eigenvalues[0] < 0.0:
-        # Only the repair reads eigenvectors, so only it pays for them.
-        values, vectors = np.linalg.eigh(sym)
-        sym = (vectors * np.clip(values, 0.0, None)) @ vectors.conj().T
-    repaired = sym / float(np.trace(sym).real)
-    return DensityOperator(d1=d1, d2=d2, matrix=repaired)
+    sym, trace = _check_entries(matrix, d1, d2, tol)
+    unit = sym / trace
+    eigenvalues = _check_spectrum(unit, trace, tol)
+    if eigenvalues[0] >= 0.0:
+        return _checked_density(d1, d2, unit, eigenvalues)
+    # Only the repair reads eigenvectors, so only it pays for them.
+    values, vectors = np.linalg.eigh(sym)
+    clipped = (vectors * np.clip(values, 0.0, None)) @ vectors.conj().T
+    return DensityOperator(d1=d1, d2=d2, matrix=clipped / float(np.trace(clipped).real))
 
 
 def pure_density(psi: StateVector) -> DensityOperator:
@@ -217,7 +276,8 @@ def maximally_mixed(d1: int, d2: int) -> DensityOperator:
     """The white-noise state I / (d1 d2)."""
     _check_subsystem_dims(d1, d2)
     dim = d1 * d2
-    return DensityOperator(d1=d1, d2=d2, matrix=np.eye(dim) / dim)
+    # The spectrum of I / D is known exactly: no eigensolve.
+    return _checked_density(d1, d2, np.eye(dim, dtype=complex) / dim, np.full(dim, 1.0 / dim))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from hardycert import (
 )
 import hardycert.simplex as simplex
 from hardycert.errors import InvalidStateError, MalformedBehaviorError
-from hardycert.lhv import Behavior, facet_table, strategy_constraint_matrix
+from hardycert.lhv import NORMALIZATION_TOL, Behavior, facet_table, strategy_constraint_matrix
 from hardycert.observables import OUTCOMES, PROBABILITY_CLIP
 from hardycert.simplex import FEASIBILITY_TOL
 from support import (
@@ -271,6 +271,36 @@ def test_lhv_rejects_malformed_behavior():
         lhv_feasible(Behavior(tables=tables))
 
 
+def separable_behaviors(count: int) -> list[Behavior]:
+    """Behaviors of seeded 3x3 separable states, each local as it stands."""
+    rng = np.random.default_rng(66)
+    behaviors = []
+    for _ in range(count):
+        obs = hardy_observables(random_hardy_state(rng, d1=3, d2=3))
+        behaviors.append(behavior_from_state(random_separable(3, 3, rng), obs))
+    return behaviors
+
+
+@pytest.mark.parametrize("scale", [1.0 + 1e-9, 1.0 + 5e-7])
+def test_normalization_slack_is_not_nonlocality(scale):
+    # Tables off 1 within NORMALIZATION_TOL are read divided by their sums.
+    # Read as they stood, scaling by 1 + 1e-9 left an LP residual of 4e-9,
+    # beyond FEASIBILITY_TOL, in all ten separable ones, and white noise
+    # violated a facet by 2e-9.
+    white = behavior_from_state(maximally_mixed(2, 2), hardy_observables(fixture_state()))
+    for behavior in separable_behaviors(10) + [white]:
+        assert lhv_feasible(behavior).feasible
+        # A local verdict there also has facet None and the bare LP's weights.
+        assert lp_checked_verdict(Behavior(tables=behavior.tables * scale))
+
+
+def test_normalization_beyond_tolerance_still_raises():
+    for behavior in separable_behaviors(3):
+        for scale in (1.0 + 2 * NORMALIZATION_TOL, 1.0 - 2 * NORMALIZATION_TOL):
+            with pytest.raises(MalformedBehaviorError, match="normalization off"):
+                lhv_feasible(Behavior(tables=behavior.tables * scale))
+
+
 def test_lhv_pivot_path_is_pinned(monkeypatch):
     # Pivot counts recorded with the solver that rebuilt its reduced costs on
     # every iteration; Bland's rule must walk the same path.  The benchmark's
@@ -382,8 +412,10 @@ def test_hardy_inequality_is_one_chsh_facet():
 
 
 def lp_checked_verdict(behavior: Behavior) -> bool:
-    """lhv_feasible's verdict, after checking it against the bare LP."""
-    cells = behavior.tables.reshape(-1)
+    """lhv_feasible's verdict, after checking it against the bare LP on the
+    same cells, each table divided by its own sum."""
+    tables = behavior.tables
+    cells = (tables / tables.sum(axis=(2, 3), keepdims=True)).reshape(-1)
     reference = simplex.solve_feasibility_lp(strategy_constraint_matrix(), np.append(cells, 1.0))
     result = lhv_feasible(behavior)
     assert result.feasible is reference.feasible

@@ -1,6 +1,7 @@
 """Spectral solves per command: each matrix on the certify path pays for one
-eigensolve, eigenvectors are computed only where they are read, and the
-candidate's Schmidt form is one SVD.
+eigensolve, a validated state for exactly one, white noise for none,
+eigenvectors are computed only where they are read, and the candidate's
+Schmidt form is one SVD.
 
 ``numpy.linalg.eigh`` (eigenvalues and eigenvectors), ``eigvalsh``
 (eigenvalues only) and ``svd`` are wrapped to record the shape of every
@@ -14,7 +15,7 @@ import pytest
 
 from hardycert.cli import main
 from hardycert.io import state_to_dict
-from hardycert.states import validate_density
+from hardycert.states import DensityOperator, maximally_mixed, validate_density
 from support import certified_mixture
 
 D1 = D2 = 4
@@ -74,12 +75,13 @@ def test_explicit_candidate_needs_no_eigenvectors_of_sigma(files, solves, capsys
     ],
     ids=["certify", "certify-candidate", "lhv-check", "noise-threshold"],
 )
-def test_each_command_pays_three_spectra(argv, eigenvectors, files, solves, capsys):
-    # Two spectra of the mixed file (validate_density, then DensityOperator)
-    # and one of sigma - |psi><psi| for the trace distance; the candidate's
-    # projector is never validated as a state of its own.
+def test_each_command_pays_two_spectra(argv, eigenvectors, files, solves, capsys):
+    # One spectrum of the mixed file, solved by validate_density on the
+    # matrix it stores and kept, and one of sigma - |psi><psi| for the trace
+    # distance; the candidate's projector is never validated as a state of
+    # its own.
     run([files.get(arg, arg) for arg in argv], capsys)
-    assert solves["eigvalsh"].count((DIM, DIM)) == 3
+    assert solves["eigvalsh"].count((DIM, DIM)) == 2
     assert solves["eigh"].count((DIM, DIM)) == eigenvectors
 
 
@@ -96,3 +98,23 @@ def test_validate_density_computes_eigenvectors_only_to_repair(solves):
     repaired = validate_density(np.diag([-5e-10, 0.3, 0.3, 0.4 + 5e-10]), 2, 2)
     assert solves["eigh"] == [(4, 4)]
     assert repaired.eigenvalues[0] >= 0.0
+
+
+def test_validate_density_solves_once_without_repair(solves):
+    rho = validate_density(np.diag([0.1, 0.2, 0.3, 0.4 + 2e-10]), 2, 2)
+    assert solves == {"eigh": [], "eigvalsh": [(4, 4)], "svd": []}
+    assert rho.eigenvalues[0] >= 0.0
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 2), (3, 5), (8, 8)])
+def test_maximally_mixed_needs_no_eigensolve(d1, d2, solves):
+    rho = maximally_mixed(d1, d2)
+    assert solves == {"eigh": [], "eigvalsh": [], "svd": []}
+    # The state the constructor would build, and the spectrum its
+    # eigensolve would give, bit for bit.
+    dim = d1 * d2
+    built = DensityOperator(d1=d1, d2=d2, matrix=np.eye(dim) / dim)
+    assert rho.matrix.dtype == built.matrix.dtype
+    assert np.array_equal(rho.matrix, built.matrix)
+    assert np.array_equal(rho.eigenvalues, built.eigenvalues)
+    assert not rho.matrix.flags.writeable and not rho.eigenvalues.flags.writeable

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -80,12 +81,35 @@ def test_density_operator_rejects_bad_matrices():
         DensityOperator(d1=2, d2=2, matrix=bad)
 
 
+def off_unit_density(dim: int, rng: np.random.Generator, tol: float) -> np.ndarray:
+    """A Hermitian full-rank density matrix whose trace misses 1 by up to
+    5e-10, redrawn until the trace passes at ``tol``: at tol 0 only a trace
+    of exactly 1 does, so none is scaled off 1 there."""
+    while True:
+        off = rng.uniform(-5e-10, 5e-10) if tol > 0.0 else 0.0
+        matrix = random_single_density(dim, rng) * (1.0 + off)
+        matrix = (matrix + matrix.conj().T) / 2.0
+        if abs(np.trace(matrix).real - 1.0) <= tol:
+            return matrix
+
+
 def test_density_operator_keeps_its_spectrum():
+    # The kept spectrum is the stored matrix's own, bit for bit: scaling the
+    # spectrum of the undivided matrix by its trace misses it in the last
+    # bits.  And the stored matrix is a state to the constructor's gate.
     rng = np.random.default_rng(21)
-    rho = validate_density(random_single_density(6, rng), 2, 3)
-    assert np.array_equal(rho.eigenvalues, np.linalg.eigvalsh(rho.matrix))
-    with pytest.raises(ValueError):
-        rho.eigenvalues[0] = 0.0
+    for (d1, d2), tol in itertools.product(
+        [(2, 2), (2, 3), (3, 3), (4, 4), (8, 8)], [0.0, STATE_TOL, 1e-6]
+    ):
+        for _ in range(10):
+            rho = validate_density(off_unit_density(d1 * d2, rng, tol), d1, d2, tol=tol)
+            assert np.array_equal(rho.eigenvalues, np.linalg.eigvalsh(rho.matrix))
+            again = DensityOperator(d1=d1, d2=d2, matrix=rho.matrix)
+            assert np.array_equal(again.matrix, rho.matrix)
+            assert np.array_equal(again.eigenvalues, rho.eigenvalues)
+    for array in (rho.matrix, rho.eigenvalues):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
     assert "eigenvalues" not in repr(rho)
     flags = {f.name: (f.init, f.repr, f.compare) for f in dataclasses.fields(DensityOperator)}
     assert flags["eigenvalues"] == (False, False, False)
@@ -194,6 +218,26 @@ BAD_DENSITIES = {
     "trace-off-1": (np.eye(4) / 3.0, 2, 2, NotUnitTraceError),
     "negative-eigenvalue": (np.diag([0.6, 0.5, -0.1, 0.0]), 2, 2, NotPositiveError),
 }
+
+
+def test_gate_refuses_entries_that_overflow():
+    # Finite entries whose Hermitian part overflows: eigvalsh would return
+    # NaNs (stored as the spectrum) or fail to converge.
+    for pair in ((2, 3), (0, 3)):
+        matrix = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        matrix[pair] = matrix[pair[::-1]] = 1.5e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            for build in (
+                lambda: DensityOperator(d1=2, d2=2, matrix=matrix),
+                lambda: validate_density(matrix, 2, 2),
+            ):
+                with pytest.raises(InvalidStateError, match="overflow"):
+                    build()
+    # Finite entries whose Hermitian part, divided by a trace of 0.1, overflows.
+    matrix = np.diag([0.1, 0.0, 0.0, 0.0]).astype(complex)
+    matrix[2, 3] = matrix[3, 2] = 8e307
+    with np.errstate(over="ignore"), pytest.raises(InvalidStateError, match="overflow"):
+        validate_density(matrix, 2, 2, tol=0.95)
 
 
 @pytest.mark.parametrize("case", list(BAD_DENSITIES))
