@@ -6,6 +6,11 @@ for a few built-in families, ``certify`` runs the trace-distance criterion,
 ``lhv-check`` cross-examines a state with the local-model feasibility LP.
 Every command emits a JSON document (to --output or standard output) and
 exits 0 on completion, 2 on any input or validation error.
+
+The reports are laid out here, and only here: each ``cmd_*`` builds its body
+once and wraps it in the envelope of ``_payload``, with one ``{"path",
+"sha256"}`` entry per input file, recorded by the loader that read it.
+``hardycert.io`` keeps only the state-file format.
 """
 
 from __future__ import annotations
@@ -19,22 +24,17 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .certification import (
+    CertificationReport,
     Verdict,
     candidate_from_state,
     certify,
     noise_threshold,
 )
 from .errors import HardycertError, NotHardyError, StateFileError
-from .io import (
-    certification_to_dict,
-    dump_json,
-    lhv_result_to_dict,
-    load_state_file,
-    report_payload,
-    state_to_dict,
-)
-from .lhv import lhv_feasible
+from .io import dump_json, load_state_file, state_to_dict
+from .lhv import facet_table, lhv_feasible
 from .states import STATE_TOL, DensityOperator, StateVector, _check_tolerance, pure_density
 
 GEN_KINDS = ("hardy", "bell", "product", "white-noise-mix")
@@ -149,29 +149,58 @@ def cmd_gen_state(args: argparse.Namespace) -> dict:
     return state_to_dict(state)
 
 
-def _load_density(path: Path, tol: float) -> tuple[DensityOperator, str]:
-    """The state in ``path`` as a density operator, and the file's digest."""
-    state, digest = load_state_file(path, tol=tol)
-    if isinstance(state, StateVector):
-        return pure_density(state), digest
-    return state, digest
+def _load_density(args: argparse.Namespace, name: str, inputs: dict) -> DensityOperator:
+    """The state in the file of option ``name``, as a density operator; the
+    file's ``{"path", "sha256"}`` entry goes into ``inputs`` under ``name``."""
+    path = getattr(args, name)
+    state, digest = load_state_file(path, tol=args.tol)
+    inputs[name] = {"path": str(path), "sha256": digest}
+    return pure_density(state) if isinstance(state, StateVector) else state
 
 
-def _load_pure(path: Path, role: str, tol: float) -> tuple[StateVector, str]:
-    """The pure state in ``path``, and the file's digest."""
-    state, digest = load_state_file(path, tol=tol)
+def _load_pure(args: argparse.Namespace, name: str, inputs: dict) -> StateVector:
+    """The pure state in the file of option ``name``; the file's entry goes
+    into ``inputs`` as ``_load_density`` puts it."""
+    path = getattr(args, name)
+    state, digest = load_state_file(path, tol=args.tol)
     if not isinstance(state, StateVector):
-        raise StateFileError(f"{role} file {path} must hold a pure state")
-    return state, digest
+        raise StateFileError(f"{name} file {path} must hold a pure state")
+    inputs[name] = {"path": str(path), "sha256": digest}
+    return state
+
+
+def _payload(kind: str, inputs: dict, report: dict) -> dict:
+    """A report body in its envelope: tool identity, kind and input entries."""
+    tool = {"name": "hardycert", "version": __version__}
+    return {"tool": tool, "kind": kind, "inputs": inputs, "report": report}
+
+
+def _criterion(report: CertificationReport) -> dict:
+    """The criterion's numbers, as ``certify`` and ``lhv-check`` report them."""
+    verdict = report.verdict.value
+    return {"epsilon": report.epsilon, "a": report.a, "margin": report.margin, "verdict": verdict}
+
+
+def _facet(row: int, violation: float) -> dict:
+    """Row ``row`` of ``facet_table()`` as a checkable witness: integer
+    coefficients on the ``[alice setting][bob setting][alice outcome][bob
+    outcome]`` cells and an integer bound that no mixture of deterministic
+    strategies exceeds."""
+    table = facet_table()
+    return {
+        "class": str(table.classes[row]),
+        "coefficients": table.coefficients[row].astype(int).reshape(2, 2, 3, 3).tolist(),
+        "bound": int(table.bounds[row]),
+        "violation": violation,
+    }
 
 
 def cmd_certify(args: argparse.Namespace) -> dict:
-    sigma, sigma_digest = _load_density(args.state, args.tol)
-    inputs = {"state": (args.state, sigma_digest)}
+    inputs: dict = {}
+    sigma = _load_density(args, "state", inputs)
     if args.candidate is not None:
-        candidate, candidate_digest = _load_pure(args.candidate, "candidate", args.tol)
-        candidate_info: dict = {"source": "file"}
-        inputs["candidate"] = (args.candidate, candidate_digest)
+        candidate = _load_pure(args, "candidate", inputs)
+        source: dict = {"source": "file"}
     else:
         spectrum = sigma.eigenvalues
         # A 1x1 state has one eigenvalue and no gap.
@@ -184,24 +213,29 @@ def cmd_certify(args: argparse.Namespace) -> dict:
                 f"{args.tol:g}), so it defines no candidate; pass --candidate"
             )
         candidate = candidate_from_state(sigma)
-        candidate_info = {"source": "top-eigenvector", "degeneracy_gap": gap}
+        source = {"source": "top-eigenvector", "degeneracy_gap": gap}
     report = certify(sigma, candidate)
-    body = certification_to_dict(report)
-    body["candidate"] = candidate_info
-    return report_payload("certify", body, inputs)
+    pair, table = report.pair, report.table  # both None for a NotHardy candidate
+    return _payload("certify", inputs, {
+        **_criterion(report),
+        "nonseparable": report.verdict is Verdict.NONLOCAL_CERTIFIED,
+        "pair": None if pair is None else dataclasses.asdict(pair),
+        "table": None if table is None else table._asdict(),
+        "candidate": source,
+    })
 
 
 def cmd_noise_threshold(args: argparse.Namespace) -> dict:
-    psi, psi_digest = _load_pure(args.state, "state", args.tol)
-    noise, noise_digest = _load_density(args.noise, args.tol)
-    report = noise_threshold(psi, noise)
-    inputs = {"state": (args.state, psi_digest), "noise": (args.noise, noise_digest)}
-    return report_payload("noise-threshold", dataclasses.asdict(report), inputs)
+    inputs: dict = {}
+    psi = _load_pure(args, "state", inputs)
+    noise = _load_density(args, "noise", inputs)
+    return _payload("noise-threshold", inputs, dataclasses.asdict(noise_threshold(psi, noise)))
 
 
 def cmd_lhv_check(args: argparse.Namespace) -> dict:
-    sigma, sigma_digest = _load_density(args.state, args.tol)
-    candidate, candidate_digest = _load_pure(args.candidate, "candidate", args.tol)
+    inputs: dict = {}
+    sigma = _load_density(args, "state", inputs)
+    candidate = _load_pure(args, "candidate", inputs)
     criterion = certify(sigma, candidate)
     if criterion.behavior is None:
         raise NotHardyError(
@@ -209,18 +243,17 @@ def cmd_lhv_check(args: argparse.Namespace) -> dict:
         )
     # --tol is the validation tolerance; the local-model search keeps its own.
     result = lhv_feasible(criterion.behavior)
-    body = lhv_result_to_dict(result)
-    rendered = certification_to_dict(criterion)
-    body["criterion"] = {key: rendered[key] for key in ("epsilon", "a", "margin", "verdict")}
     # The criterion is one-sided: a certification must coincide with LP
     # infeasibility, while an inconclusive margin constrains nothing.
     certified = criterion.verdict is Verdict.NONLOCAL_CERTIFIED
-    body["consistent"] = not (certified and result.feasible)
-    return report_payload(
-        "lhv-check",
-        body,
-        {"state": (args.state, sigma_digest), "candidate": (args.candidate, candidate_digest)},
-    )
+    return _payload("lhv-check", inputs, {
+        "facet": None if result.facet is None else _facet(result.facet, result.max_violation),
+        "feasible": result.feasible,
+        "max_violation": result.max_violation,
+        "weights": None if result.weights is None else result.weights.tolist(),
+        "criterion": _criterion(criterion),
+        "consistent": not (certified and result.feasible),
+    })
 
 
 @functools.cache

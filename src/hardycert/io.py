@@ -1,4 +1,5 @@
-"""JSON state files and report payloads for the command-line tools.
+"""The JSON state-file format that the command-line tools read and write.
+The reports built from these files are laid out in ``cli``.
 
 A state file is a single JSON object:
 
@@ -16,12 +17,12 @@ Each direction is one array conversion per file, not one Python call per
 entry: the pairs are parsed through one object array, and written from one
 stacked ``(..., 2)`` float array.  A malformed file still fails with an error
 naming its first bad entry, found by walking the entries in file order.
-A state file is read once; the report's input digest is of the bytes parsed.
+A state file is read once, and ``load_state_file`` returns the digest of the
+bytes it parsed.  ``dump_json`` writes state files and reports alike.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from io import BytesIO, TextIOWrapper
@@ -29,13 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .certification import CertificationReport, Verdict
 from .errors import StateFileError
-from .lhv import LhvResult, facet_table
 from .states import STATE_TOL, DensityOperator, StateVector, validate_density
-
-TOOL_NAME = "hardycert"
 
 
 def _is_number_type(kind: type) -> bool:
@@ -161,70 +157,4 @@ def dump_json(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def certification_to_dict(report: CertificationReport) -> dict:
-    """The criterion's numbers; ``pair`` and ``table`` are the report's own
-    fields, or None for a NotHardy candidate."""
-    table = report.table
-    return {
-        "epsilon": report.epsilon,
-        "a": report.a,
-        "margin": report.margin,
-        "verdict": report.verdict.value,
-        "nonseparable": report.verdict is Verdict.NONLOCAL_CERTIFIED,
-        "pair": None if report.pair is None else dataclasses.asdict(report.pair),
-        "table": None if table is None else table._asdict(),
-    }
-
-
-def lhv_result_to_dict(result: LhvResult) -> dict:
-    """The verdict, its weights, and the facet that decided it, if one did.
-
-    The facet block is a checkable witness: integer coefficients on the
-    ``[alice setting][bob setting][alice outcome][bob outcome]`` cells and an
-    integer bound that no mixture of deterministic strategies exceeds.
-    """
-    facet = None
-    if result.facet is not None:
-        table = facet_table()
-        coefficients = table.coefficients[result.facet].astype(int).reshape(2, 2, 3, 3)
-        facet = {
-            "class": str(table.classes[result.facet]),
-            "coefficients": coefficients.tolist(),
-            "bound": int(table.bounds[result.facet]),
-            "violation": result.max_violation,
-        }
-    return {
-        "facet": facet,
-        "feasible": result.feasible,
-        "max_violation": result.max_violation,
-        "weights": None if result.weights is None else result.weights.tolist(),
-    }
-
-
-def report_payload(kind: str, body: dict, inputs: dict[str, tuple[Path | str, str]]) -> dict:
-    """Wrap a report body with tool identity and input digests.
-
-    ``inputs`` maps each input's name to its path and the hex SHA-256 that
-    ``load_state_file`` returned for it.
-    """
-    return {
-        "tool": {"name": TOOL_NAME, "version": __version__},
-        "kind": kind,
-        "inputs": {
-            name: {"path": str(path), "sha256": digest}
-            for name, (path, digest) in inputs.items()
-        },
-        "report": body,
-    }
-
-
-__all__ = [
-    "TOOL_NAME",
-    "certification_to_dict",
-    "dump_json",
-    "lhv_result_to_dict",
-    "load_state_file",
-    "parse_state_dict",
-    "report_payload",
-    "state_to_dict",
-]
+__all__ = ["dump_json", "load_state_file", "parse_state_dict", "state_to_dict"]

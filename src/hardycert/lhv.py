@@ -203,9 +203,10 @@ class LhvResult(NamedTuple):
 
     ``weights`` is the mixture over ``enumerate_strategies()`` order when one
     exists, else None.  When a facet decided the verdict, ``facet`` is its row
-    in ``facet_table()`` and ``max_violation`` its violation,
-    ``coefficients[facet] @ cells - bounds[facet]``, with the cells of each
-    table divided by its sum.  Otherwise ``facet`` is None and the LP
+    in ``facet_table()``, the witness ``lhv_feasible`` picks, and
+    ``max_violation`` its violation, ``coefficients[facet] @ cells -
+    bounds[facet]``, with the cells of each table divided by its sum; that is
+    within FEASIBILITY_TOL of the largest violation of any facet.  Otherwise ``facet`` is None and the LP
     decided: ``max_violation`` is the largest equation residual at the
     solution when feasible, and the minimized L1 infeasibility when not.
     """
@@ -226,8 +227,10 @@ def lhv_feasible(behavior: Behavior) -> LhvResult:
     the LP allow, so slack that is admitted is not read as nonlocality.
 
     The facets come first: one violated by more than FEASIBILITY_TOL
-    certifies that no local model exists, and the most violated one is
-    returned as the witness.  This is sound for any behavior, signalling or
+    certifies that no local model exists.  The witness is the lowest-numbered
+    row among those violated by more than FEASIBILITY_TOL and within
+    FEASIBILITY_TOL of the largest violation, so a last-bit change to the
+    cells does not move it between facets that tie.  This is sound for any behavior, signalling or
     not, since a valid inequality holds on every mixture of the strategies.
     Otherwise every one of the 36 cells is constrained, redundancies
     included, plus the normalization of the weights; feasibility at
@@ -248,8 +251,12 @@ def lhv_feasible(behavior: Behavior) -> LhvResult:
     cells = (behavior.tables / sums[:, :, None, None]).reshape(-1)
     facets = facet_table()
     violations = facets.coefficients @ cells - facets.bounds
-    facet = int(violations.argmax())
-    if violations[facet] > FEASIBILITY_TOL:
+    largest = violations.max()
+    if largest > FEASIBILITY_TOL:
+        # Symmetric facets tie up to round-off, so the first row near the
+        # largest violation is the witness: argmax alone flips between them.
+        near = (violations > FEASIBILITY_TOL) & (violations >= largest - FEASIBILITY_TOL)
+        facet = int(near.argmax())
         return LhvResult(
             feasible=False, weights=None, max_violation=float(violations[facet]), facet=facet
         )

@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hardycert
 from hardycert import cli
 from hardycert.cli import build_parser, main
+from hardycert.io import dump_json, state_to_dict
 from hardycert.lhv import strategy_constraint_matrix
 from hardycert.states import STATE_TOL
+from support import fixture_state
 
 
 def run_cli(argv, capsys):
@@ -437,6 +440,148 @@ def test_lhv_check_inputs_carry_digests(tmp_path, capsys):
     assert set(payload["inputs"]) == {"state", "candidate"}
     for entry in payload["inputs"].values():
         assert len(entry["sha256"]) == 64
+
+
+# ----------------------------------------------------------- report layouts
+#
+# A layout names the exact key set of every object and the JSON type of
+# every value: a type, a nested dict, ``(item layout, length)`` for a list,
+# or a set of alternatives.
+
+NULL = type(None)
+TOOL = {"name": str, "version": str}
+INPUT = {"path": str, "sha256": str}
+CRITERION = {"epsilon": float, "a": float, "margin": float, "verdict": str}
+PAIR = {"index_small": int, "index_large": int, "p1": float, "p2": float, "a": float}
+TABLE = dict.fromkeys(
+    (
+        "x1_plus_x2_plus",
+        "y1_plus_x2_minus",
+        "x1_minus_y2_plus",
+        "y1_plus_x2_zero",
+        "x1_zero_y2_plus",
+        "y1_plus_y2_plus",
+    ),
+    float,
+)
+FACET = {"class": str, "coefficients": ((((int, 3), 3), 2), 2), "bound": int, "violation": float}
+
+
+def envelope(inputs, report) -> dict:
+    return {"tool": TOOL, "kind": str, "inputs": dict.fromkeys(inputs, INPUT), "report": report}
+
+
+def certify_layout(candidate, hardy=True) -> dict:
+    return {
+        **CRITERION,
+        "nonseparable": bool,
+        "pair": PAIR if hardy else NULL,
+        "table": TABLE if hardy else NULL,
+        "candidate": candidate,
+    }
+
+
+def lhv_layout(feasible) -> dict:
+    return {
+        "facet": NULL if feasible else FACET,
+        "feasible": bool,
+        "max_violation": float,
+        "weights": (float, 81) if feasible else NULL,
+        "criterion": CRITERION,
+        "consistent": bool,
+    }
+
+
+def assert_layout(value, layout, where="payload"):
+    if isinstance(layout, dict):
+        assert type(value) is dict, where
+        assert set(value) == set(layout), where
+        for key, item in layout.items():
+            assert_layout(value[key], item, f"{where}.{key}")
+    elif isinstance(layout, tuple):
+        item, length = layout
+        assert type(value) is list and len(value) == length, where
+        for i, entry in enumerate(value):
+            assert_layout(entry, item, f"{where}[{i}]")
+    else:
+        # type(), not isinstance: JSON true is no number here.
+        assert type(value) is layout, f"{where}: {type(value).__name__}"
+
+
+def run_report(argv, inputs, layout, kind, capsys) -> dict:
+    """The report of ``main(argv)``, checked against ``layout`` and its
+    envelope: tool identity, kind, and each input's path and file digest."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert_layout(payload, envelope(inputs, layout))
+    # The whole payload serializes deterministically.
+    assert out == dump_json(payload)
+    assert payload["tool"] == {"name": "hardycert", "version": hardycert.__version__}
+    assert payload["kind"] == kind
+    for name, path in inputs.items():
+        assert payload["inputs"][name]["path"] == str(path)
+        assert payload["inputs"][name]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    return payload["report"]
+
+
+def test_certify_report_layout_with_file_candidate(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(dump_json(state_to_dict(fixture_state())))
+    argv = ["certify", "--state", str(path), "--candidate", str(path)]
+    layout = certify_layout({"source": str})
+    report = run_report(argv, {"state": path, "candidate": path}, layout, "certify", capsys)
+    assert report["candidate"] == {"source": "file"}
+    assert report["verdict"] == "NonlocalCertified"
+    assert report["nonseparable"] is True
+    assert report["margin"] == pytest.approx(report["a"] - 6 * report["epsilon"], abs=1e-15)
+    assert report["pair"]["p1"] == pytest.approx(np.sqrt(0.2), abs=1e-12)
+
+
+def test_certify_report_layout_with_top_eigenvector(tmp_path, capsys):
+    mix = gen(tmp_path, "mix.json", "white-noise-mix")
+    layout = certify_layout({"source": str, "degeneracy_gap": float})
+    report = run_report(["certify", "--state", str(mix)], {"state": mix}, layout, "certify", capsys)
+    assert report["candidate"]["source"] == "top-eigenvector"
+    assert report["verdict"] == "NonlocalCertified"
+
+
+def test_certify_report_layout_not_hardy(tmp_path, capsys):
+    bell = gen(tmp_path, "bell.json", "bell")
+    argv = ["certify", "--state", str(bell), "--candidate", str(bell)]
+    layout = certify_layout({"source": str}, hardy=False)
+    report = run_report(argv, {"state": bell, "candidate": bell}, layout, "certify", capsys)
+    assert report["verdict"] == "NotHardy"
+    assert report["nonseparable"] is False
+    assert report["pair"] is None and report["table"] is None
+
+
+def test_noise_threshold_report_layout(tmp_path, capsys):
+    state = gen(tmp_path, "hardy.json", "hardy")
+    noise = gen(tmp_path, "product.json", "product")
+    argv = ["noise-threshold", "--state", str(state), "--noise", str(noise)]
+    layout = {"p_star": float, "d_noise": float, "a": float}
+    report = run_report(argv, {"state": state, "noise": noise}, layout, "noise-threshold", capsys)
+    assert 0.0 < report["p_star"] < 1.0
+
+
+def test_lhv_check_report_layout_decided_by_a_facet(tmp_path, capsys):
+    state = gen(tmp_path, "hardy.json", "hardy")
+    argv = ["lhv-check", "--state", str(state), "--candidate", str(state)]
+    inputs = {"state": state, "candidate": state}
+    report = run_report(argv, inputs, lhv_layout(feasible=False), "lhv-check", capsys)
+    assert report["feasible"] is False and report["consistent"] is True
+    assert report["criterion"]["verdict"] == "NonlocalCertified"
+
+
+def test_lhv_check_report_layout_decided_by_the_lp(tmp_path, capsys):
+    product = gen(tmp_path, "product.json", "product")
+    candidate = gen(tmp_path, "hardy.json", "hardy")
+    argv = ["lhv-check", "--state", str(product), "--candidate", str(candidate)]
+    inputs = {"state": product, "candidate": candidate}
+    report = run_report(argv, inputs, lhv_layout(feasible=True), "lhv-check", capsys)
+    assert report["feasible"] is True and report["consistent"] is True
+    assert report["criterion"]["verdict"] == "Inconclusive"
 
 
 # ------------------------------------------------------------------- inputs

@@ -4,21 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from hardycert import (
-    DensityOperator,
-    StateVector,
-    certify,
-    maximally_mixed,
-    pure_density,
-)
+from hardycert import DensityOperator, StateVector, maximally_mixed
 from hardycert.errors import NotUnitTraceError, StateFileError
 from hardycert.io import (
     _complex_array,
-    certification_to_dict,
     dump_json,
     load_state_file,
     parse_state_dict,
-    report_payload,
     state_to_dict,
 )
 from hardycert.states import STATE_TOL, validate_density
@@ -350,7 +342,7 @@ def test_load_rejects_invalid_json(tmp_path):
         assert str(got.value) == f"{path}: not valid JSON ({want.value})"
 
 
-# ------------------------------------------------------------- report shape
+# ------------------------------------------------------- writer and digest
 
 
 def test_dump_json_is_deterministic():
@@ -369,44 +361,3 @@ def test_file_digest_matches_hashlib(tmp_path):
     _, digest = load_state_file(path)
     assert digest == hashlib.sha256(raw).hexdigest()
 
-
-def test_certification_dict_fields():
-    psi = fixture_state()
-    body = certification_to_dict(certify(pure_density(psi), psi))
-    assert body["verdict"] == "NonlocalCertified"
-    assert body["nonseparable"] is True
-    assert body["margin"] == pytest.approx(body["a"] - 6 * body["epsilon"], abs=1e-15)
-    assert body["pair"]["p1"] == pytest.approx(np.sqrt(0.2), abs=1e-12)
-    assert set(body["table"]) == {
-        "x1_plus_x2_plus",
-        "y1_plus_x2_minus",
-        "x1_minus_y2_plus",
-        "y1_plus_x2_zero",
-        "x1_zero_y2_plus",
-        "y1_plus_y2_plus",
-    }
-
-
-def test_certification_dict_not_hardy():
-    bell = StateVector(
-        d1=2, d2=2, amplitudes=np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    )
-    body = certification_to_dict(certify(pure_density(bell), bell))
-    assert body["verdict"] == "NotHardy"
-    assert body["nonseparable"] is False
-    assert body["pair"] is None and body["table"] is None
-
-
-def test_report_payload_structure(tmp_path):
-    path = tmp_path / "state.json"
-    path.write_text(dump_json(state_to_dict(fixture_state())))
-    _, digest = load_state_file(path)
-    payload = report_payload("certify", {"margin": 0.05}, {"state": (path, digest)})
-    assert payload["tool"]["name"] == "hardycert"
-    assert payload["kind"] == "certify"
-    assert payload["report"] == {"margin": 0.05}
-    entry = payload["inputs"]["state"]
-    assert entry["path"] == str(path)
-    assert entry["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
-    # The whole payload must serialize deterministically.
-    assert dump_json(payload) == dump_json(json.loads(dump_json(payload)))

@@ -444,6 +444,34 @@ def test_facet_verdict_matches_lp_on_states(d1, d2):
         assert lp_checked_verdict(behavior_from_state(random_separable(d1, d2, rng), obs))
 
 
+def test_witness_facet_is_stable_under_last_bit_changes():
+    # Symmetric facets tie up to round-off.  Scaling the tables by 1 +- 2**-52
+    # moves the cells, read divided by their sums, in the last bits; the
+    # most violated row then flipped between tied facets on some of these
+    # behaviors, while the witness rule keeps the same row on all of them.
+    rng = np.random.default_rng(1)
+    table = facet_table()
+    flipped = 0
+    for _ in range(120):
+        d1, d2 = (int(d) for d in rng.integers(2, 5, size=2))
+        sigma, psi = certified_mixture(rng, d1=d1, d2=d2)
+        behavior = behavior_from_state(sigma, hardy_observables(psi))
+        result = lhv_feasible(behavior)
+        sums = behavior.tables.sum(axis=(2, 3))[:, :, None, None]
+        violations = table.coefficients @ (behavior.tables / sums).reshape(-1) - table.bounds
+        assert result.max_violation == violations[result.facet] > FEASIBILITY_TOL
+        assert result.max_violation >= violations.max() - FEASIBILITY_TOL
+        near = (violations > FEASIBILITY_TOL) & (violations >= violations.max() - FEASIBILITY_TOL)
+        assert result.facet == np.flatnonzero(near)[0]
+        for scale in (1.0 + 2.0**-52, 1.0 - 2.0**-52, 1.0 + 3 * 2.0**-52):
+            scaled = behavior.tables * scale
+            assert lhv_feasible(Behavior(tables=scaled)).facet == result.facet
+            sums = scaled.sum(axis=(2, 3))[:, :, None, None]
+            most = (table.coefficients @ (scaled / sums).reshape(-1) - table.bounds).argmax()
+            flipped += most != violations.argmax()
+    assert flipped > 0
+
+
 def relabeled(tables: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """``tables`` with each setting's outcomes permuted at random."""
     alice = [rng.permutation(3) for _ in range(2)]

@@ -1,10 +1,11 @@
 """The package's public names: every ``__all__`` entry resolves, and the
-top-level surface is pinned."""
+top-level surface and that of ``hardycert.io`` are pinned."""
 
 import importlib
 import pkgutil
 
 import hardycert
+import hardycert.io
 
 PUBLIC = [
     "__version__",
@@ -44,3 +45,8 @@ def test_every_all_entry_resolves():
 
 def test_top_level_surface_is_pinned():
     assert hardycert.__all__ == PUBLIC
+
+
+def test_io_keeps_only_the_state_file_format():
+    # Reports are laid out in hardycert.cli, their one caller.
+    assert hardycert.io.__all__ == ["dump_json", "load_state_file", "parse_state_dict", "state_to_dict"]
