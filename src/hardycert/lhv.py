@@ -206,9 +206,10 @@ class LhvResult(NamedTuple):
     in ``facet_table()``, the witness ``lhv_feasible`` picks, and
     ``max_violation`` its violation, ``coefficients[facet] @ cells -
     bounds[facet]``, with the cells of each table divided by its sum; that is
-    within FEASIBILITY_TOL of the largest violation of any facet.  Otherwise ``facet`` is None and the LP
-    decided: ``max_violation`` is the largest equation residual at the
-    solution when feasible, and the minimized L1 infeasibility when not.
+    within FEASIBILITY_TOL of the largest violation of any facet.  Otherwise
+    ``facet`` is None and the LP decided: ``max_violation`` is the largest
+    equation residual at the solution when feasible, and the minimized L1
+    infeasibility when not.
     """
 
     feasible: bool
@@ -229,9 +230,10 @@ def lhv_feasible(behavior: Behavior) -> LhvResult:
     The facets come first: one violated by more than FEASIBILITY_TOL
     certifies that no local model exists.  The witness is the lowest-numbered
     row among those violated by more than FEASIBILITY_TOL and within
-    FEASIBILITY_TOL of the largest violation, so a last-bit change to the
-    cells does not move it between facets that tie.  This is sound for any behavior, signalling or
-    not, since a valid inequality holds on every mixture of the strategies.
+    FEASIBILITY_TOL of the largest violation: symmetric facets tie up to
+    round-off, and a last-bit change to the cells must not move the witness
+    between them.  This is sound for any behavior, signalling or not, since a
+    valid inequality holds on every mixture of the strategies.
     Otherwise every one of the 36 cells is constrained, redundancies
     included, plus the normalization of the weights; feasibility at
     FEASIBILITY_TOL then certifies a local realistic model for the behavior,
@@ -253,8 +255,6 @@ def lhv_feasible(behavior: Behavior) -> LhvResult:
     violations = facets.coefficients @ cells - facets.bounds
     largest = violations.max()
     if largest > FEASIBILITY_TOL:
-        # Symmetric facets tie up to round-off, so the first row near the
-        # largest violation is the witness: argmax alone flips between them.
         near = (violations > FEASIBILITY_TOL) & (violations >= largest - FEASIBILITY_TOL)
         facet = int(near.argmax())
         return LhvResult(

@@ -49,4 +49,5 @@ def test_top_level_surface_is_pinned():
 
 def test_io_keeps_only_the_state_file_format():
     # Reports are laid out in hardycert.cli, their one caller.
-    assert hardycert.io.__all__ == ["dump_json", "load_state_file", "parse_state_dict", "state_to_dict"]
+    state_file = ["dump_json", "load_state_file", "parse_state_dict", "state_to_dict"]
+    assert hardycert.io.__all__ == state_file
