@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hardycert import DensityOperator, StateVector, maximally_mixed
+from hardycert.cli import main
 from hardycert.errors import NotUnitTraceError, StateFileError
 from hardycert.io import (
     _complex_array,
@@ -361,3 +362,46 @@ def test_file_digest_matches_hashlib(tmp_path):
     _, digest = load_state_file(path)
     assert digest == hashlib.sha256(raw).hexdigest()
 
+
+
+# ------------------------------------------- reports around a state file
+
+
+def _certify_file(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(dump_json(state_to_dict(fixture_state())))
+    assert main(["certify", "--state", str(path), "--candidate", str(path)]) == 0
+    return path, json.loads(capsys.readouterr().out)
+
+
+def test_certification_dict_fields(tmp_path, capsys):
+    # The certify report (laid out by the CLI) of the paper's fixture state.
+    _, payload = _certify_file(tmp_path, capsys)
+    body = payload["report"]
+    assert body["verdict"] == "NonlocalCertified"
+    assert body["nonseparable"] is True
+    assert body["margin"] == pytest.approx(body["a"] - 6 * body["epsilon"], abs=1e-15)
+    assert body["pair"]["p1"] == pytest.approx(np.sqrt(0.2), abs=1e-12)
+    assert set(body["table"]) == {
+        "x1_plus_x2_plus",
+        "y1_plus_x2_minus",
+        "x1_minus_y2_plus",
+        "y1_plus_x2_zero",
+        "x1_zero_y2_plus",
+        "y1_plus_y2_plus",
+    }
+
+
+def test_report_payload_structure(tmp_path, capsys):
+    # The envelope names the tool and each input file with its digest.
+    path, payload = _certify_file(tmp_path, capsys)
+    _, digest = load_state_file(path)
+    assert payload["tool"]["name"] == "hardycert"
+    assert payload["kind"] == "certify"
+    assert payload["report"]["verdict"] == "NonlocalCertified"
+    for name in ("state", "candidate"):
+        entry = payload["inputs"][name]
+        assert entry["path"] == str(path)
+        assert entry["sha256"] == digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    # The whole payload must serialize deterministically.
+    assert dump_json(payload) == dump_json(json.loads(dump_json(payload)))
