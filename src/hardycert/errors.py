@@ -38,7 +38,8 @@ class MalformedBehaviorError(HardycertError):
 
 
 class NumericalBreakdownError(HardycertError):
-    """The feasibility solver exceeded its pivot guard."""
+    """The feasibility solver exceeded its pivot guard or found no
+    admissible pivot row for the column it had to enter."""
 
 
 class StateFileError(HardycertError):

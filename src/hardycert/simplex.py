@@ -4,9 +4,13 @@ Answers: does x >= 0 with A x = b exist?  One artificial variable is added
 per row and their total mass minimized; the system is feasible exactly when
 that minimum is numerically zero.  The phase-one reduced costs live in the
 tableau as its last row, so a pivot is one rank-1 update of the whole
-tableau.  Bland's anti-cycling rule keeps pivoting deterministic and
-guarantees termination, which matters because the systems this package feeds
-in are heavily rank-deficient.
+tableau.  Each pivot enters the column of greatest improvement, the one
+whose ratio-test step times its reduced cost is largest (Chvatal, *Linear
+Programming*, 1983).  A degenerate pivot, where no column can take a
+positive step, falls back to Bland's rule for both the entering column and
+the leaving row.  Every pivot of a possible cycle is then a Bland pivot, so
+termination keeps Bland's guarantee, which matters because the systems this
+package feeds in are heavily rank-deficient.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ PIVOT_EPS = 1e-12
 #: local-model oracle reads the same constant as its facet threshold.
 FEASIBILITY_TOL = 1e-9
 
-#: Hard iteration guard.  Bland's rule terminates on its own; hitting the
-#: guard means float noise broke the bookkeeping and the result is unusable.
+#: Hard iteration guard.  Greatest improvement with Bland's rule on
+#: degenerate pivots terminates on its own; hitting the guard means float
+#: noise broke the bookkeeping and the result is unusable.
 MAX_PIVOTS = 50_000
 
 
@@ -53,10 +58,13 @@ def solve_feasibility_lp(constraint_matrix, rhs) -> FeasibilityResult:
     ------
     NumericalBreakdownError
         The pivot guard was exceeded or no admissible pivot row existed;
-        neither can happen for a well-posed finite system under Bland's rule.
+        neither can happen for a well-posed finite system, because every
+        degenerate pivot follows Bland's rule.
+    ValueError
+        The data is not finite, or has a nonzero imaginary part.
     """
-    a = np.asarray(constraint_matrix, dtype=float)
-    b = np.asarray(rhs, dtype=float).reshape(-1)
+    a = _real(constraint_matrix)
+    b = _real(rhs).reshape(-1)
     if a.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D constraint matrix, got shape {a.shape}")
     if b.size != a.shape[0]:
@@ -77,27 +85,35 @@ def solve_feasibility_lp(constraint_matrix, rhs) -> FeasibilityResult:
     tableau = np.vstack([tableau, tableau.sum(axis=0)])
     tableau[-1, n:-1] = 0.0
     improving = tableau[-1, :-1]
+    body, values = tableau[:-1], tableau[:-1, -1]
     basis = np.arange(n, n + m)
 
     for _ in range(MAX_PIVOTS):
-        eligible = improving > PIVOT_EPS
-        entering = int(eligible.argmax())  # Bland: smallest eligible index
-        if not eligible[entering]:
+        columns = np.nonzero(improving > PIVOT_EPS)[0]
+        if columns.size == 0:
             break
-        column = tableau[:-1, entering]
-        rows = np.nonzero(column > PIVOT_EPS)[0]
-        if rows.size == 0:
+        block = body[:, columns]
+        # A row whose entry is at or below PIVOT_EPS does not bound the
+        # column's step (inf / |entry| is inf and raises no warning).  Only a
+        # finite step above PIVOT_EPS competes, so a column with no
+        # admissible row never enters by greatest improvement.
+        ratios = np.where(block > PIVOT_EPS, values[:, None], np.inf) / np.abs(block)
+        steps = np.minimum.reduce(ratios, axis=0)
+        competing = (steps > PIVOT_EPS) & (steps < np.inf)
+        gains = np.where(competing, steps, 0.0) * improving[columns]
+        pick = int(gains.argmax())
+        if not competing[pick]:
+            pick = 0  # Degenerate: Bland, smallest eligible index
+        if steps[pick] == np.inf:
             raise NumericalBreakdownError("no admissible pivot row for an improving column")
-        ratios = tableau[rows, -1] / column[rows]
-        best = float(ratios.min())
-        ties = rows[ratios <= best + PIVOT_EPS]
+        ties = np.nonzero(ratios[:, pick] <= steps[pick] + PIVOT_EPS)[0]
         leaving = int(ties[np.argmin(basis[ties])])  # Bland: smallest basic index
+        entering = int(columns[pick])
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering
     else:
         raise NumericalBreakdownError(f"pivot guard of {MAX_PIVOTS} iterations exceeded")
 
-    values = tableau[:-1, -1]
     solution = np.zeros(n)
     original = basis < n
     solution[basis[original]] = values[original]
@@ -108,10 +124,17 @@ def solve_feasibility_lp(constraint_matrix, rhs) -> FeasibilityResult:
     return FeasibilityResult(feasible=feasible, solution=solution, residual=residual)
 
 
+def _real(data) -> np.ndarray:
+    raw = np.asarray(data)
+    if np.iscomplexobj(raw) and np.any(raw.imag):
+        raise ValueError("constraint data must be real")
+    return np.asarray(raw.real, dtype=float)
+
+
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     # pivot_row[col] is exactly 1.0, so column col becomes an exact unit vector.
     pivot_row = tableau[row] / tableau[row, col]
-    tableau -= np.outer(tableau[:, col], pivot_row)
+    tableau -= tableau[:, col, None] * pivot_row
     tableau[row] = pivot_row
 
 

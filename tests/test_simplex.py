@@ -105,9 +105,10 @@ def test_shape_validation():
 
 
 def _reference_solve(constraint_matrix, rhs):
-    """Phase one that rebuilds the reduced costs from the artificial-basic
-    rows on every iteration and pivots row by row: the solver as it was
-    before the cost row moved into the tableau."""
+    """Phase one under Bland's rule alone that rebuilds the reduced costs
+    from the artificial-basic rows on every iteration and pivots row by
+    row: the solver as it was before the cost row moved into the tableau
+    and greatest improvement picked the entering column."""
     a = np.asarray(constraint_matrix, dtype=float)
     b = np.asarray(rhs, dtype=float).reshape(-1)
     m, n = a.shape
@@ -146,11 +147,16 @@ def _reference_solve(constraint_matrix, rhs):
 
 
 def _assert_matches_reference(matrix, rhs):
+    # Greatest improvement walks another path than the reference's Bland
+    # rule, so the two may stop at different optimal vertices: the verdict
+    # and the minimized mass must agree, the vertex need not.
     result = solve_feasibility_lp(matrix, rhs)
-    feasible, solution, residual = _reference_solve(matrix, rhs)
+    feasible, _, residual = _reference_solve(matrix, rhs)
     assert result.feasible == feasible
-    assert np.array_equal(result.solution, solution)
-    assert result.residual == residual
+    assert abs(result.residual - residual) <= 1e-12
+    assert np.all(result.solution >= -1e-12)
+    if feasible:
+        assert np.max(np.abs(np.asarray(matrix) @ result.solution - rhs), initial=0.0) <= 1e-9
     return result
 
 
@@ -171,15 +177,86 @@ def test_matches_reference_on_degenerate_integer_systems():
     assert 200 <= feasible < 400
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (4, 4)])
-def test_matches_reference_on_strategy_system(dims):
-    matrix = strategy_constraint_matrix()
+def _strategy_systems(dims):
+    """Three certified mixtures (infeasible) and three separable states
+    (feasible) as right-hand sides of the 37 x 81 strategy system."""
     rng = np.random.default_rng(54)
     for _ in range(3):
         sigma, psi = certified_mixture(rng, *dims)
-        rhs = np.concatenate([certify(sigma, psi).behavior.tables.reshape(-1), [1.0]])
-        assert not _assert_matches_reference(matrix, rhs).feasible
+        yield np.concatenate([certify(sigma, psi).behavior.tables.reshape(-1), [1.0]]), False
         sigma = random_separable(*dims, rng)
         psi = random_hardy_state(rng, *dims)
-        rhs = np.concatenate([certify(sigma, psi).behavior.tables.reshape(-1), [1.0]])
-        assert _assert_matches_reference(matrix, rhs).feasible
+        yield np.concatenate([certify(sigma, psi).behavior.tables.reshape(-1), [1.0]]), True
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (4, 4)])
+def test_matches_reference_on_strategy_system(dims):
+    matrix = strategy_constraint_matrix()
+    for rhs, feasible in _strategy_systems(dims):
+        assert _assert_matches_reference(matrix, rhs).feasible == feasible
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (4, 4)])
+def test_strategy_solutions_are_basic(dims):
+    # A local model is any point of the polytope; the solver returns a
+    # vertex: its nonzero weights sit on linearly independent columns, so at
+    # most rank 25 of the 81 strategies carry weight.
+    matrix = strategy_constraint_matrix()
+    assert np.linalg.matrix_rank(matrix) == 25
+    for rhs, feasible in _strategy_systems(dims):
+        result = solve_feasibility_lp(matrix, rhs)
+        if not feasible:
+            continue
+        support = np.nonzero(result.solution)[0]
+        assert support.size <= 25
+        assert np.linalg.matrix_rank(matrix[:, support]) == support.size
+
+
+# ------------------------------------------------- awkward columns and data
+
+
+@pytest.mark.parametrize(
+    "matrix, rhs",
+    [
+        ([[0.0, 1.0, 2.0], [0.0, 3.0, 1.0]], [2.0, 4.0]),  # all-zero column
+        ([[0.0, 1.0, 2.0], [0.0, 3.0, 1.0]], [2.0, -4.0]),
+        ([[-1.0, 1.0], [-2.0, 1.0]], [1.0, 1.0]),  # no positive entry
+        ([[-1.0, 0.0], [-2.0, -1.0]], [1.0, 1.0]),
+        ([[-1.0, 0.0, 1.0], [0.0, 0.0, -1.0]], [0.0, 0.0]),  # rhs = 0
+        ([[1.0, -1.0], [2.0, 0.0]], [0.0, 0.0]),
+    ],
+)
+def test_awkward_columns_match_reference_without_warning(matrix, rhs):
+    # The suite turns RuntimeWarning into an error, so an inf * 0 or a
+    # 0 / 0 in the ratio test would fail here.
+    _assert_matches_reference(np.array(matrix), np.array(rhs))
+
+
+def test_column_without_admissible_row_never_enters():
+    # Column 0 is improving (reduced cost 2.7e-12) but every entry is at or
+    # below PIVOT_EPS, so it has no admissible row.  Bland's rule enters it
+    # first and breaks down; greatest improvement enters column 1.
+    matrix = np.array([[0.9e-12, 1.0]] * 3)
+    rhs = np.ones(3)
+    with pytest.raises(NumericalBreakdownError):
+        _reference_solve(matrix, rhs)
+    result = solve_feasibility_lp(matrix, rhs)
+    assert result.feasible
+    assert np.array_equal(result.solution, [0.0, 1.0])
+
+
+def test_complex_data_is_refused():
+    # A nonzero imaginary part used to be dropped with a ComplexWarning,
+    # which turned x = 1 + 2j into the feasible x = 1.
+    with pytest.raises(ValueError, match="real"):
+        solve_feasibility_lp(np.array([[1.0]]), np.array([1 + 2j]))
+    with pytest.raises(ValueError, match="real"):
+        solve_feasibility_lp([[1.0]], [1 + 2j])
+    with pytest.raises(ValueError, match="real"):
+        solve_feasibility_lp([[1.0 + 1e-3j]], [1.0])
+    with pytest.raises(ValueError, match="real"):
+        solve_feasibility_lp([[1.0]], [complex(1.0, np.nan)])
+    # A zero imaginary part is read as the real system.
+    result = solve_feasibility_lp(np.array([[2.0 + 0j]]), np.array([1.0 + 0j]))
+    assert result.feasible
+    assert result.solution == pytest.approx([0.5], abs=1e-15)
