@@ -22,12 +22,17 @@ from .certification import (
     trace_distance,
 )
 from .errors import HardycertError
-from .lhv import behavior_from_state, enumerate_strategies, lhv_feasible
-from .observables import build_bases, build_observables, hardy_parameter_a
+from .lhv import enumerate_strategies, lhv_feasible
+from .observables import (
+    behavior_from_state,
+    build_bases,
+    build_observables,
+    find_hardy_pair,
+    hardy_parameter_a,
+)
 from .states import (
     DensityOperator,
     StateVector,
-    find_hardy_pair,
     maximally_mixed,
     pure_density,
     schmidt_decompose,

@@ -20,9 +20,16 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatchError, NotHardyError
-from .lhv import Behavior, behavior_from_state
-from .observables import HardyProbabilityTable, build_bases, build_observables
-from .states import DensityOperator, HardyPair, StateVector, find_hardy_pair, schmidt_decompose
+from .lhv import Behavior
+from .observables import (
+    HardyPair,
+    HardyProbabilityTable,
+    behavior_from_state,
+    build_bases,
+    build_observables,
+    find_hardy_pair,
+)
+from .states import DensityOperator, StateVector, schmidt_decompose
 
 #: A margin must exceed this to count as a certification; anything closer to
 #: zero is numerically indistinguishable from the boundary.

@@ -19,7 +19,10 @@ the local model.
 
 This oracle is deliberately independent of the trace-distance criterion in
 the certification module; agreement between the two is a cross-check, not a
-construction.
+construction.  It imports only ``errors`` and ``simplex``: it knows nothing
+of states, measurements or the criterion, and reads a behavior only as 36
+numbers.  It owns the table axes that the measurement side fills,
+``OUTCOMES`` and the ``PROBABILITY_CLIP`` window of ``Behavior``.
 """
 
 from __future__ import annotations
@@ -27,17 +30,19 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidStateError, MalformedBehaviorError
-from .observables import OUTCOMES, PROBABILITY_CLIP
+from .errors import InvalidStateError, MalformedBehaviorError
 from .simplex import FEASIBILITY_TOL, solve_feasibility_lp
 
-if TYPE_CHECKING:
-    from .observables import HardyObservables
-    from .states import DensityOperator
+#: Canonical outcome order for the three-outcome observables.  Lexicographic
+#: enumerations elsewhere (deterministic strategies, behavior tables) follow it.
+OUTCOMES = (1, 0, -1)
+
+#: Probabilities within this window outside [0, 1] are clipped to the boundary.
+PROBABILITY_CLIP = 1e-12
 
 #: Behaviors whose tables fail to normalize within this are rejected outright.
 NORMALIZATION_TOL = 1e-6
@@ -75,37 +80,6 @@ def enumerate_strategies() -> list[tuple[int, int, int, int]]:
     """All 81 deterministic strategies ``(x1, y1, x2, y2)``, lexicographic
     over the outcome order (+1, 0, -1); the first maps every setting to +1."""
     return list(itertools.product(OUTCOMES, repeat=4))
-
-
-def behavior_from_state(sigma: DensityOperator, obs: HardyObservables) -> Behavior:
-    """Quantum behavior of a state on an ``(alice, bob)`` pair of projector
-    stacks, such as ``build_observables`` returns.
-
-    ``tables[s, t, k, l]`` is Tr[(alice[s, k] (x) bob[t, l]) sigma] / Tr sigma,
-    all 36 cells at once.  A state's trace may miss 1 by up to ``STATE_TOL``,
-    and the facets and the LP read tables that sum to 1, so the cells are
-    divided by it.  Values within PROBABILITY_CLIP outside [0, 1] are clipped
-    to the boundary against round-off overshoot.
-
-    Raises
-    ------
-    DimensionMismatchError
-        The stacks' dims differ from the state's.
-    """
-    alice, bob = obs
-    d1, d2 = alice.shape[-1], bob.shape[-1]
-    if (sigma.d1, sigma.d2) != (d1, d2):
-        raise DimensionMismatchError(
-            f"projector dims ({d1}, {d2}) do not match state dims ({sigma.d1}, {sigma.d2})"
-        )
-    # Tr[(A (x) B) rho] = sum_ijmn A[i,j] B[m,n] rho[(j,n),(i,m)] = vec(A) . R . vec(B)
-    # with R[(i,j),(m,n)] = rho[(j,n),(i,m)]: one bilinear form per cell.
-    r = sigma.matrix.reshape(d1, d2, d1, d2).transpose(2, 0, 3, 1).reshape(d1 * d1, d2 * d2)
-    cells = alice.reshape(-1, d1 * d1) @ r @ bob.reshape(-1, d2 * d2).T
-    cells = cells.real / np.trace(sigma.matrix).real
-    values = cells.reshape(alice.shape[:2] + bob.shape[:2]).transpose(0, 2, 1, 3)
-    clipped = np.clip(values, 0.0, 1.0)
-    return Behavior(tables=np.where(np.abs(values - clipped) <= PROBABILITY_CLIP, clipped, values))
 
 
 @functools.cache
@@ -271,10 +245,11 @@ def lhv_feasible(behavior: Behavior) -> LhvResult:
 
 __all__ = [
     "NORMALIZATION_TOL",
+    "OUTCOMES",
+    "PROBABILITY_CLIP",
     "Behavior",
     "FacetTable",
     "LhvResult",
-    "behavior_from_state",
     "enumerate_strategies",
     "facet_table",
     "lhv_feasible",

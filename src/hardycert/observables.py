@@ -10,26 +10,33 @@ designated joint probabilities vanish exactly while a sixth equals
     a = p1^2 p2^2 (p1 - p2)^2 / (p1^2 + p2^2 - p1 p2)^2 > 0.
 
 That signature is what the certification module's criterion feeds on.
+
+This module is the whole Hardy measurement, in three steps:
+``find_hardy_pair`` picks the Schmidt pair that maximises ``a``,
+``build_bases`` and ``build_observables`` turn it into projector stacks, and
+``behavior_from_state`` reads a state's 36 cells on them.  It imports
+``states`` for the state types and ``lhv`` for the table axes and the
+``Behavior`` type; neither of them imports it back.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NonPositiveWeightError
+from .lhv import PROBABILITY_CLIP, Behavior
+from .states import DensityOperator, SchmidtForm
 
-if TYPE_CHECKING:
-    from .states import HardyPair, SchmidtForm
-
-#: Canonical outcome order for the three-outcome observables.  Lexicographic
-#: enumerations elsewhere (deterministic strategies, behavior tables) follow it.
-OUTCOMES = (1, 0, -1)
-
-#: Probabilities within this window outside [0, 1] are clipped to the boundary.
-PROBABILITY_CLIP = 1e-12
+#: A weight pair is admissible when its smaller weight and its gap both exceed
+#: this floor.  The floor loses no certificate: the denominator of
+#: ``hardy_parameter_a`` is at least ``p1*p2`` and at least ``p2*(p2 - p1)``,
+#: so ``a <= min((p2 - p1)**2, p1**2)``, and a pair at the floor has
+#: ``a <= 1e-16``, far below ``certification.CERTIFICATION_TOL``.
+PAIR_FLOOR = 1e-8
 
 
 def _check_weights(p1: float, p2: float) -> None:
@@ -48,6 +55,46 @@ def hardy_parameter_a(p1: float, p2: float) -> float:
         return 0.0
     denom = p1 * p1 + p2 * p2 - p1 * p2
     return (p1 * p1) * (p2 * p2) * (p1 - p2) ** 2 / (denom * denom)
+
+
+@dataclass(frozen=True)
+class HardyPair:
+    """A selected pair of distinct Schmidt weights with its certification
+    parameter.
+
+    ``index_small`` / ``index_large`` are column indices into the SchmidtForm
+    for the smaller weight p1 and the larger weight p2; ``a`` caches
+    ``hardy_parameter_a(p1, p2)``.
+    """
+
+    index_small: int
+    index_large: int
+    p1: float
+    p2: float
+    a: float
+
+
+def find_hardy_pair(sf: SchmidtForm) -> HardyPair | None:
+    """Pick the admissible weight pair that maximizes the certification
+    parameter.
+
+    Pairs whose weights differ by at most ``PAIR_FLOOR``, or whose smaller
+    weight is at most ``PAIR_FLOOR``, are skipped: such pairs certify nothing
+    and only invite round-off trouble.  Returns None when no admissible pair
+    exists (the state is not usable for this construction).
+    """
+    weights = sf.weights
+    best: HardyPair | None = None
+    for j in range(weights.size):
+        for i in range(j + 1, weights.size):
+            p2 = float(weights[j])
+            p1 = float(weights[i])
+            if p1 <= PAIR_FLOOR or p2 - p1 <= PAIR_FLOOR:
+                continue
+            value = hardy_parameter_a(p1, p2)
+            if best is None or value > best.a:
+                best = HardyPair(index_small=i, index_large=j, p1=p1, p2=p2, a=value)
+    return best
 
 
 def build_rotations(p1: float, p2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -105,11 +152,11 @@ class HardyObservables(NamedTuple):
     """Spectral projectors of the four three-outcome observables.
 
     ``alice[s, k]`` is the projector of setting s (0 = X1, 1 = Y1) onto
-    outcome ``OUTCOMES[k]``, a ``(2, 3, d1, d1)`` stack; ``bob`` holds X2, Y2
-    on subsystem 2 the same way.  The +1 and -1 projectors are rank one and
-    the 0 projector covers the rest of the space (zero on a qubit).  This
-    pair of stacks is the one representation of a measurement: a state's
-    cells on it are read only through ``lhv.behavior_from_state``.
+    outcome ``lhv.OUTCOMES[k]``, a ``(2, 3, d1, d1)`` stack; ``bob`` holds
+    X2, Y2 on subsystem 2 the same way.  The +1 and -1 projectors are rank
+    one and the 0 projector covers the rest of the space (zero on a qubit).
+    This pair of stacks is the one representation of a measurement: a
+    state's cells on it are read only through ``behavior_from_state``.
     """
 
     alice: np.ndarray
@@ -133,6 +180,37 @@ def build_observables(bases: tuple[np.ndarray, np.ndarray], d1: int, d2: int) ->
             f"expected ({d1}, {d2})"
         )
     return HardyObservables(alice=_projector_stack(alice, d1), bob=_projector_stack(bob, d2))
+
+
+def behavior_from_state(sigma: DensityOperator, obs: HardyObservables) -> Behavior:
+    """Quantum behavior of a state on an ``(alice, bob)`` pair of projector
+    stacks, such as ``build_observables`` returns.
+
+    ``tables[s, t, k, l]`` is Tr[(alice[s, k] (x) bob[t, l]) sigma] / Tr sigma,
+    all 36 cells at once.  A state's trace may miss 1 by up to ``STATE_TOL``,
+    and the facets and the LP read tables that sum to 1, so the cells are
+    divided by it.  Values within PROBABILITY_CLIP outside [0, 1] are clipped
+    to the boundary against round-off overshoot.
+
+    Raises
+    ------
+    DimensionMismatchError
+        The stacks' dims differ from the state's.
+    """
+    alice, bob = obs
+    d1, d2 = alice.shape[-1], bob.shape[-1]
+    if (sigma.d1, sigma.d2) != (d1, d2):
+        raise DimensionMismatchError(
+            f"projector dims ({d1}, {d2}) do not match state dims ({sigma.d1}, {sigma.d2})"
+        )
+    # Tr[(A (x) B) rho] = sum_ijmn A[i,j] B[m,n] rho[(j,n),(i,m)] = vec(A) . R . vec(B)
+    # with R[(i,j),(m,n)] = rho[(j,n),(i,m)]: one bilinear form per cell.
+    r = sigma.matrix.reshape(d1, d2, d1, d2).transpose(2, 0, 3, 1).reshape(d1 * d1, d2 * d2)
+    cells = alice.reshape(-1, d1 * d1) @ r @ bob.reshape(-1, d2 * d2).T
+    cells = cells.real / np.trace(sigma.matrix).real
+    values = cells.reshape(alice.shape[:2] + bob.shape[:2]).transpose(0, 2, 1, 3)
+    clipped = np.clip(values, 0.0, 1.0)
+    return Behavior(tables=np.where(np.abs(values - clipped) <= PROBABILITY_CLIP, clipped, values))
 
 
 #: (alice setting, bob setting, alice outcome, bob outcome) indices into the
@@ -162,12 +240,14 @@ class HardyProbabilityTable(NamedTuple):
 
 __all__ = [
     "HARDY_CELLS",
-    "OUTCOMES",
-    "PROBABILITY_CLIP",
+    "PAIR_FLOOR",
     "HardyObservables",
+    "HardyPair",
     "HardyProbabilityTable",
+    "behavior_from_state",
     "build_bases",
     "build_observables",
     "build_rotations",
+    "find_hardy_pair",
     "hardy_parameter_a",
 ]

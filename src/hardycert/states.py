@@ -1,5 +1,8 @@
-"""Validated bipartite state types, Schmidt decomposition, and selection of a
-distinct-weight Schmidt pair.
+"""Validated bipartite state types and the Schmidt decomposition.
+
+This is the bottom layer of the package: it imports only ``errors`` and
+``linalg``.  Which Schmidt pair a candidate's measurements use is chosen in
+``observables``, next to the parameter ``a`` the choice maximises.
 
 A state's trace is held to one tolerance, ``STATE_TOL``: a state vector's
 squared norm (the trace of its projector) and, by default, a density
@@ -33,7 +36,6 @@ from .errors import (
     NotUnitTraceError,
 )
 from .linalg import hermiticity_defect
-from .observables import hardy_parameter_a
 
 #: Allowed deviation from 1 of a state's trace: a state vector's squared norm
 #: (the sum of its squared Schmidt weights) and a ``DensityOperator``'s trace.
@@ -42,16 +44,9 @@ from .observables import hardy_parameter_a
 STATE_TOL = 1e-9
 
 #: Schmidt weights at or below this floor are treated as exact zeros.  It sits
-#: far above SVD round-off (about 1e-16) and below ``PAIR_FLOOR``, so no
-#: weight that a pair may use is dropped.
+#: far above SVD round-off (about 1e-16) and below ``observables.PAIR_FLOOR``,
+#: so no weight that a pair may use is dropped.
 WEIGHT_FLOOR = 1e-12
-
-#: A weight pair is admissible when its smaller weight and its gap both exceed
-#: this floor.  The floor loses no certificate: the denominator of
-#: ``hardy_parameter_a`` is at least ``p1*p2`` and at least ``p2*(p2 - p1)``,
-#: so ``a <= min((p2 - p1)**2, p1**2)``, and a pair at the floor has
-#: ``a <= 1e-16``, far below ``certification.CERTIFICATION_TOL``.
-PAIR_FLOOR = 1e-8
 
 
 def _check_subsystem_dims(d1, d2) -> None:
@@ -345,55 +340,12 @@ def schmidt_decompose(psi: StateVector) -> SchmidtForm:
     )
 
 
-@dataclass(frozen=True)
-class HardyPair:
-    """A selected pair of distinct Schmidt weights with its certification
-    parameter.
-
-    ``index_small`` / ``index_large`` are column indices into the SchmidtForm
-    for the smaller weight p1 and the larger weight p2; ``a`` caches
-    ``hardy_parameter_a(p1, p2)``.
-    """
-
-    index_small: int
-    index_large: int
-    p1: float
-    p2: float
-    a: float
-
-
-def find_hardy_pair(sf: SchmidtForm) -> HardyPair | None:
-    """Pick the admissible weight pair that maximizes the certification
-    parameter.
-
-    Pairs whose weights differ by at most ``PAIR_FLOOR``, or whose smaller
-    weight is at most ``PAIR_FLOOR``, are skipped: such pairs certify nothing
-    and only invite round-off trouble.  Returns None when no admissible pair
-    exists (the state is not usable for this construction).
-    """
-    weights = sf.weights
-    best: HardyPair | None = None
-    for j in range(weights.size):
-        for i in range(j + 1, weights.size):
-            p2 = float(weights[j])
-            p1 = float(weights[i])
-            if p1 <= PAIR_FLOOR or p2 - p1 <= PAIR_FLOOR:
-                continue
-            value = hardy_parameter_a(p1, p2)
-            if best is None or value > best.a:
-                best = HardyPair(index_small=i, index_large=j, p1=p1, p2=p2, a=value)
-    return best
-
-
 __all__ = [
-    "PAIR_FLOOR",
     "STATE_TOL",
     "WEIGHT_FLOOR",
     "DensityOperator",
-    "HardyPair",
     "SchmidtForm",
     "StateVector",
-    "find_hardy_pair",
     "maximally_mixed",
     "pure_density",
     "schmidt_decompose",

@@ -17,7 +17,7 @@ from hardycert import (
 )
 from hardycert.certification import CERTIFICATION_TOL
 from hardycert.errors import DimensionMismatchError, NotHardyError
-from hardycert.states import PAIR_FLOOR
+from hardycert.observables import PAIR_FLOOR
 from support import (
     A_FIXTURE,
     assemble_pure_state,

@@ -16,8 +16,14 @@ from hardycert import (
 )
 import hardycert.simplex as simplex
 from hardycert.errors import InvalidStateError, MalformedBehaviorError
-from hardycert.lhv import NORMALIZATION_TOL, Behavior, facet_table, strategy_constraint_matrix
-from hardycert.observables import OUTCOMES, PROBABILITY_CLIP
+from hardycert.lhv import (
+    NORMALIZATION_TOL,
+    OUTCOMES,
+    PROBABILITY_CLIP,
+    Behavior,
+    facet_table,
+    strategy_constraint_matrix,
+)
 from hardycert.simplex import FEASIBILITY_TOL
 from support import (
     A_FIXTURE,

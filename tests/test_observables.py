@@ -16,7 +16,8 @@ from hardycert import (
     validate_density,
 )
 from hardycert.errors import DimensionMismatchError, NonPositiveWeightError
-from hardycert.observables import OUTCOMES, HardyProbabilityTable, build_rotations
+from hardycert.lhv import OUTCOMES
+from hardycert.observables import HardyProbabilityTable, build_rotations
 from support import (
     A_FIXTURE,
     certified_mixture,
