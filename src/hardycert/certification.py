@@ -88,14 +88,24 @@ def _trace_distance(difference: np.ndarray) -> float:
     return min(0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(difference)))), 1.0)
 
 
+def _unit(state: DensityOperator) -> np.ndarray:
+    """A state's matrix divided by its trace.
+
+    The constructor admits a trace within ``STATE_TOL`` of 1, and a distance
+    taken on the undivided matrix could move a margin by as much, far more
+    than ``CERTIFICATION_TOL``.
+    """
+    return state.matrix / state.matrix.trace().real
+
+
 def trace_distance(s1: DensityOperator, s2: DensityOperator) -> float:
-    """Half the trace norm of s1 - s2.
+    """Half the trace norm of s1 - s2, each divided by its trace.
 
     This metric dominates every projector-probability gap between the two
     states, which is the only property the criterion needs from it.
     """
     _check_dims("s1", s1, "s2", s2)
-    return _trace_distance(s1.matrix - s2.matrix)
+    return _trace_distance(_unit(s1) - _unit(s2))
 
 
 def certify(sigma: DensityOperator, candidate: StateVector) -> CertificationReport:
@@ -104,12 +114,13 @@ def certify(sigma: DensityOperator, candidate: StateVector) -> CertificationRepo
     Schmidt-decomposes the candidate, selects the weight pair maximizing the
     parameter ``a`` (``find_hardy_pair`` says which pairs are admissible),
     measures epsilon as the trace distance from ``sigma`` to the candidate's
-    projector, and compares ``6 * epsilon`` against ``a``.  The joint
+    projector, and compares ``6 * epsilon`` against ``a``.  Both epsilon and
+    ``a`` are taken for the unit-normalised state and candidate.  The joint
     probabilities of ``sigma`` on the constructed observables are evaluated
     and included for inspection and for the local-model search.
     """
     _check_dims("state", sigma, "candidate", candidate)
-    epsilon = _trace_distance(sigma.matrix - candidate.projector())
+    epsilon = _trace_distance(_unit(sigma) - candidate.projector())
     sf = schmidt_decompose(candidate)
     pair = find_hardy_pair(sf)
     if pair is None:
@@ -182,7 +193,7 @@ def noise_threshold(psi: StateVector, noise: DensityOperator) -> NoiseThresholdR
     pair = find_hardy_pair(schmidt_decompose(psi))
     if pair is None:
         raise NotHardyError("candidate state has no admissible pair of distinct Schmidt weights")
-    d_noise = _trace_distance(noise.matrix - psi.projector())
+    d_noise = _trace_distance(_unit(noise) - psi.projector())
     if 6.0 * d_noise <= pair.a:
         p_star = 0.0
     else:

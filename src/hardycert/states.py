@@ -5,12 +5,12 @@ This is the bottom layer of the package: it imports only ``errors`` and
 ``observables``, next to the parameter ``a`` the choice maximises.
 
 A state's trace is held to one tolerance, ``STATE_TOL``: a state vector's
-squared norm (the trace of its projector) and, by default, a density
-matrix's trace.  Every density-matrix invariant is checked by one gate in
-two steps, ``_check_entries`` (dims, shape, finite entries, Hermiticity,
-trace) and ``_check_spectrum`` (positivity, from one ``eigvalsh`` whose
-spectrum the state keeps): at ``STATE_TOL`` by ``DensityOperator``, at the
-caller's tolerance by ``validate_density``.  A validated state costs one
+squared norm and, by default, a density matrix's trace.  Every
+density-matrix invariant is checked by one gate in two steps,
+``_check_entries`` (dims, shape, finite entries, Hermiticity, trace) and
+``_check_spectrum`` (positivity, from one ``eigvalsh`` whose spectrum the
+state keeps): at ``STATE_TOL`` by ``DensityOperator``, at the caller's
+tolerance by ``validate_density``.  A validated state costs one
 spectral solve: ``validate_density`` solves the matrix it stores and builds
 the state without passing it through the gate again, and
 ``maximally_mixed`` knows its spectrum and solves nothing.
@@ -38,7 +38,7 @@ from .errors import (
 from .linalg import hermiticity_defect
 
 #: Allowed deviation from 1 of a state's trace: a state vector's squared norm
-#: (the sum of its squared Schmidt weights) and a ``DensityOperator``'s trace.
+#: and a ``DensityOperator``'s trace.
 #: ``DensityOperator`` checks its other invariants at it too, and it is the
 #: default tolerance of ``validate_density``.
 STATE_TOL = 1e-9
@@ -66,7 +66,10 @@ def _check_subsystem_dims(d1, d2) -> None:
 class StateVector:
     """Unit vector in C^d1 (x) C^d2, stored as a flat complex amplitude array.
 
-    The amplitude of basis ket ``|i>|j>`` sits at index ``i * d2 + j``.
+    The amplitude of basis ket ``|i>|j>`` sits at index ``i * d2 + j``.  The
+    amplitudes are stored as given, so their squared norm may miss 1 by up
+    to ``STATE_TOL``; ``projector`` and ``schmidt_decompose`` describe the
+    unit vector ``psi / ||psi||``.
     """
 
     d1: int
@@ -91,10 +94,16 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
     def projector(self) -> np.ndarray:
-        """Rank-one density matrix |psi><psi|, made exactly Hermitian (the
-        complex products of ``np.outer`` can miss by an ulp)."""
-        outer = np.outer(self.amplitudes, self.amplitudes.conj())
-        return (outer + outer.conj().T) / 2.0
+        """Rank-one density matrix |psi><psi| / <psi|psi>, made exactly
+        Hermitian (the complex products of ``np.outer`` can miss by an ulp).
+
+        Dividing by the squared norm gives it unit trace: a certificate
+        measured against an unnormalised projector could gain up to
+        ``STATE_TOL`` of margin that the unit vector does not have.
+        """
+        amps = self.amplitudes
+        outer = np.outer(amps, amps.conj())
+        return (outer + outer.conj().T) / (2.0 * np.vdot(amps, amps).real)
 
     def coefficient_matrix(self) -> np.ndarray:
         """Amplitudes reshaped to d1 x d2, row index running over subsystem 1."""
@@ -320,7 +329,9 @@ def schmidt_decompose(psi: StateVector) -> SchmidtForm:
     One SVD ``C = U diag(s) V^H`` of the coefficient matrix gives the weights
     ``s`` and the bases: column k of ``U`` on subsystem 1 and row k of
     ``V^H`` on subsystem 2.  Weights at or below WEIGHT_FLOOR are dropped as
-    numerical zeros.
+    numerical zeros, and the kept ones are divided by their norm: they are
+    the weights of the unit vector ``psi / ||psi||``, whose ``projector``
+    the criterion measures against, so ``a`` is taken on the same state.
 
     Gauge: each left vector is rotated so that its largest-magnitude
     component is real and positive, and its right partner takes the
@@ -333,8 +344,9 @@ def schmidt_decompose(psi: StateVector) -> SchmidtForm:
     left = left[:, :rank]
     pivots = left[np.argmax(np.abs(left), axis=0), np.arange(rank)]
     phases = pivots.conj() / np.abs(pivots)
+    kept = weights[:rank]
     return SchmidtForm(
-        weights=weights[:rank],
+        weights=kept / np.linalg.norm(kept),
         left_basis=left * phases,
         right_basis=right_h[:rank].T * phases.conj(),
     )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hardycert import (
+    DensityOperator,
     StateVector,
     Verdict,
     candidate_from_state,
@@ -301,3 +302,67 @@ def test_mixture_distance_is_linear_in_noise_weight():
                 p * psi.projector() + (1 - p) * noise.matrix, 2, 2
             )
             assert trace_distance(sigma, pure) == pytest.approx((1 - p) * base, abs=1e-10)
+
+
+# ------------------------------------------------------------ normalisation
+
+#: Just inside ``STATE_TOL``: a squared norm or a trace this far from 1 is
+#: admitted, and must move no margin by more than round-off.
+OFF_UNIT = 0.999e-9
+
+
+def boundary_mixture() -> tuple[DensityOperator, StateVector]:
+    """The white-noise mixture of the fixture 1e-10 below its ``p_star``,
+    where a margin of a few 1e-10 decides the verdict."""
+    psi = fixture_state()
+    p = noise_threshold(psi, maximally_mixed(2, 2)).p_star - 1e-10
+    return white_noise_mixture(p), psi
+
+
+def scaled(psi: StateVector, factor: float) -> StateVector:
+    return StateVector(psi.d1, psi.d2, psi.amplitudes * factor)
+
+
+def test_margin_is_taken_for_the_unit_candidate_and_state():
+    sigma, psi = boundary_mixture()
+    unit = certify(sigma, psi)
+    assert unit.verdict is Verdict.INCONCLUSIVE
+    assert -5e-10 < unit.margin < -4e-10
+    cases = [
+        (sigma, scaled(psi, np.sqrt(1.0 - OFF_UNIT))),
+        (sigma, scaled(psi, np.sqrt(1.0 + OFF_UNIT))),
+        (DensityOperator(2, 2, sigma.matrix * (1.0 + OFF_UNIT)), psi),
+        (DensityOperator(2, 2, sigma.matrix * (1.0 - OFF_UNIT)), psi),
+    ]
+    for state, candidate in cases:
+        report = certify(state, candidate)
+        assert report.verdict is Verdict.INCONCLUSIVE
+        assert report.margin == pytest.approx(unit.margin, abs=1e-12)
+        assert report.a == report.pair.a == pytest.approx(A_FIXTURE, abs=1e-15)
+
+
+def test_noise_threshold_is_taken_for_the_unit_candidate_and_noise():
+    psi = fixture_state()
+    white = maximally_mixed(2, 2)
+    unit = noise_threshold(psi, white).p_star
+    for factor in (1.0 - OFF_UNIT, 1.0 + OFF_UNIT):
+        assert noise_threshold(scaled(psi, np.sqrt(factor)), white).p_star == pytest.approx(unit, abs=1e-12)
+        noise = DensityOperator(2, 2, white.matrix * factor)
+        assert noise_threshold(psi, noise).p_star == pytest.approx(unit, abs=1e-12)
+
+
+def test_off_unit_inputs_leave_margins_unchanged():
+    # Property: within STATE_TOL of unit norm or trace, the scale of the
+    # candidate's amplitudes or of the state's matrix moves no margin.
+    rng = np.random.default_rng(48)
+    for d1 in (2, 3, 4):
+        for d2 in (2, 3, 4):
+            sigma, psi = certified_mixture(rng, d1=d1, d2=d2)
+            built = DensityOperator(d1, d2, sigma.matrix)
+            unit = certify(built, psi)
+            for factor in (1.0 - OFF_UNIT, 1.0 + OFF_UNIT):
+                state = DensityOperator(d1, d2, sigma.matrix * factor)
+                assert trace_distance(state, built) <= 1e-15
+                for report in (certify(built, scaled(psi, np.sqrt(factor))), certify(state, psi)):
+                    assert report.verdict is unit.verdict
+                    assert report.margin == pytest.approx(unit.margin, abs=1e-12)

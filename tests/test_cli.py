@@ -291,6 +291,20 @@ def test_norm_edge_is_decided_up_front(tmp_path, capsys, norm, code):
             assert "squared norm" in err
 
 
+def test_certify_reads_a_short_candidate_as_its_unit_vector(tmp_path, capsys):
+    # 1e-10 below the white-noise threshold the margin is -4.5e-10; a
+    # candidate file with squared norm 1 - 0.999e-9 must not certify it.
+    psi = fixture_state()
+    p = hardycert.noise_threshold(psi, hardycert.maximally_mixed(2, 2)).p_star - 1e-10
+    mix = _mixed_file(tmp_path / "mix.json", p * psi.projector() + (1 - p) * np.eye(4) / 4.0)
+    short = write_pure(tmp_path / "short.json", psi.amplitudes * np.sqrt(1.0 - 0.999e-9))
+    code, out, err = run_cli(["certify", "--state", str(mix), "--candidate", str(short)], capsys)
+    assert code == 0, err
+    report = json.loads(out)["report"]
+    assert report["verdict"] == "Inconclusive"
+    assert report["margin"] == pytest.approx(-4.5e-10, abs=1e-12)
+
+
 # ----------------------------------------------------------- noise-threshold
 
 
