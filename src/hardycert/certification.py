@@ -91,9 +91,10 @@ def _trace_distance(difference: np.ndarray) -> float:
 def _unit(state: DensityOperator) -> np.ndarray:
     """A state's matrix divided by its trace.
 
-    The constructor admits a trace within ``STATE_TOL`` of 1, and a distance
-    taken on the undivided matrix could move a margin by as much, far more
-    than ``CERTIFICATION_TOL``.
+    A state from either entry point, the constructor or ``validate_density``,
+    may keep a trace within ``STATE_TOL`` of 1, and a distance taken on the
+    undivided matrix could move a margin by as much, far more than
+    ``CERTIFICATION_TOL``.
     """
     return state.matrix / state.matrix.trace().real
 

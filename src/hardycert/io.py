@@ -9,9 +9,9 @@ A state file is a single JSON object:
 Amplitudes are indexed row-major over |i>|j| and matrix rows run over the
 same product basis.  Serialization goes through Python's shortest-repr float
 formatting, so every number in a file parses back bit for bit, and so does a
-pure state.  A mixed state is parsed through ``validate_density``, whose
-division by the trace can move matrix entries in the last bits (by under
-1e-15 on seeded 2x2 to 8x8 states).
+pure state.  A mixed state is parsed through ``validate_density``, which
+keeps a matrix with a nonnegative spectrum as it is, so a validated state
+written by ``state_to_dict`` parses back bit for bit too.
 
 Each direction is one array conversion per file, not one Python call per
 entry: the pairs are parsed through one object array, and written from one

@@ -6,14 +6,15 @@ This is the bottom layer of the package: it imports only ``errors`` and
 
 A state's trace is held to one tolerance, ``STATE_TOL``: a state vector's
 squared norm and, by default, a density matrix's trace.  Every
-density-matrix invariant is checked by one gate in two steps,
-``_check_entries`` (dims, shape, finite entries, Hermiticity, trace) and
-``_check_spectrum`` (positivity, from one ``eigvalsh`` whose spectrum the
-state keeps): at ``STATE_TOL`` by ``DensityOperator``, at the caller's
-tolerance by ``validate_density``.  A validated state costs one
-spectral solve: ``validate_density`` solves the matrix it stores and builds
-the state without passing it through the gate again, and
-``maximally_mixed`` knows its spectrum and solves nothing.
+density-matrix invariant is checked by one gate, ``_gate``: the entry checks
+(dims, shape, finite entries, Hermiticity, trace), then positivity from one
+``eigvalsh`` whose spectrum the state keeps, and a round-off repair when
+that spectrum is negative.  ``DensityOperator`` runs it at ``STATE_TOL`` and
+``validate_density`` at the caller's tolerance, so at one tolerance both
+store the same matrix.  Neither divides an unrepaired matrix by its trace:
+its readers do.  A validated state costs one spectral solve, a repaired one
+an ``eigh`` and two, and ``maximally_mixed`` knows its spectrum and solves
+nothing.
 
 The Schmidt decomposition is one SVD of the amplitude coefficient matrix, in
 a fixed phase gauge: each pair of Schmidt vectors is only defined up to
@@ -120,20 +121,31 @@ def _check_tolerance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
-def _check_entries(matrix, d1: int, d2: int, tol: float) -> tuple[np.ndarray, float]:
-    """The entry checks of the density gate, every invariant but positivity,
-    at ``tol``.
+def _gate(matrix, d1: int, d2: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The density gate at ``tol``: the matrix to store and its ascending
+    spectrum, bit for bit ``np.linalg.eigvalsh`` of that matrix.
 
-    Returns the Hermitian part of ``matrix`` (exactly Hermitian, so spectral
-    routines downstream meet their preconditions) and its trace.
+    The entries are checked first: dims, shape, finite entries, Hermiticity
+    and a positive trace within ``tol`` of 1.  One ``eigvalsh`` of the
+    Hermitian part then gives its spectrum, refused below ``-tol``.  A
+    nonnegative spectrum keeps the Hermitian part as it is, off-unit trace
+    included.  Otherwise the round-off negatives are repaired: one ``eigh``,
+    eigenvalues clipped up to a floor of 4 D ulps (D = d1 d2), a division by
+    the clipped trace and the Hermitian part of the quotient, whose spectrum
+    one more ``eigvalsh`` gives and which validates to itself.  Only the
+    repair reads eigenvectors, so only it pays for them.
+
+    The entries were finite, but forming the Hermitian part can overflow;
+    ``eigvalsh`` would then return NaNs or fail to converge, so it is
+    refused first.
 
     Raises
     ------
     DimensionMismatchError
         A dimension is not an integer >= 1, or the shape is not (d1 d2, d1 d2).
     InvalidStateError
-        An entry is not finite.
-    NotHermitianError, NotUnitTraceError
+        An entry is not finite, or the Hermitian part overflows.
+    NotHermitianError, NotUnitTraceError, NotPositiveError
         The corresponding check failed beyond ``tol``, or the trace is not
         positive.
     """
@@ -156,50 +168,37 @@ def _check_entries(matrix, d1: int, d2: int, tol: float) -> tuple[np.ndarray, fl
         # A tol of 1 or more admits a trace <= 0, which no renormalisation repairs.
         expected = f"1 within {tol}" if off_unit else "positive"
         raise NotUnitTraceError(f"trace {trace!r} is not {expected}")
-    return sym, trace
-
-
-def _check_spectrum(matrix: np.ndarray, scale: float, tol: float) -> np.ndarray:
-    """The spectrum step of the density gate: the ascending spectrum of
-    ``matrix``, one ``eigvalsh``.
-
-    ``matrix`` is a Hermitian part from ``_check_entries`` divided by
-    ``scale`` (1 when it is stored undivided), so the smallest eigenvalue of
-    that Hermitian part is ``scale`` times the smallest one here, up to
-    round-off.  It is refused below ``-tol``.
-
-    The entries were finite, but forming the Hermitian part or dividing it
-    can overflow; ``eigvalsh`` would then return NaNs or fail to converge,
-    so a matrix that is not finite is refused first.
-
-    Raises
-    ------
-    InvalidStateError
-        ``matrix`` has an entry that is not finite.
-    NotPositiveError
-        The smallest eigenvalue of the Hermitian part is below ``-tol``.
-    """
-    if not np.all(np.isfinite(matrix)):
+    if not np.all(np.isfinite(sym)):
         raise InvalidStateError("matrix entries overflow the floating-point range")
-    eigenvalues = np.linalg.eigvalsh(matrix)
-    smallest = float(eigenvalues[0]) * scale
-    if smallest < -tol:
-        raise NotPositiveError(f"eigenvalue {smallest!r} below -{tol}")
-    return eigenvalues
+    eigenvalues = np.linalg.eigvalsh(sym)
+    if eigenvalues[0] < -tol:
+        raise NotPositiveError(f"eigenvalue {float(eigenvalues[0])!r} below -{tol}")
+    if eigenvalues[0] < 0.0:
+        values, vectors = np.linalg.eigh(sym)
+        # An eigenvalue clipped to zero comes back from eigvalsh a few ulps
+        # either side of it; clipped to 4 D ulps, it comes back positive.
+        floor = 4 * dim * np.finfo(float).eps
+        clipped = (vectors * np.clip(values, floor, None)) @ vectors.conj().T
+        clipped /= float(np.trace(clipped).real)
+        sym = (clipped + clipped.conj().T) / 2.0
+        eigenvalues = np.linalg.eigvalsh(sym)
+    return sym, eigenvalues
 
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, unit-trace, positive-semidefinite operator on C^d1 (x) C^d2.
+    """Hermitian, positive-semidefinite operator on C^d1 (x) C^d2 whose trace
+    is within ``STATE_TOL`` of 1.
 
-    The constructor takes outside input, so it runs the whole density gate
-    at ``STATE_TOL``; the stored matrix is the input's Hermitian part.  Use
-    ``validate_density`` to construct from data that may need round-off
-    repair at a looser tolerance.
+    The constructor takes outside input, so it runs the density gate at
+    ``STATE_TOL``: the stored matrix is the input's Hermitian part, as given
+    when its spectrum is nonnegative and repaired when round-off made it
+    negative.  ``validate_density`` runs the same gate at a caller's
+    tolerance.
 
     ``eigenvalues`` is the read-only ascending spectrum of ``matrix``, bit
-    for bit ``np.linalg.eigvalsh(matrix)``, kept from the positivity check;
-    it takes no part in ``==`` or ``repr``.
+    for bit ``np.linalg.eigvalsh(matrix)``, kept from the gate; it takes no
+    part in ``==`` or ``repr``.
     """
 
     d1: int
@@ -208,8 +207,7 @@ class DensityOperator:
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        sym, _ = _check_entries(self.matrix, self.d1, self.d2, STATE_TOL)
-        _store(self, sym, _check_spectrum(sym, 1.0, STATE_TOL))
+        _store(self, *_gate(self.matrix, self.d1, self.d2, STATE_TOL))
 
     @property
     def dim(self) -> int:
@@ -226,8 +224,8 @@ def _store(state: DensityOperator, matrix: np.ndarray, eigenvalues: np.ndarray) 
 
 def _checked_density(d1: int, d2: int, matrix: np.ndarray, eigenvalues: np.ndarray) -> DensityOperator:
     """A ``DensityOperator`` over a matrix that this module has already
-    checked, and its exact ascending spectrum, built without the
-    constructor's gate, which it would pass."""
+    checked, and its exact ascending spectrum, built without running the
+    gate again."""
     state = object.__new__(DensityOperator)
     object.__setattr__(state, "d1", d1)
     object.__setattr__(state, "d2", d2)
@@ -235,21 +233,15 @@ def _checked_density(d1: int, d2: int, matrix: np.ndarray, eigenvalues: np.ndarr
 
 
 def validate_density(matrix, d1: int, d2: int, tol: float = STATE_TOL) -> DensityOperator:
-    """Validate and, where round-off requires, repair a candidate density matrix.
+    """Validate and, where round-off requires, repair a candidate density
+    matrix: the constructor's gate at ``tol`` instead of ``STATE_TOL``.
 
-    The matrix passes the entry checks at ``tol``.  Its Hermitian part
-    ``sym`` divided by its trace is the matrix to store, and one ``eigvalsh``
-    of it gives the spectrum.  The trace is positive, so the smallest
-    eigenvalue of ``sym`` is the trace times that spectrum's smallest, and
-    below ``-tol`` it is refused.
-
-    With no negative eigenvalue the quotient is stored with that spectrum
-    and not checked again: the constructor's gate could not fail on it,
-    since ``sym / trace`` is exactly Hermitian, its trace is 1 within
-    round-off and its spectrum is >= 0.  Otherwise eigenvalues in [-tol, 0)
-    are clipped to zero and the operator renormalized to unit trace, so
-    slightly negative round-off noise cannot leak into downstream spectral
-    computations; the repaired matrix goes through the constructor.
+    A matrix whose spectrum is nonnegative is stored as its Hermitian part,
+    not divided by its trace, so a state's own matrix validates to itself
+    bit for bit.  Eigenvalues in [-tol, 0) are clipped up to a floor a few
+    ulps above zero and the repaired operator has unit trace, so slightly
+    negative round-off noise cannot leak into downstream spectral
+    computations.
 
     Raises
     ------
@@ -257,18 +249,10 @@ def validate_density(matrix, d1: int, d2: int, tol: float = STATE_TOL) -> Densit
         ``tol`` is not a finite number >= 0.
     DimensionMismatchError, InvalidStateError, NotHermitianError,
     NotUnitTraceError, NotPositiveError
-        As ``_check_entries`` and ``_check_spectrum``.
+        As the gate, ``_gate``.
     """
     _check_tolerance("tol", tol)
-    sym, trace = _check_entries(matrix, d1, d2, tol)
-    unit = sym / trace
-    eigenvalues = _check_spectrum(unit, trace, tol)
-    if eigenvalues[0] >= 0.0:
-        return _checked_density(d1, d2, unit, eigenvalues)
-    # Only the repair reads eigenvectors, so only it pays for them.
-    values, vectors = np.linalg.eigh(sym)
-    clipped = (vectors * np.clip(values, 0.0, None)) @ vectors.conj().T
-    return DensityOperator(d1=d1, d2=d2, matrix=clipped / float(np.trace(clipped).real))
+    return _checked_density(d1, d2, *_gate(matrix, d1, d2, tol))
 
 
 def pure_density(psi: StateVector) -> DensityOperator:

@@ -259,6 +259,10 @@ def test_tolerance_flags_must_be_finite_and_nonnegative(tmp_path, capsys):
                 main([*argv, "--tol", value])
             assert exc.value.code == 2
             assert "must be a finite number >= 0" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol", "abc"])
+        assert exc.value.code == 2
+        assert "expected a number, got 'abc'" in capsys.readouterr().err
     code, out, _ = run_cli(["certify", "--state", str(state), "--tol", "0"], capsys)
     assert code == 0
     assert json.loads(out)["report"]["verdict"] == "NonlocalCertified"

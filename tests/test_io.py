@@ -281,6 +281,11 @@ def test_parse_errors_match_per_entry_reference():
 # ---------------------------------------------------------------- bad input
 
 
+def test_state_to_dict_refuses_other_objects():
+    with pytest.raises(TypeError, match="cannot serialize object as a state"):
+        state_to_dict(object())
+
+
 def test_parse_rejects_non_object():
     with pytest.raises(StateFileError):
         parse_state_dict([1, 2, 3])

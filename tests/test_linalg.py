@@ -4,22 +4,22 @@ import pytest
 from hardycert import DensityOperator, maximally_mixed, trace_distance, validate_density
 from hardycert.errors import NotHermitianError
 from hardycert.linalg import hermiticity_defect
-from hardycert.states import STATE_TOL, _check_entries, _check_spectrum
+from hardycert.states import STATE_TOL, _gate
 
 
 def test_hermitian_eig_rejects_non_hermitian():
     # The Hermiticity gate in front of every eigen solve on a density matrix.
     with pytest.raises(NotHermitianError):
-        _check_entries(np.array([[0.0, 1.0], [0.0, 0.0]]), 1, 2, STATE_TOL)
+        _gate(np.array([[0.0, 1.0], [0.0, 0.0]]), 1, 2, STATE_TOL)
     # ... but tolerates a defect inside the tolerance, returning the
-    # Hermitian part and its trace; the spectrum step solves that part.
+    # Hermitian part and the spectrum it solved of that part.
     nearly = np.eye(2) / 2.0 + np.array([[0.0, 1e-12], [0.0, 0.0]])
     assert hermiticity_defect(nearly) == pytest.approx(1e-12, rel=1e-9)
-    sym, trace = _check_entries(nearly, 1, 2, STATE_TOL)
+    sym, eigenvalues = _gate(nearly, 1, 2, STATE_TOL)
     assert np.array_equal(sym, sym.conj().T)
     assert np.max(np.abs(sym - nearly)) <= 1e-12
-    assert trace == 1.0
-    assert np.array_equal(_check_spectrum(sym, 1.0, STATE_TOL), np.linalg.eigvalsh(sym))
+    assert np.trace(sym).real == 1.0
+    assert np.array_equal(eigenvalues, np.linalg.eigvalsh(sym))
 
 
 def test_trace_norm_rejects_non_hermitian():

@@ -245,6 +245,14 @@ def test_column_without_admissible_row_never_enters():
     assert np.array_equal(result.solution, [0.0, 1.0])
 
 
+def test_data_that_is_not_finite_is_refused():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_feasibility_lp(np.array([[1.0, bad]]), np.array([1.0]))
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_feasibility_lp(np.array([[1.0]]), np.array([-bad]))
+
+
 def test_complex_data_is_refused():
     # A nonzero imaginary part used to be dropped with a ComplexWarning,
     # which turned x = 1 + 2j into the feasible x = 1.

@@ -92,16 +92,27 @@ def test_explicit_candidate_schmidt_form_is_one_svd(command, files, solves, caps
     assert solves["svd"] == [(D1, D2)]
 
 
-def test_validate_density_computes_eigenvectors_only_to_repair(solves):
-    validate_density(np.diag([0.1, 0.2, 0.3, 0.4]), 2, 2)
+#: The two entry points of the density gate, on 2x2 inputs.
+GATES = {
+    "DensityOperator": lambda matrix: DensityOperator(d1=2, d2=2, matrix=matrix),
+    "validate_density": lambda matrix: validate_density(matrix, 2, 2),
+}
+
+
+@pytest.mark.parametrize("gate", list(GATES.values()), ids=list(GATES))
+def test_validate_density_computes_eigenvectors_only_to_repair(gate, solves):
+    gate(np.diag([0.1, 0.2, 0.3, 0.4]))
     assert solves["eigh"] == []
-    repaired = validate_density(np.diag([-5e-10, 0.3, 0.3, 0.4 + 5e-10]), 2, 2)
+    repaired = gate(np.diag([-5e-10, 0.3, 0.3, 0.4 + 5e-10]))
+    # One eigh to repair, and a second eigvalsh for the repaired matrix.
     assert solves["eigh"] == [(4, 4)]
+    assert solves["eigvalsh"] == [(4, 4)] * 3
     assert repaired.eigenvalues[0] >= 0.0
 
 
-def test_validate_density_solves_once_without_repair(solves):
-    rho = validate_density(np.diag([0.1, 0.2, 0.3, 0.4 + 2e-10]), 2, 2)
+@pytest.mark.parametrize("gate", list(GATES.values()), ids=list(GATES))
+def test_validate_density_solves_once_without_repair(gate, solves):
+    rho = gate(np.diag([0.1, 0.2, 0.3, 0.4 + 2e-10]))
     assert solves == {"eigh": [], "eigvalsh": [(4, 4)], "svd": []}
     assert rho.eigenvalues[0] >= 0.0
 

@@ -9,9 +9,11 @@ from hardycert import (
     StateVector,
     Verdict,
     behavior_from_state,
+    build_bases,
     certify,
     find_hardy_pair,
     hardy_parameter_a,
+    lhv_feasible,
     maximally_mixed,
     noise_threshold,
     pure_density,
@@ -25,6 +27,7 @@ from hardycert.errors import (
     NotPositiveError,
     NotUnitTraceError,
 )
+from hardycert.io import parse_state_dict, state_to_dict
 from hardycert.states import STATE_TOL, WEIGHT_FLOOR, SchmidtForm
 from support import (
     assemble_pure_state,
@@ -233,11 +236,54 @@ def test_gate_refuses_entries_that_overflow():
             ):
                 with pytest.raises(InvalidStateError, match="overflow"):
                     build()
-    # Finite entries whose Hermitian part, divided by a trace of 0.1, overflows.
+    # Finite entries that would overflow if divided by their trace of 0.1:
+    # the gate divides no unrepaired matrix, and the -8e307 eigenvalue of the
+    # Hermitian part is refused.
     matrix = np.diag([0.1, 0.0, 0.0, 0.0]).astype(complex)
     matrix[2, 3] = matrix[3, 2] = 8e307
-    with np.errstate(over="ignore"), pytest.raises(InvalidStateError, match="overflow"):
+    with pytest.raises(NotPositiveError, match="below -0.95"):
         validate_density(matrix, 2, 2, tol=0.95)
+
+
+def test_constructor_and_validate_density_share_one_gate():
+    # Inputs whose trace is within STATE_TOL of 1, every other one with a
+    # round-off negative eigenvalue that the gate repairs.  Both entry points
+    # store the same matrix and spectrum, and a stored matrix, repaired or
+    # not, validates and parses back to itself.
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        d1, d2 = (int(d) for d in rng.integers(2, 5, size=2))
+        dim = d1 * d2
+        spectrum = rng.uniform(0.0, 1.0, size=dim)
+        if trial % 2:
+            spectrum[0] = -rng.uniform(1e-12, 5e-10)
+        spectrum /= spectrum.sum()
+        unitary = haar_unitary(dim, rng)
+        matrix = (unitary * spectrum) @ unitary.conj().T * (1.0 + rng.uniform(-5e-10, 5e-10))
+        assert (np.linalg.eigvalsh(matrix)[0] < 0.0) == bool(trial % 2)
+        rho = DensityOperator(d1, d2, matrix)
+        validated = validate_density(matrix, d1, d2)
+        assert np.array_equal(rho.matrix, validated.matrix)
+        assert np.array_equal(rho.eigenvalues, validated.eigenvalues)
+        assert rho.eigenvalues[0] >= 0.0
+        assert np.array_equal(validate_density(rho.matrix, d1, d2).matrix, rho.matrix)
+        assert np.array_equal(parse_state_dict(state_to_dict(rho)).matrix, rho.matrix)
+
+
+def test_constructor_repairs_a_round_off_negative_on_a_hardy_cell():
+    # The README state (p1^2 = 0.2) and a -5e-10 eigenvalue along its
+    # X1=+1, X2=+1 cell: kept by the constructor, it made that cell of the
+    # behavior negative, and certify raised.
+    psi = fixture_state()
+    sf = schmidt_decompose(psi)
+    alice, bob = build_bases(sf, find_hardy_pair(sf))
+    x1_plus, x2_plus = alice[0, 0], bob[0, 0]
+    cell = np.kron(np.outer(x1_plus, x1_plus.conj()), np.outer(x2_plus, x2_plus.conj()))
+    sigma = DensityOperator(2, 2, (np.eye(4) - cell) / 3.0 * (1.0 + 5e-10) - 5e-10 * cell)
+    assert sigma.eigenvalues[0] >= 0.0
+    report = certify(sigma, psi)
+    assert report.verdict is Verdict.INCONCLUSIVE
+    assert lhv_feasible(report.behavior).feasible
 
 
 @pytest.mark.parametrize("case", list(BAD_DENSITIES))
@@ -419,6 +465,17 @@ def test_schmidt_form_rejects_ascending_weights():
 def test_schmidt_form_rejects_nan_weights():
     with pytest.raises(InvalidStateError, match="strictly positive"):
         SchmidtForm(weights=np.array([np.nan, 0.5]), left_basis=np.eye(2), right_basis=np.eye(2))
+
+
+def test_schmidt_form_rejects_malformed_data():
+    with pytest.raises(InvalidStateError, match="non-empty 1-D"):
+        SchmidtForm(weights=np.full((1, 1), 1.0), left_basis=np.eye(1), right_basis=np.eye(1))
+    with pytest.raises(InvalidStateError, match="non-empty 1-D"):
+        SchmidtForm(weights=np.array([]), left_basis=np.eye(1), right_basis=np.eye(1))
+    with pytest.raises(InvalidStateError, match="sum to 1"):
+        SchmidtForm(weights=np.full(2, 0.5), left_basis=np.eye(2), right_basis=np.eye(2))
+    with pytest.raises(DimensionMismatchError, match="column count"):
+        SchmidtForm(weights=np.array([0.8, 0.6]), left_basis=np.eye(2), right_basis=np.eye(3))
 
 
 # ------------------------------------------------------------ pair selection
