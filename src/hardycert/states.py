@@ -7,13 +7,15 @@ This is the bottom layer of the package: it imports only ``errors`` and
 A state's trace is held to one tolerance, ``STATE_TOL``: a state vector's
 squared norm and, by default, a density matrix's trace.  Every
 density-matrix invariant is checked by one gate, ``_gate``: the entry checks
-(dims, shape, finite entries, Hermiticity, trace), then positivity from one
-``eigvalsh`` whose spectrum the state keeps, and a round-off repair when
-that spectrum is negative.  ``DensityOperator`` runs it at ``STATE_TOL`` and
+(dims, shape, finite entries, Hermiticity, trace), then positivity.  One
+Cholesky factorisation of the Hermitian part, shifted down by a bound on
+round-off, proves most states positive definite without a spectrum; the
+rest take one ``eigvalsh`` and a round-off repair when that spectrum is
+negative.  ``DensityOperator`` runs the gate at ``STATE_TOL`` and
 ``validate_density`` at the caller's tolerance, so at one tolerance both
 store the same matrix.  Neither divides an unrepaired matrix by its trace:
-its readers do.  A validated state costs one spectral solve, a repaired one
-an ``eigh`` and two, and ``maximally_mixed`` knows its spectrum and solves
+its readers do.  A state's spectrum is solved when it is first read, unless
+the gate already holds it; ``maximally_mixed`` knows its spectrum and solves
 nothing.
 
 The Schmidt decomposition is one SVD of the amplitude coefficient matrix, in
@@ -121,23 +123,40 @@ def _check_tolerance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
-def _gate(matrix, d1: int, d2: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The density gate at ``tol``: the matrix to store and its ascending
-    spectrum, bit for bit ``np.linalg.eigvalsh`` of that matrix.
+def _gate(matrix, d1: int, d2: int, tol: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """The density gate at ``tol``: the matrix to store and, when the gate
+    solved it, its ascending spectrum, bit for bit ``np.linalg.eigvalsh`` of
+    that matrix, else None.
 
     The entries are checked first: dims, shape, finite entries, Hermiticity
-    and a positive trace within ``tol`` of 1.  One ``eigvalsh`` of the
-    Hermitian part then gives its spectrum, refused below ``-tol``.  A
-    nonnegative spectrum keeps the Hermitian part as it is, off-unit trace
-    included.  Otherwise the round-off negatives are repaired: one ``eigh``,
-    eigenvalues clipped up to a floor of 4 D ulps (D = d1 d2), a division by
-    the clipped trace and the Hermitian part of the quotient, whose spectrum
-    one more ``eigvalsh`` gives and which validates to itself.  Only the
-    repair reads eigenvectors, so only it pays for them.
+    and a positive trace within ``tol`` of 1.  Positivity comes next, from
+    the cheapest proof that holds:
 
-    The entries were finite, but forming the Hermitian part can overflow;
-    ``eigvalsh`` would then return NaNs or fail to converge, so it is
-    refused first.
+    - One Cholesky factorisation of the Hermitian part minus ``s I``, with
+      ``s = 4 (D + 1) eps tr`` (D = d1 d2, eps the machine epsilon, tr the
+      trace) plus the smallest normal float.  A floating-point Cholesky that
+      runs to completion proves the smallest eigenvalue of the unshifted
+      matrix exceeds ``s`` less the factorisation's backward error, which is
+      about ``gamma_{D+1} tr`` (S. M. Rump, BIT 46, 433-452 (2006); N. J.
+      Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 10), and
+      the tiny term covers underflow.  With eps twice the unit round-off,
+      ``s`` is 8 ``gamma_{D+1} tr``: room for the larger constants of complex
+      arithmetic and a margin that also exceeds ``eigvalsh``'s own error, so
+      the spectrum ``eigvalsh`` would give is nonnegative.  The Hermitian
+      part is kept as it is, off-unit trace included, and no spectrum is
+      solved.
+    - Otherwise (a singular or nearly singular matrix, such as a pure
+      projector) one ``eigvalsh`` of the Hermitian part gives its spectrum,
+      refused below ``-tol``.  A nonnegative spectrum keeps the Hermitian
+      part as it is.  A negative one is repaired: one ``eigh``, eigenvalues
+      clipped up to a floor of 4 D ulps, a division by the clipped trace and
+      the Hermitian part of the quotient, whose spectrum one more
+      ``eigvalsh`` gives and which validates to itself.  Only the repair
+      reads eigenvectors, so only it pays for them.
+
+    The entries were finite, but forming the Hermitian part can overflow; the
+    solvers would then return NaNs or fail to converge, so it is refused
+    first.
 
     Raises
     ------
@@ -170,6 +189,16 @@ def _gate(matrix, d1: int, d2: int, tol: float) -> tuple[np.ndarray, np.ndarray]
         raise NotUnitTraceError(f"trace {trace!r} is not {expected}")
     if not np.all(np.isfinite(sym)):
         raise InvalidStateError("matrix entries overflow the floating-point range")
+    finfo = np.finfo(float)
+    # sym - s I: the shift above, taken off the diagonal of a copy.
+    shifted = sym.copy()
+    shifted.reshape(-1)[:: dim + 1] -= 4.0 * (dim + 1) * finfo.eps * trace + finfo.tiny
+    try:
+        # No upper=: numpy 1.24 lacks it, and the factor is not read.
+        np.linalg.cholesky(shifted)
+        return sym, None
+    except np.linalg.LinAlgError:
+        pass  # not proven positive definite: solve the spectrum
     eigenvalues = np.linalg.eigvalsh(sym)
     if eigenvalues[0] < -tol:
         raise NotPositiveError(f"eigenvalue {float(eigenvalues[0])!r} below -{tol}")
@@ -177,7 +206,7 @@ def _gate(matrix, d1: int, d2: int, tol: float) -> tuple[np.ndarray, np.ndarray]
         values, vectors = np.linalg.eigh(sym)
         # An eigenvalue clipped to zero comes back from eigvalsh a few ulps
         # either side of it; clipped to 4 D ulps, it comes back positive.
-        floor = 4 * dim * np.finfo(float).eps
+        floor = 4 * dim * finfo.eps
         clipped = (vectors * np.clip(values, floor, None)) @ vectors.conj().T
         clipped /= float(np.trace(clipped).real)
         sym = (clipped + clipped.conj().T) / 2.0
@@ -192,19 +221,20 @@ class DensityOperator:
 
     The constructor takes outside input, so it runs the density gate at
     ``STATE_TOL``: the stored matrix is the input's Hermitian part, as given
-    when its spectrum is nonnegative and repaired when round-off made it
-    negative.  ``validate_density`` runs the same gate at a caller's
-    tolerance.
+    when it is positive semidefinite and repaired when round-off made its
+    spectrum negative.  ``validate_density`` runs the same gate at a
+    caller's tolerance.
 
     ``eigenvalues`` is the read-only ascending spectrum of ``matrix``, bit
-    for bit ``np.linalg.eigvalsh(matrix)``, kept from the gate; it takes no
-    part in ``==`` or ``repr``.
+    for bit ``np.linalg.eigvalsh(matrix)``.  It is solved on first read and
+    kept, unless the gate already solved it; it takes no part in ``==`` or
+    ``repr``.
     """
 
     d1: int
     d2: int
     matrix: np.ndarray
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _store(self, *_gate(self.matrix, self.d1, self.d2, STATE_TOL))
@@ -213,19 +243,31 @@ class DensityOperator:
     def dim(self) -> int:
         return self.d1 * self.d2
 
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        if self._eigenvalues is None:
+            _store(self, self.matrix, np.linalg.eigvalsh(self.matrix))
+        return self._eigenvalues
 
-def _store(state: DensityOperator, matrix: np.ndarray, eigenvalues: np.ndarray) -> DensityOperator:
-    """Set ``state``'s matrix and spectrum, both made read-only."""
-    for name, value in (("matrix", matrix), ("eigenvalues", eigenvalues)):
-        value.setflags(write=False)
+
+def _store(
+    state: DensityOperator, matrix: np.ndarray, eigenvalues: np.ndarray | None
+) -> DensityOperator:
+    """Set ``state``'s matrix and its spectrum, or None if none is solved yet,
+    the arrays made read-only."""
+    for name, value in (("matrix", matrix), ("_eigenvalues", eigenvalues)):
+        if value is not None:
+            value.setflags(write=False)
         object.__setattr__(state, name, value)
     return state
 
 
-def _checked_density(d1: int, d2: int, matrix: np.ndarray, eigenvalues: np.ndarray) -> DensityOperator:
+def _checked_density(
+    d1: int, d2: int, matrix: np.ndarray, eigenvalues: np.ndarray | None
+) -> DensityOperator:
     """A ``DensityOperator`` over a matrix that this module has already
-    checked, and its exact ascending spectrum, built without running the
-    gate again."""
+    checked, and its exact ascending spectrum when one is at hand, built
+    without running the gate again."""
     state = object.__new__(DensityOperator)
     object.__setattr__(state, "d1", d1)
     object.__setattr__(state, "d2", d2)

@@ -12,14 +12,21 @@ def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitianError):
         _gate(np.array([[0.0, 1.0], [0.0, 0.0]]), 1, 2, STATE_TOL)
     # ... but tolerates a defect inside the tolerance, returning the
-    # Hermitian part and the spectrum it solved of that part.
+    # Hermitian part.  It is positive definite, so the Cholesky proof
+    # suffices and no spectrum is solved.
     nearly = np.eye(2) / 2.0 + np.array([[0.0, 1e-12], [0.0, 0.0]])
     assert hermiticity_defect(nearly) == pytest.approx(1e-12, rel=1e-9)
     sym, eigenvalues = _gate(nearly, 1, 2, STATE_TOL)
     assert np.array_equal(sym, sym.conj().T)
     assert np.max(np.abs(sym - nearly)) <= 1e-12
     assert np.trace(sym).real == 1.0
-    assert np.array_equal(eigenvalues, np.linalg.eigvalsh(sym))
+    assert eigenvalues is None
+    # A singular state takes the eigvalsh path, and the spectrum it solved
+    # comes back with the matrix.
+    singular = np.diag([1.0, 0.0])
+    sym, eigenvalues = _gate(singular, 1, 2, STATE_TOL)
+    assert np.array_equal(sym, singular)
+    assert np.array_equal(eigenvalues, [0.0, 1.0])
 
 
 def test_trace_norm_rejects_non_hermitian():

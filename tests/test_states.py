@@ -114,8 +114,17 @@ def test_density_operator_keeps_its_spectrum():
         with pytest.raises(ValueError):
             array[0] = 0.0
     assert "eigenvalues" not in repr(rho)
+    # The spectrum is a read-only property over a private cache that takes
+    # no part in construction, repr or ==.
     flags = {f.name: (f.init, f.repr, f.compare) for f in dataclasses.fields(DensityOperator)}
-    assert flags["eigenvalues"] == (False, False, False)
+    assert flags == {
+        "d1": (True, True, True),
+        "d2": (True, True, True),
+        "matrix": (True, True, True),
+        "_eigenvalues": (False, False, False),
+    }
+    assert isinstance(DensityOperator.eigenvalues, property)
+    assert DensityOperator.eigenvalues.fset is None
 
 
 def test_validate_density_accepts_pure_projector():
@@ -295,6 +304,90 @@ def test_gate_raises_alike_for_constructor_and_validate(case):
         validate_density(matrix, d1, d2, tol=STATE_TOL)
     assert type(direct.value) is type(validated.value) is expected
     assert str(direct.value) == str(validated.value)
+
+
+def spectrum_only_gate(matrix: np.ndarray, tol: float) -> np.ndarray:
+    """Reference for the gate's positivity step on an input that passes its
+    entry checks, from one ``eigvalsh`` and no Cholesky proof: the matrix
+    stored, or the error raised.  A spectrum below ``-tol`` is refused, a
+    negative one repaired, and a nonnegative one keeps the Hermitian part."""
+    sym = (matrix + matrix.conj().T) / 2.0
+    eigenvalues = np.linalg.eigvalsh(sym)
+    if eigenvalues[0] < -tol:
+        raise NotPositiveError(f"eigenvalue {float(eigenvalues[0])!r} below -{tol}")
+    if eigenvalues[0] >= 0.0:
+        return sym
+    values, vectors = np.linalg.eigh(sym)
+    floor = 4 * sym.shape[0] * np.finfo(float).eps
+    clipped = (vectors * np.clip(values, floor, None)) @ vectors.conj().T
+    clipped /= float(np.trace(clipped).real)
+    return (clipped + clipped.conj().T) / 2.0
+
+
+#: Where the smallest eigenvalue of a boundary input is placed, in multiples
+#: of the shift ``4 (D + 1) eps`` that the gate's Cholesky proof subtracts at
+#: unit trace.  The proof may hold from 1/2 up and must hold from 2 up.
+SHIFT_MULTIPLES = (-0.5, 0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
+
+
+def boundary_inputs(dim: int, tol: float, rng: np.random.Generator):
+    """(kind, Hermitian matrix) pairs whose trace is within ``tol`` of 1:
+    the smallest eigenvalue at each of ``SHIFT_MULTIPLES`` of the shift, a
+    pure projector, a -5e-10 round-off negative and one below ``-tol``.
+    Each is redrawn until its trace passes, so at tol 0 it is exactly 1."""
+    shift = 4 * (dim + 1) * np.finfo(float).eps
+    smallest = {f"{k:+g}s": k * shift for k in SHIFT_MULTIPLES}
+    smallest.update({"pure": None, "repair": -5e-10, "refusal": -2.0 * tol - 1e-9})
+    for kind, low in smallest.items():
+        while True:
+            unitary = haar_unitary(dim, rng)
+            if low is None:
+                spectrum = np.eye(dim)[0]
+            else:
+                spectrum = rng.uniform(0.1, 1.0, size=dim)
+                spectrum *= (1.0 - low) / spectrum[1:].sum()
+                spectrum[0] = low
+            matrix = (unitary * spectrum) @ unitary.conj().T * (1.0 + rng.uniform(-tol, tol))
+            matrix = (matrix + matrix.conj().T) / 2.0
+            if abs(np.trace(matrix).real - 1.0) <= tol:
+                yield kind, matrix
+                break
+
+
+@pytest.mark.parametrize("tol", [0.0, STATE_TOL, 1e-6])
+def test_gate_matches_the_spectrum_only_reference_at_the_cholesky_boundary(tol):
+    # Wherever the Cholesky proof holds, the spectrum-only gate would have
+    # kept the matrix unrepaired; wherever it fails, the gate is that
+    # reference.  Both store the same matrix bit for bit or raise the same
+    # error, and the spectrum read later is eigvalsh of the stored matrix.
+    rng = np.random.default_rng(41)
+    for (d1, d2), _ in itertools.product(
+        [(1, 2), (2, 2), (2, 3), (3, 3), (4, 4), (4, 8), (8, 8)], range(3)
+    ):
+        for kind, matrix in boundary_inputs(d1 * d2, tol, rng):
+            entry_points = [lambda m=matrix: validate_density(m, d1, d2, tol=tol)]
+            if tol == STATE_TOL:
+                entry_points.append(lambda m=matrix: DensityOperator(d1, d2, m))
+            try:
+                expected, refusal = spectrum_only_gate(matrix, tol), None
+            except NotPositiveError as error:
+                expected, refusal = None, str(error)
+            for build in entry_points:
+                if refusal is not None:
+                    with pytest.raises(NotPositiveError) as raised:
+                        build()
+                    assert str(raised.value) == refusal
+                    continue
+                rho = build()
+                assert np.array_equal(rho.matrix, expected), kind
+                proved = rho._eigenvalues is None
+                if kind in ("+2s", "+4s"):
+                    assert proved, kind
+                if kind in ("-0.5s", "+0s", "+0.25s", "pure", "repair"):
+                    assert not proved, kind
+                spectrum = rho.eigenvalues
+                assert np.array_equal(spectrum, np.linalg.eigvalsh(rho.matrix))
+                assert spectrum[0] >= 0.0
 
 
 # ---------------------------------------------------- schmidt decomposition
