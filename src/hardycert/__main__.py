@@ -1,7 +1,9 @@
-"""Allow ``python -m hardycert`` as an alias for the console script."""
+"""``python -m hardycert``: the ``hardycert`` console script's entry point,
+``hardycert.cli.entry``, which ends the process once the report is flushed.
 
-import sys
+Guarded, so importing this module (pytest, pydoc) runs nothing."""
 
-from .cli import main
+from .cli import entry
 
-sys.exit(main())
+if __name__ == "__main__":
+    entry()

@@ -5,7 +5,13 @@ for a few built-in families, ``certify`` runs the trace-distance criterion,
 ``noise-threshold`` computes the tolerable-noise boundary for mixtures, and
 ``lhv-check`` cross-examines a state with the local-model feasibility LP.
 Every command emits a JSON document (to --output or standard output) and
-exits 0 on completion, 2 on any input or validation error.
+exits 0 on completion, 2 on any input, validation or output error.
+
+``main`` is the in-process API: it returns the exit status and never ends
+the process itself (argparse raises ``SystemExit`` for ``--help`` and usage
+errors).  ``entry`` is the process entry point of the ``hardycert`` script
+and of ``python -m hardycert``: it runs ``main``, flushes the standard
+streams and ends the process without interpreter teardown.
 
 The reports are laid out here, and only here: each ``cmd_*`` builds its body
 once and wraps it in the envelope of ``_payload``, with one ``{"path",
@@ -19,8 +25,10 @@ import argparse
 import dataclasses
 import functools
 import math
+import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -276,6 +284,9 @@ def main(argv: list[str] | None = None) -> int:
         text = dump_json(payload)
         if args.output is None:
             sys.stdout.write(text)
+            # Flushed here, so a report that cannot be written is an error
+            # of the command rather than of interpreter teardown.
+            sys.stdout.flush()
         else:
             args.output.write_text(text)
     except (HardycertError, OSError, ValueError) as exc:
@@ -284,5 +295,27 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def entry() -> NoReturn:
+    """Run ``main`` on ``sys.argv``, flush standard output and standard
+    error, and end the process with ``main``'s status through ``os._exit``.
+
+    Interpreter and numpy finalization, tens of milliseconds of CPU in a
+    run that takes a few hundred, never runs.  That is safe because every
+    file ``main`` writes is closed before it returns and nothing registers
+    ``atexit`` work, so the two standard streams hold all that is left to
+    write.  A stream that cannot be flushed turns status 0 into 2; ``main``
+    has already reported a standard output that failed.  An exception
+    escaping ``main``, argparse's ``SystemExit`` (``--help``, a usage error)
+    among them, takes the normal exit path.
+    """
+    status = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            status = status or 2
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()
