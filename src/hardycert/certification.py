@@ -146,17 +146,24 @@ def certify(sigma: DensityOperator, candidate: StateVector) -> CertificationRepo
     )
 
 
-def candidate_from_state(sigma: DensityOperator) -> StateVector:
-    """Top eigenvector of a state, as the default certification candidate.
+def top_eigenvector(sigma: DensityOperator) -> tuple[StateVector, float | None]:
+    """Top eigenvector of a state, the default certification candidate, and
+    the gap between its two largest eigenvalues (None for a 1x1 state), both
+    from one ``eigh``.
 
     The eigenvector's global phase is the eigensolver's: it changes no
     projector, and ``schmidt_decompose``'s gauge absorbs it, so the report
     does not depend on it.  When the top eigenvalue is degenerate the
-    eigensolver's last column is returned as-is; callers who care can inspect
-    the spectral gap themselves (the command-line tool reports it).
+    eigensolver's last column is returned as-is, and the gap shows it.
     """
-    _, vectors = np.linalg.eigh(sigma.matrix)
-    return StateVector(d1=sigma.d1, d2=sigma.d2, amplitudes=vectors[:, -1])
+    values, vectors = np.linalg.eigh(sigma.matrix)
+    gap = float(values[-1] - values[-2]) if values.size > 1 else None
+    return StateVector(d1=sigma.d1, d2=sigma.d2, amplitudes=vectors[:, -1]), gap
+
+
+def candidate_from_state(sigma: DensityOperator) -> StateVector:
+    """Top eigenvector of a state, as ``top_eigenvector`` gives it."""
+    return top_eigenvector(sigma)[0]
 
 
 @dataclass(frozen=True)
@@ -210,5 +217,6 @@ __all__ = [
     "candidate_from_state",
     "certify",
     "noise_threshold",
+    "top_eigenvector",
     "trace_distance",
 ]

@@ -9,9 +9,10 @@ exits 0 on completion, 2 on any input, validation or output error.
 
 ``main`` is the in-process API: it returns the exit status and never ends
 the process itself (argparse raises ``SystemExit`` for ``--help`` and usage
-errors).  ``entry`` is the process entry point of the ``hardycert`` script
-and of ``python -m hardycert``: it runs ``main``, flushes the standard
-streams and ends the process without interpreter teardown.
+errors); a report that stdout could not take leaves fd 1 on ``os.devnull``.
+``entry`` is the process entry point of the ``hardycert`` script and of
+``python -m hardycert``: it runs ``main``, flushes the standard streams and
+ends the process without interpreter teardown.
 
 The reports are laid out here, and only here: each ``cmd_*`` builds its body
 once and wraps it in the envelope of ``_payload``, with one ``{"path",
@@ -36,9 +37,9 @@ from . import __version__
 from .certification import (
     CertificationReport,
     Verdict,
-    candidate_from_state,
     certify,
     noise_threshold,
+    top_eigenvector,
 )
 from .errors import HardycertError, NotHardyError, StateFileError
 from .io import dump_json, load_state_file, state_to_dict
@@ -210,9 +211,7 @@ def cmd_certify(args: argparse.Namespace) -> dict:
         candidate = _load_pure(args, "candidate", inputs)
         source: dict = {"source": "file"}
     else:
-        spectrum = sigma.eigenvalues
-        # A 1x1 state has one eigenvalue and no gap.
-        gap = float(spectrum[-1] - spectrum[-2]) if spectrum.size > 1 else None
+        candidate, gap = top_eigenvector(sigma)  # a 1x1 state has no gap
         if gap is not None and gap <= args.tol:
             # Any vector of a degenerate top eigenspace would do, so the
             # verdict would speak about an arbitrary candidate.
@@ -220,7 +219,6 @@ def cmd_certify(args: argparse.Namespace) -> dict:
                 f"top eigenvalue of {args.state} is degenerate (gap {gap:.3e} <= tol "
                 f"{args.tol:g}), so it defines no candidate; pass --candidate"
             )
-        candidate = candidate_from_state(sigma)
         source = {"source": "top-eigenvector", "degeneracy_gap": gap}
     report = certify(sigma, candidate)
     pair, table = report.pair, report.table  # both None for a NotHardy candidate
@@ -270,6 +268,18 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor, if it has one, at ``os.devnull``, so
+    teardown drops the report left in its buffer instead of failing to flush
+    it again ("Exception ignored", status 120; the Python docs' SIGPIPE note)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # io.UnsupportedOperation, as from a StringIO
+        return
+    with open(os.devnull, "wb") as devnull:
+        os.dup2(devnull.fileno(), fd)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     # Looked up per call, so a handler replaced after the parser was cached runs.
@@ -283,10 +293,14 @@ def main(argv: list[str] | None = None) -> int:
         payload = handler(args)
         text = dump_json(payload)
         if args.output is None:
-            sys.stdout.write(text)
-            # Flushed here, so a report that cannot be written is an error
-            # of the command rather than of interpreter teardown.
-            sys.stdout.flush()
+            try:
+                sys.stdout.write(text)
+                # Flushed here, so a report that cannot be written is an
+                # error of the command rather than of interpreter teardown.
+                sys.stdout.flush()
+            except OSError:
+                _discard_stdout()
+                raise
         else:
             args.output.write_text(text)
     except (HardycertError, OSError, ValueError) as exc:

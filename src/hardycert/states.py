@@ -14,9 +14,8 @@ rest take one ``eigvalsh`` and a round-off repair when that spectrum is
 negative.  ``DensityOperator`` runs the gate at ``STATE_TOL`` and
 ``validate_density`` at the caller's tolerance, so at one tolerance both
 store the same matrix.  Neither divides an unrepaired matrix by its trace:
-its readers do.  A state's spectrum is solved when it is first read, unless
-the gate already holds it; ``maximally_mixed`` knows its spectrum and solves
-nothing.
+its readers do.  A state is its validated matrix and keeps no spectrum;
+``pure_density`` and ``maximally_mixed`` are states by construction.
 
 The Schmidt decomposition is one SVD of the amplitude coefficient matrix, in
 a fixed phase gauge: each pair of Schmidt vectors is only defined up to
@@ -27,7 +26,7 @@ that choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,10 +122,8 @@ def _check_tolerance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
-def _gate(matrix, d1: int, d2: int, tol: float) -> tuple[np.ndarray, np.ndarray | None]:
-    """The density gate at ``tol``: the matrix to store and, when the gate
-    solved it, its ascending spectrum, bit for bit ``np.linalg.eigvalsh`` of
-    that matrix, else None.
+def _gate(matrix, d1: int, d2: int, tol: float) -> np.ndarray:
+    """The density gate at ``tol``: the matrix to store.
 
     The entries are checked first: dims, shape, finite entries, Hermiticity
     and a positive trace within ``tol`` of 1.  Positivity comes next, from
@@ -150,9 +147,8 @@ def _gate(matrix, d1: int, d2: int, tol: float) -> tuple[np.ndarray, np.ndarray 
       refused below ``-tol``.  A nonnegative spectrum keeps the Hermitian
       part as it is.  A negative one is repaired: one ``eigh``, eigenvalues
       clipped up to a floor of 4 D ulps, a division by the clipped trace and
-      the Hermitian part of the quotient, whose spectrum one more
-      ``eigvalsh`` gives and which validates to itself.  Only the repair
-      reads eigenvectors, so only it pays for them.
+      the Hermitian part of the quotient, which validates to itself.  Only
+      the repair reads eigenvectors, so only it pays for them.
 
     The entries were finite, but forming the Hermitian part can overflow; the
     solvers would then return NaNs or fail to converge, so it is refused
@@ -196,7 +192,7 @@ def _gate(matrix, d1: int, d2: int, tol: float) -> tuple[np.ndarray, np.ndarray 
     try:
         # No upper=: numpy 1.24 lacks it, and the factor is not read.
         np.linalg.cholesky(shifted)
-        return sym, None
+        return sym
     except np.linalg.LinAlgError:
         pass  # not proven positive definite: solve the spectrum
     eigenvalues = np.linalg.eigvalsh(sym)
@@ -210,8 +206,7 @@ def _gate(matrix, d1: int, d2: int, tol: float) -> tuple[np.ndarray, np.ndarray 
         clipped = (vectors * np.clip(values, floor, None)) @ vectors.conj().T
         clipped /= float(np.trace(clipped).real)
         sym = (clipped + clipped.conj().T) / 2.0
-        eigenvalues = np.linalg.eigvalsh(sym)
-    return sym, eigenvalues
+    return sym
 
 
 @dataclass(frozen=True)
@@ -224,54 +219,30 @@ class DensityOperator:
     when it is positive semidefinite and repaired when round-off made its
     spectrum negative.  ``validate_density`` runs the same gate at a
     caller's tolerance.
-
-    ``eigenvalues`` is the read-only ascending spectrum of ``matrix``, bit
-    for bit ``np.linalg.eigvalsh(matrix)``.  It is solved on first read and
-    kept, unless the gate already solved it; it takes no part in ``==`` or
-    ``repr``.
     """
 
     d1: int
     d2: int
     matrix: np.ndarray
-    _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _store(self, *_gate(self.matrix, self.d1, self.d2, STATE_TOL))
+        matrix = _gate(self.matrix, self.d1, self.d2, STATE_TOL)
+        matrix.setflags(write=False)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def dim(self) -> int:
         return self.d1 * self.d2
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        if self._eigenvalues is None:
-            _store(self, self.matrix, np.linalg.eigvalsh(self.matrix))
-        return self._eigenvalues
 
-
-def _store(
-    state: DensityOperator, matrix: np.ndarray, eigenvalues: np.ndarray | None
-) -> DensityOperator:
-    """Set ``state``'s matrix and its spectrum, or None if none is solved yet,
-    the arrays made read-only."""
-    for name, value in (("matrix", matrix), ("_eigenvalues", eigenvalues)):
-        if value is not None:
-            value.setflags(write=False)
+def _checked_density(d1: int, d2: int, matrix: np.ndarray) -> DensityOperator:
+    """A ``DensityOperator`` over a matrix already known to be a state, made
+    read-only as the constructor makes it, without running the gate."""
+    matrix.setflags(write=False)
+    state = object.__new__(DensityOperator)
+    for name, value in (("d1", d1), ("d2", d2), ("matrix", matrix)):
         object.__setattr__(state, name, value)
     return state
-
-
-def _checked_density(
-    d1: int, d2: int, matrix: np.ndarray, eigenvalues: np.ndarray | None
-) -> DensityOperator:
-    """A ``DensityOperator`` over a matrix that this module has already
-    checked, and its exact ascending spectrum when one is at hand, built
-    without running the gate again."""
-    state = object.__new__(DensityOperator)
-    object.__setattr__(state, "d1", d1)
-    object.__setattr__(state, "d2", d2)
-    return _store(state, matrix, eigenvalues)
 
 
 def validate_density(matrix, d1: int, d2: int, tol: float = STATE_TOL) -> DensityOperator:
@@ -294,20 +265,25 @@ def validate_density(matrix, d1: int, d2: int, tol: float = STATE_TOL) -> Densit
         As the gate, ``_gate``.
     """
     _check_tolerance("tol", tol)
-    return _checked_density(d1, d2, *_gate(matrix, d1, d2, tol))
+    return _checked_density(d1, d2, _gate(matrix, d1, d2, tol))
 
 
 def pure_density(psi: StateVector) -> DensityOperator:
-    """Density operator of a pure state."""
-    return DensityOperator(d1=psi.d1, d2=psi.d2, matrix=psi.projector())
+    """Density operator of a pure state: its projector, stored as it is.
+
+    A validated ``StateVector``'s projector is exactly Hermitian, has unit
+    trace and is positive semidefinite up to round-off, so no gate runs.
+    The gate, if run on this matrix, would repair it by a few ulps, lifting
+    it off rank one: its ``eigvalsh`` minimum is nearly always below zero.
+    """
+    return _checked_density(psi.d1, psi.d2, psi.projector())
 
 
 def maximally_mixed(d1: int, d2: int) -> DensityOperator:
     """The white-noise state I / (d1 d2)."""
     _check_subsystem_dims(d1, d2)
     dim = d1 * d2
-    # The spectrum of I / D is known exactly: no eigensolve.
-    return _checked_density(d1, d2, np.eye(dim, dtype=complex) / dim, np.full(dim, 1.0 / dim))
+    return _checked_density(d1, d2, np.eye(dim, dtype=complex) / dim)
 
 
 @dataclass(frozen=True)

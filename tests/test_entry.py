@@ -74,21 +74,36 @@ def test_entry_point_gives_what_main_gives(command, files, tmp_path, capsysbinar
         assert not list(tmp_path.iterdir())
 
 
+#: A program that runs ``cli.main`` in process and exits with its status,
+#: so interpreter teardown runs after it.
+IN_PROCESS = "import sys; from hardycert.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_unwritable_report_exits_2(unbuffered, files):
     # With stdout buffered, a report written to a closed pipe used to fail
-    # only in interpreter teardown: "Exception ignored" and exit status 120.
+    # only in interpreter teardown: "Exception ignored" and exit status 120,
+    # from the entry point and, after main had returned 2, from a program
+    # that calls main in process.
     env = child_env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        child = run_module(["certify", "--state", str(files["mix"])], env=env, stdout=write_end)
-    finally:
-        os.close(write_end)
-    err = child.stderr.decode()
-    assert child.returncode == 2, err
-    assert err.count("error:") == 1 and err.startswith("error: ") and "Broken pipe" in err
-    assert "Exception ignored" not in err
+    argv = ["certify", "--state", str(files["mix"])]
+    for command in (["-m", "hardycert"], ["-c", IN_PROCESS]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, *command, *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        err = child.stderr.decode()
+        assert child.returncode == 2, (command, err)
+        assert err.count("error:") == 1 and err.startswith("error: ") and "Broken pipe" in err
+        assert "Exception ignored" not in err
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from hardycert.linalg import hermiticity_defect
 from hardycert.states import STATE_TOL, _gate
 
 
-def test_hermitian_eig_rejects_non_hermitian():
+def test_hermitian_eig_rejects_non_hermitian(monkeypatch):
     # The Hermiticity gate in front of every eigen solve on a density matrix.
     with pytest.raises(NotHermitianError):
         _gate(np.array([[0.0, 1.0], [0.0, 0.0]]), 1, 2, STATE_TOL)
@@ -16,17 +16,21 @@ def test_hermitian_eig_rejects_non_hermitian():
     # suffices and no spectrum is solved.
     nearly = np.eye(2) / 2.0 + np.array([[0.0, 1e-12], [0.0, 0.0]])
     assert hermiticity_defect(nearly) == pytest.approx(1e-12, rel=1e-9)
-    sym, eigenvalues = _gate(nearly, 1, 2, STATE_TOL)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a) or eigvalsh(a))
+    sym = _gate(nearly, 1, 2, STATE_TOL)
+    assert solved == []
     assert np.array_equal(sym, sym.conj().T)
     assert np.max(np.abs(sym - nearly)) <= 1e-12
     assert np.trace(sym).real == 1.0
-    assert eigenvalues is None
-    # A singular state takes the eigvalsh path, and the spectrum it solved
-    # comes back with the matrix.
+    # A singular state takes the eigvalsh path and is kept as it is: its
+    # spectrum is nonnegative.
     singular = np.diag([1.0, 0.0])
-    sym, eigenvalues = _gate(singular, 1, 2, STATE_TOL)
+    sym = _gate(singular, 1, 2, STATE_TOL)
+    assert len(solved) == 1
     assert np.array_equal(sym, singular)
-    assert np.array_equal(eigenvalues, [0.0, 1.0])
+    assert np.array_equal(eigvalsh(sym), [0.0, 1.0])
 
 
 def test_trace_norm_rejects_non_hermitian():

@@ -96,35 +96,26 @@ def off_unit_density(dim: int, rng: np.random.Generator, tol: float) -> np.ndarr
             return matrix
 
 
-def test_density_operator_keeps_its_spectrum():
-    # The kept spectrum is the stored matrix's own, bit for bit: scaling the
-    # spectrum of the undivided matrix by its trace misses it in the last
-    # bits.  And the stored matrix is a state to the constructor's gate.
+def test_density_operator_is_its_validated_matrix():
+    # A state holds its dims and its matrix, read-only, and nothing else.
+    # The stored matrix is a state to the constructor's gate, bit for bit.
     rng = np.random.default_rng(21)
     for (d1, d2), tol in itertools.product(
         [(2, 2), (2, 3), (3, 3), (4, 4), (8, 8)], [0.0, STATE_TOL, 1e-6]
     ):
         for _ in range(10):
             rho = validate_density(off_unit_density(d1 * d2, rng, tol), d1, d2, tol=tol)
-            assert np.array_equal(rho.eigenvalues, np.linalg.eigvalsh(rho.matrix))
             again = DensityOperator(d1=d1, d2=d2, matrix=rho.matrix)
             assert np.array_equal(again.matrix, rho.matrix)
-            assert np.array_equal(again.eigenvalues, rho.eigenvalues)
-    for array in (rho.matrix, rho.eigenvalues):
-        with pytest.raises(ValueError):
-            array[0] = 0.0
-    assert "eigenvalues" not in repr(rho)
-    # The spectrum is a read-only property over a private cache that takes
-    # no part in construction, repr or ==.
+    with pytest.raises(ValueError):
+        rho.matrix[0] = 0.0
     flags = {f.name: (f.init, f.repr, f.compare) for f in dataclasses.fields(DensityOperator)}
     assert flags == {
         "d1": (True, True, True),
         "d2": (True, True, True),
         "matrix": (True, True, True),
-        "_eigenvalues": (False, False, False),
     }
-    assert isinstance(DensityOperator.eigenvalues, property)
-    assert DensityOperator.eigenvalues.fset is None
+    assert not hasattr(rho, "eigenvalues")
 
 
 def test_validate_density_accepts_pure_projector():
@@ -257,8 +248,8 @@ def test_gate_refuses_entries_that_overflow():
 def test_constructor_and_validate_density_share_one_gate():
     # Inputs whose trace is within STATE_TOL of 1, every other one with a
     # round-off negative eigenvalue that the gate repairs.  Both entry points
-    # store the same matrix and spectrum, and a stored matrix, repaired or
-    # not, validates and parses back to itself.
+    # store the same matrix, whose spectrum is never negative, and a stored
+    # matrix, repaired or not, validates and parses back to itself.
     rng = np.random.default_rng(31)
     for trial in range(40):
         d1, d2 = (int(d) for d in rng.integers(2, 5, size=2))
@@ -273,8 +264,7 @@ def test_constructor_and_validate_density_share_one_gate():
         rho = DensityOperator(d1, d2, matrix)
         validated = validate_density(matrix, d1, d2)
         assert np.array_equal(rho.matrix, validated.matrix)
-        assert np.array_equal(rho.eigenvalues, validated.eigenvalues)
-        assert rho.eigenvalues[0] >= 0.0
+        assert np.linalg.eigvalsh(rho.matrix)[0] >= 0.0
         assert np.array_equal(validate_density(rho.matrix, d1, d2).matrix, rho.matrix)
         assert np.array_equal(parse_state_dict(state_to_dict(rho)).matrix, rho.matrix)
 
@@ -289,7 +279,7 @@ def test_constructor_repairs_a_round_off_negative_on_a_hardy_cell():
     x1_plus, x2_plus = alice[0, 0], bob[0, 0]
     cell = np.kron(np.outer(x1_plus, x1_plus.conj()), np.outer(x2_plus, x2_plus.conj()))
     sigma = DensityOperator(2, 2, (np.eye(4) - cell) / 3.0 * (1.0 + 5e-10) - 5e-10 * cell)
-    assert sigma.eigenvalues[0] >= 0.0
+    assert np.linalg.eigvalsh(sigma.matrix)[0] >= 0.0
     report = certify(sigma, psi)
     assert report.verdict is Verdict.INCONCLUSIVE
     assert lhv_feasible(report.behavior).feasible
@@ -355,11 +345,14 @@ def boundary_inputs(dim: int, tol: float, rng: np.random.Generator):
 
 
 @pytest.mark.parametrize("tol", [0.0, STATE_TOL, 1e-6])
-def test_gate_matches_the_spectrum_only_reference_at_the_cholesky_boundary(tol):
+def test_gate_matches_the_spectrum_only_reference_at_the_cholesky_boundary(tol, monkeypatch):
     # Wherever the Cholesky proof holds, the spectrum-only gate would have
     # kept the matrix unrepaired; wherever it fails, the gate is that
     # reference.  Both store the same matrix bit for bit or raise the same
-    # error, and the spectrum read later is eigvalsh of the stored matrix.
+    # error, and the stored matrix's spectrum is nonnegative.  A build that
+    # solves no spectrum is one the Cholesky proved.
+    eigvalsh, solved = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a) or eigvalsh(a))
     rng = np.random.default_rng(41)
     for (d1, d2), _ in itertools.product(
         [(1, 2), (2, 2), (2, 3), (3, 3), (4, 4), (4, 8), (8, 8)], range(3)
@@ -378,16 +371,15 @@ def test_gate_matches_the_spectrum_only_reference_at_the_cholesky_boundary(tol):
                         build()
                     assert str(raised.value) == refusal
                     continue
+                solved.clear()
                 rho = build()
                 assert np.array_equal(rho.matrix, expected), kind
-                proved = rho._eigenvalues is None
+                proved = not solved
                 if kind in ("+2s", "+4s"):
                     assert proved, kind
                 if kind in ("-0.5s", "+0s", "+0.25s", "pure", "repair"):
                     assert not proved, kind
-                spectrum = rho.eigenvalues
-                assert np.array_equal(spectrum, np.linalg.eigvalsh(rho.matrix))
-                assert spectrum[0] >= 0.0
+                assert eigvalsh(rho.matrix)[0] >= 0.0
 
 
 # ---------------------------------------------------- schmidt decomposition
@@ -652,6 +644,17 @@ def test_pair_values_invariant_under_global_phase_and_relabeling():
         assert other.a == pytest.approx(pair.a, abs=1e-10)
 
 
-def test_pure_density_matches_projector():
+def test_pure_density_matches_projector(monkeypatch):
+    # The projector is stored as it is, with no solver call: the gate would
+    # repair it by a few ulps.
     psi = fixture_state()
-    assert np.max(np.abs(pure_density(psi).matrix - psi.projector())) < 1e-15
+    projector = psi.projector()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("pure_density called a solver")
+
+    for name in ("cholesky", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, no_solve)
+    rho = pure_density(psi)
+    assert np.array_equal(rho.matrix, projector)
+    assert not rho.matrix.flags.writeable
