@@ -14,7 +14,8 @@ only: a non-positive margin decides nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -29,7 +30,7 @@ from .observables import (
     build_observables,
     find_hardy_pair,
 )
-from .states import DensityOperator, StateVector, schmidt_decompose
+from .states import DensityOperator, SchmidtForm, StateVector, schmidt_decompose
 
 #: A margin must exceed this to count as a certification; anything closer to
 #: zero is numerically indistinguishable from the boundary.
@@ -51,9 +52,10 @@ class CertificationReport:
     ``margin`` is always ``a - 6 * epsilon``; the verdict is
     NONLOCAL_CERTIFIED exactly when the margin clears CERTIFICATION_TOL.
     ``behavior`` holds all 36 joint probabilities of ``sigma`` on the
-    candidate's observables.  ``pair`` and ``behavior`` are None when the
-    candidate has no admissible weight pair (verdict NOT_HARDY), in which
-    case ``a`` is reported as 0.
+    candidate's observables; it is computed once, on first read of
+    ``behavior`` or ``table``, since the verdict needs none of it.  ``pair``
+    and ``behavior`` are None when the candidate has no admissible weight
+    pair (verdict NOT_HARDY), in which case ``a`` is reported as 0.
     """
 
     epsilon: float
@@ -61,7 +63,21 @@ class CertificationReport:
     margin: float
     verdict: Verdict
     pair: HardyPair | None
-    behavior: Behavior | None
+    #: The validated state and the candidate's Schmidt form that ``behavior``
+    #: is measured from; None for a NOT_HARDY candidate.
+    _measured: tuple[DensityOperator, SchmidtForm] | None = field(
+        default=None, repr=False, compare=False
+    )
+
+    @functools.cached_property
+    def behavior(self) -> Behavior | None:
+        """All 36 joint probabilities of the state on the candidate's
+        observables, computed on first read and kept."""
+        if self.pair is None:
+            return None
+        sigma, sf = self._measured
+        obs = build_observables(build_bases(sf, self.pair), sigma.d1, sigma.d2)
+        return behavior_from_state(sigma, obs)
 
     @property
     def table(self) -> HardyProbabilityTable | None:
@@ -117,8 +133,9 @@ def certify(sigma: DensityOperator, candidate: StateVector) -> CertificationRepo
     measures epsilon as the trace distance from ``sigma`` to the candidate's
     projector, and compares ``6 * epsilon`` against ``a``.  Both epsilon and
     ``a`` are taken for the unit-normalised state and candidate.  The joint
-    probabilities of ``sigma`` on the constructed observables are evaluated
-    and included for inspection and for the local-model search.
+    probabilities of ``sigma`` on the constructed observables, for inspection
+    and for the local-model search, are evaluated once, on first read of
+    ``report.behavior`` or ``report.table``.
     """
     _check_dims("state", sigma, "candidate", candidate)
     epsilon = _trace_distance(_unit(sigma) - candidate.projector())
@@ -131,9 +148,7 @@ def certify(sigma: DensityOperator, candidate: StateVector) -> CertificationRepo
             margin=-6.0 * epsilon,
             verdict=Verdict.NOT_HARDY,
             pair=None,
-            behavior=None,
         )
-    obs = build_observables(build_bases(sf, pair), sigma.d1, sigma.d2)
     margin = pair.a - 6.0 * epsilon
     verdict = Verdict.NONLOCAL_CERTIFIED if margin > CERTIFICATION_TOL else Verdict.INCONCLUSIVE
     return CertificationReport(
@@ -142,7 +157,7 @@ def certify(sigma: DensityOperator, candidate: StateVector) -> CertificationRepo
         margin=margin,
         verdict=verdict,
         pair=pair,
-        behavior=behavior_from_state(sigma, obs),
+        _measured=(sigma, sf),
     )
 
 

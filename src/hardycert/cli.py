@@ -243,12 +243,13 @@ def cmd_lhv_check(args: argparse.Namespace) -> dict:
     sigma = _load_density(args, "state", inputs)
     candidate = _load_pure(args, "candidate", inputs)
     criterion = certify(sigma, candidate)
-    if criterion.behavior is None:
+    behavior = criterion.behavior
+    if behavior is None:
         raise NotHardyError(
             f"candidate file {args.candidate} has no admissible pair of distinct Schmidt weights"
         )
     # --tol is the validation tolerance; the local-model search keeps its own.
-    result = lhv_feasible(criterion.behavior)
+    result = lhv_feasible(behavior)
     # The criterion is one-sided: a certification must coincide with LP
     # infeasibility, while an inconclusive margin constrains nothing.
     certified = criterion.verdict is Verdict.NONLOCAL_CERTIFIED

@@ -116,9 +116,10 @@ def _check_tolerance(name: str, value: float) -> None:
     """Refuse a tolerance that is not a finite number >= 0, naming it.
 
     A NaN would make every ``x > tol`` comparison false and switch its check
-    off; a negative one admits what a zero refuses.
+    off; a negative one admits what a zero refuses.  A bool is refused too,
+    as it is for dims: ``True`` would be a tolerance of 1.
     """
-    if not 0.0 <= value < math.inf:  # NaN fails it too
+    if isinstance(value, (bool, np.bool_)) or not 0.0 <= value < math.inf:  # NaN fails it too
         raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,9 @@ from hardycert import (
     DensityOperator,
     StateVector,
     Verdict,
+    behavior_from_state,
+    build_bases,
+    build_observables,
     candidate_from_state,
     certify,
     find_hardy_pair,
@@ -16,9 +21,10 @@ from hardycert import (
     trace_distance,
     validate_density,
 )
+from hardycert import certification
 from hardycert.certification import CERTIFICATION_TOL
 from hardycert.errors import DimensionMismatchError, NotHardyError
-from hardycert.observables import PAIR_FLOOR
+from hardycert.observables import PAIR_FLOOR, HardyProbabilityTable
 from support import (
     A_FIXTURE,
     assemble_pure_state,
@@ -34,6 +40,22 @@ from support import (
 def white_noise_mixture(p: float) -> "validate_density":
     psi = fixture_state()
     return validate_density(p * psi.projector() + (1 - p) * np.eye(4) / 4.0, 2, 2)
+
+
+MEASUREMENT_STEPS = ("build_bases", "build_observables", "behavior_from_state")
+
+
+def count_measurement_steps(monkeypatch) -> Counter:
+    """Calls of each measurement step, by the names ``certify``'s module
+    looks them up by."""
+    calls: Counter = Counter()
+    for name in MEASUREMENT_STEPS:
+        def counted(*args, _name=name, _step=getattr(certification, name)):
+            calls[_name] += 1
+            return _step(*args)
+
+        monkeypatch.setattr(certification, name, counted)
+    return calls
 
 
 # ------------------------------------------------------------ trace distance
@@ -114,15 +136,18 @@ def test_certify_white_noise_mixtures():
     assert report.margin < 0.0
 
 
-def test_certify_equal_weight_candidate_is_not_hardy():
+def test_certify_equal_weight_candidate_is_not_hardy(monkeypatch):
+    calls = count_measurement_steps(monkeypatch)
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
     candidate = StateVector(2, 2, bell)
     report = certify(maximally_mixed(2, 2), candidate)
     assert report.verdict is Verdict.NOT_HARDY
     assert report.a == 0.0
-    assert report.pair is None and report.table is None
+    assert report.pair is None and report.table is None and report.behavior is None
     assert report.margin == pytest.approx(-6.0 * report.epsilon, abs=1e-15)
+    # There is no pair to build observables from, read or not.
+    assert sum(calls.values()) == 0
 
 
 def test_certify_margin_identity_and_verdict_consistency():
@@ -209,6 +234,38 @@ def test_certify_table_deviation_bounded_by_epsilon():
         targets = np.array([0.0, 0.0, 0.0, 0.0, 0.0, report.a])
         deviation = np.max(np.abs(np.array(report.table) - targets))
         assert deviation <= report.epsilon + 1e-10
+
+
+# ----------------------------------------------------------- lazy behavior
+
+
+@pytest.mark.parametrize("read", ["behavior", "table"])
+def test_certify_measures_the_behavior_only_when_read(read, monkeypatch):
+    calls = count_measurement_steps(monkeypatch)
+    sigma, psi = certified_mixture(np.random.default_rng(49), d1=2, d2=3)
+    report = certify(sigma, psi)
+    assert report.verdict is Verdict.NONLOCAL_CERTIFIED
+    assert sum(calls.values()) == 0
+    getattr(report, read)
+    assert calls == dict.fromkeys(MEASUREMENT_STEPS, 1)
+    # Later reads of either return what the first read measured.
+    behavior = report.behavior
+    assert report.behavior is behavior
+    assert report.table == HardyProbabilityTable.from_behavior(behavior.tables)
+    assert calls == dict.fromkeys(MEASUREMENT_STEPS, 1)
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 2), (3, 5), (8, 8)])
+def test_lazy_behavior_is_the_eager_one_bit_for_bit(d1, d2):
+    rng = np.random.default_rng([50, d1, d2])
+    certified = certified_mixture(rng, d1=d1, d2=d2)
+    noisy = (random_density(d1, d2, rng), random_hardy_state(rng, d1=d1, d2=d2))
+    for sigma, psi in (certified, noisy):
+        report = certify(sigma, psi)
+        obs = build_observables(build_bases(schmidt_decompose(psi), report.pair), d1, d2)
+        eager = behavior_from_state(sigma, obs)
+        assert np.array_equal(report.behavior.tables, eager.tables)
+        assert report.table == HardyProbabilityTable.from_behavior(eager.tables)
 
 
 # ------------------------------------------------------- candidate selection

@@ -178,7 +178,10 @@ def test_numpy_integer_dims_are_accepted():
     assert maximally_mixed(d, np.int32(2)).dim == 4
 
 
-BAD_TOLERANCES = [float("nan"), -1e-3, float("inf")]
+BAD_TOLERANCES = [
+    float("nan"), -1e-3, float("inf"), True, False,
+    pytest.param(np.True_, id="numpy-True"), pytest.param(np.False_, id="numpy-False"),
+]
 
 
 @pytest.mark.parametrize("tol", BAD_TOLERANCES)
@@ -187,6 +190,17 @@ def test_validate_density_rejects_nan_or_negative_tol(tol):
     # no state, would be "repaired" into |00><00|.
     with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
         validate_density(np.diag([1.5, -0.5, 0.0, 0.0]), 2, 2, tol=tol)
+
+
+def test_validate_density_refuses_a_bool_tol_before_repairing():
+    # Read as tol = 1, True would let this matrix, which is no state, pass
+    # every check and come back clipped and renormalised into
+    # diag(0.5, 0.5, 0, 0).
+    matrix = np.diag([0.7, 0.7, -0.2, -0.2])
+    with pytest.raises(NotPositiveError):
+        validate_density(matrix, 2, 2, tol=1e-9)
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        validate_density(matrix, 2, 2, tol=True)
 
 
 def norm_edge_amplitudes(norm: float) -> np.ndarray:
