@@ -304,8 +304,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise
         else:
             args.output.write_text(text)
-    except (HardycertError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (HardycertError, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return 0
 

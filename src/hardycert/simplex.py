@@ -10,7 +10,10 @@ Programming*, 1983).  A degenerate pivot, where no column can take a
 positive step, falls back to Bland's rule for both the entering column and
 the leaving row.  Every pivot of a possible cycle is then a Bland pivot, so
 termination keeps Bland's guarantee, which matters because the systems this
-package feeds in are heavily rank-deficient.
+package feeds in are heavily rank-deficient.  The walk ends as soon as the
+cost row's artificial mass is at most PIVOT_EPS: no artificial mass is left,
+every further pivot would be degenerate, and the reported residual is then
+at most PIVOT_EPS up to round-off.
 """
 
 from __future__ import annotations
@@ -50,8 +53,10 @@ def solve_feasibility_lp(constraint_matrix, rhs) -> FeasibilityResult:
     """Decide feasibility of ``{x >= 0 : constraint_matrix @ x = rhs}``.
 
     Runs a phase-one simplex on the tableau [A | I | b] (rows with negative
-    b are sign-flipped first).  Reports ``feasible`` when the minimized
-    artificial mass does not exceed FEASIBILITY_TOL; the returned
+    b are sign-flipped first).  The walk ends when no column improves or
+    when no artificial mass is left (at most PIVOT_EPS, so the residual is
+    then at most PIVOT_EPS up to round-off).  Reports ``feasible`` when the
+    minimized artificial mass does not exceed FEASIBILITY_TOL; the returned
     ``solution`` holds the original variables either way.
 
     Raises
@@ -75,21 +80,28 @@ def solve_feasibility_lp(constraint_matrix, rhs) -> FeasibilityResult:
         raise ValueError("constraint data must be finite")
 
     m, n = a.shape
-    flip = b < 0.0
-    a = np.where(flip[:, None], -a, a)
-    b = np.where(flip, -b, b)
-
-    tableau = np.hstack([a, np.eye(m), b[:, None]])
-    # Phase-one reduced costs z_j - c_j with every basic variable artificial:
-    # the column sums of [A | 0 | b].  Pivots keep the row current.
-    tableau = np.vstack([tableau, tableau.sum(axis=0)])
-    tableau[-1, n:-1] = 0.0
-    improving = tableau[-1, :-1]
+    tableau = np.zeros((m + 1, n + m + 1))
     body, values = tableau[:-1], tableau[:-1, -1]
+    body[:, :n] = a
+    values[:] = b
+    flip = b < 0.0
+    body[flip, :n] *= -1.0
+    values[flip] *= -1.0
+    # Phase-one reduced costs z_j - c_j with every basic variable artificial:
+    # the column sums of [A | 0 | b], taken before the identity is written.
+    # Pivots keep the row current; its last entry is the artificial mass.
+    body.sum(axis=0, out=tableau[-1])
+    body[:, n:-1].flat[:: m + 1] = 1.0
+    improving = tableau[-1, :-1]
     basis = np.arange(n, n + m)
 
     for _ in range(MAX_PIVOTS):
-        columns = np.nonzero(improving > PIVOT_EPS)[0]
+        # No artificial mass left: every further pivot would be degenerate.
+        # An infeasible system keeps its mass above FEASIBILITY_TOL and so
+        # always walks on until no column improves.
+        if tableau[-1, -1] <= PIVOT_EPS:
+            break
+        columns = (improving > PIVOT_EPS).nonzero()[0]
         if columns.size == 0:
             break
         block = body[:, columns]
@@ -98,7 +110,7 @@ def solve_feasibility_lp(constraint_matrix, rhs) -> FeasibilityResult:
         # finite step above PIVOT_EPS competes, so a column with no
         # admissible row never enters by greatest improvement.
         ratios = np.where(block > PIVOT_EPS, values[:, None], np.inf) / np.abs(block)
-        steps = np.minimum.reduce(ratios, axis=0)
+        steps = ratios.min(axis=0)
         competing = (steps > PIVOT_EPS) & (steps < np.inf)
         gains = np.where(competing, steps, 0.0) * improving[columns]
         pick = int(gains.argmax())
@@ -106,8 +118,8 @@ def solve_feasibility_lp(constraint_matrix, rhs) -> FeasibilityResult:
             pick = 0  # Degenerate: Bland, smallest eligible index
         if steps[pick] == np.inf:
             raise NumericalBreakdownError("no admissible pivot row for an improving column")
-        ties = np.nonzero(ratios[:, pick] <= steps[pick] + PIVOT_EPS)[0]
-        leaving = int(ties[np.argmin(basis[ties])])  # Bland: smallest basic index
+        ties = (ratios[:, pick] <= steps[pick] + PIVOT_EPS).nonzero()[0]
+        leaving = int(ties[basis[ties].argmin()])  # Bland: smallest basic index
         entering = int(columns[pick])
         _pivot(tableau, leaving, entering)
         basis[leaving] = entering

@@ -236,14 +236,20 @@ class DensityOperator:
         return self.d1 * self.d2
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` over fields already known
+    to pass its checks, built without running its ``__post_init__``."""
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(instance, name, value)
+    return instance
+
+
 def _checked_density(d1: int, d2: int, matrix: np.ndarray) -> DensityOperator:
     """A ``DensityOperator`` over a matrix already known to be a state, made
     read-only as the constructor makes it, without running the gate."""
     matrix.setflags(write=False)
-    state = object.__new__(DensityOperator)
-    for name, value in (("d1", d1), ("d2", d2), ("matrix", matrix)):
-        object.__setattr__(state, name, value)
-    return state
+    return _unchecked(DensityOperator, d1=d1, d2=d2, matrix=matrix)
 
 
 def validate_density(matrix, d1: int, d2: int, tol: float = STATE_TOL) -> DensityOperator:
@@ -341,6 +347,11 @@ def schmidt_decompose(psi: StateVector) -> SchmidtForm:
     conjugate phase.  The weights, ``a`` and epsilon do not depend on this
     choice, but the measurements built from the bases, and so a state's
     36-cell behavior and the local-model LP, do; the gauge pins them.
+
+    The form is built without ``SchmidtForm``'s checks: a validated state's
+    largest weight is near 1, the SVD sorts the weights in descending order,
+    and the kept ones are positive and normalised here.  Its weights are
+    made read-only, as the constructor makes them.
     """
     left, weights, right_h = np.linalg.svd(psi.coefficient_matrix(), full_matrices=False)
     rank = np.count_nonzero(weights > WEIGHT_FLOOR)
@@ -348,8 +359,11 @@ def schmidt_decompose(psi: StateVector) -> SchmidtForm:
     pivots = left[np.argmax(np.abs(left), axis=0), np.arange(rank)]
     phases = pivots.conj() / np.abs(pivots)
     kept = weights[:rank]
-    return SchmidtForm(
-        weights=kept / np.linalg.norm(kept),
+    kept = kept / np.linalg.norm(kept)
+    kept.setflags(write=False)
+    return _unchecked(
+        SchmidtForm,
+        weights=kept,
         left_basis=left * phases,
         right_basis=right_h[:rank].T * phases.conj(),
     )

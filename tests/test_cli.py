@@ -91,6 +91,20 @@ def test_gen_rejects_bad_parameters(capsys):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 14.6 TiB"), MemoryError()])
+def test_gen_state_out_of_memory_exits_2(exc, capsys, monkeypatch):
+    # A hardy state at --d1 1000000 --d2 1000000 asks numpy for 14.6 TiB;
+    # the stub raises as that allocation does, without allocating.
+    def out_of_memory(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_hardy_amplitudes", out_of_memory)
+    code, out, err = run_cli(["gen-state", "hardy", "--d1", "1000000", "--d2", "1000000"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {str(exc) or 'MemoryError'}\n"
+
+
 def test_gen_rejects_unknown_kind():
     with pytest.raises(SystemExit):
         main(["gen-state", "ghz"])

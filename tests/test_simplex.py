@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hardycert import simplex
 from hardycert.certification import certify
 from hardycert.errors import DimensionMismatchError, NumericalBreakdownError
 from hardycert.lhv import strategy_constraint_matrix
@@ -160,10 +161,11 @@ def _assert_matches_reference(matrix, rhs):
     return result
 
 
-def test_matches_reference_on_degenerate_integer_systems():
-    rng = np.random.default_rng(53)
-    feasible = 0
-    for k in range(400):
+def _integer_systems(seed, count):
+    """Small random integer systems: every odd one feasible by construction,
+    every third one with a redundant last row."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
         m = int(rng.integers(1, 7))
         n = int(rng.integers(1, 12))
         matrix = rng.integers(-1, 3, size=(m, n)).astype(float)
@@ -173,6 +175,12 @@ def test_matches_reference_on_degenerate_integer_systems():
             rhs = matrix @ rng.integers(0, 3, size=n)
         else:
             rhs = rng.integers(-3, 4, size=m).astype(float)
+        yield matrix, rhs
+
+
+def test_matches_reference_on_degenerate_integer_systems():
+    feasible = 0
+    for matrix, rhs in _integer_systems(53, 400):
         feasible += _assert_matches_reference(matrix, rhs).feasible
     assert 200 <= feasible < 400
 
@@ -210,6 +218,26 @@ def test_strategy_solutions_are_basic(dims):
         support = np.nonzero(result.solution)[0]
         assert support.size <= 25
         assert np.linalg.matrix_rank(matrix[:, support]) == support.size
+
+
+def test_no_pivot_once_the_artificial_mass_is_gone(monkeypatch):
+    # Once the cost row's artificial mass is at or below PIVOT_EPS, every
+    # further pivot is degenerate: the walk ends there.
+    step = simplex._pivot
+    masses = []
+
+    def recorded(tableau, row, col):
+        masses.append(float(tableau[-1, -1]))
+        step(tableau, row, col)
+
+    monkeypatch.setattr(simplex, "_pivot", recorded)
+    matrix = strategy_constraint_matrix()
+    systems = [(matrix, rhs) for dims in [(2, 2), (2, 3), (4, 4)] for rhs, ok in _strategy_systems(dims) if ok]
+    systems += list(_integer_systems(55, 200))
+    for a, b in systems:
+        solve_feasibility_lp(a, b)
+    assert len(masses) > 0
+    assert min(masses) > PIVOT_EPS
 
 
 # ------------------------------------------------- awkward columns and data

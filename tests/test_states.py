@@ -552,6 +552,30 @@ def test_small_weight_pair_is_found_and_inconclusive():
     assert certify(pure_density(psi), psi).verdict is Verdict.INCONCLUSIVE
 
 
+@pytest.mark.parametrize("d1, d2, seed", [(2, 2, 71), (3, 5, 72), (8, 8, 73)])
+def test_schmidt_decompose_builds_a_form_that_passes_its_checks(d1, d2, seed, monkeypatch):
+    # The SVD's kept weights are positive, descending and normalised, so
+    # schmidt_decompose skips the checks; the checked constructor agrees bit
+    # for bit.
+    checks = 0
+    post_init = SchmidtForm.__post_init__
+
+    def counted(self):
+        nonlocal checks
+        checks += 1
+        post_init(self)
+
+    monkeypatch.setattr(SchmidtForm, "__post_init__", counted)
+    sf = schmidt_decompose(random_state_vector(d1, d2, np.random.default_rng(seed)))
+    assert checks == 0
+    assert not sf.weights.flags.writeable
+    checked = SchmidtForm(weights=sf.weights, left_basis=sf.left_basis, right_basis=sf.right_basis)
+    assert checks == 1
+    for name in ("weights", "left_basis", "right_basis"):
+        assert np.array_equal(getattr(checked, name), getattr(sf, name))
+        assert getattr(checked, name).dtype == getattr(sf, name).dtype
+
+
 def test_schmidt_form_rejects_ascending_weights():
     with pytest.raises(InvalidStateError):
         SchmidtForm(
