@@ -1,17 +1,25 @@
-"""Search for local hidden variable models: facets first, then an LP.
+"""Search for local hidden variable models: facets, a projection, an LP.
 
 A behavior (the four joint outcome tables, one per measurement-setting
 pair) admits a local model exactly when it is a convex mixture of the 81
 deterministic strategies -- assignments of a definite outcome to every
-setting of each party.  The hull of those strategies has 1,116 known
-facets (positivity, liftings of CHSH, relabelings of CGLMP).  A behavior
-that violates one has no local model, and the facet is the witness; any
-other behavior goes to a linear feasibility problem, solved by a phase-1
-simplex method, whose solution is the local model.
+setting of each party.  The search takes three steps, cheapest proof first:
 
-The LP is an oracle that is independent of the trace-distance criterion:
-where the criterion certifies, the LP must come up infeasible, and for
-manifestly classical states it must exhibit an explicit model.
+1. The hull of those strategies has 1,116 known facets (positivity,
+   liftings of CHSH, relabelings of CGLMP).  A behavior that violates one
+   has no local model, and the facet is the witness.
+2. Any other behavior is offered one explicit model: the product of the
+   parties' marginals, moved onto the cells by one diagonally scaled
+   least-squares step.  Nonnegative weights that reproduce the cells
+   within 1e-9 prove the behavior local.  They are an interior point, so
+   many strategies carry a little weight.
+3. Only when that fails does a linear feasibility problem, solved by a
+   phase-1 simplex method, decide; its solution is a vertex model with at
+   most 25 strategies.
+
+The oracle is independent of the trace-distance criterion: where the
+criterion certifies, it must find no model, and for manifestly classical
+states it must exhibit an explicit one.
 """
 
 import numpy as np
@@ -56,7 +64,7 @@ def examine(label, sigma):
           f"margin = {report.margin:+.6f} -> {report.verdict.value}")
     if result.feasible:
         support = np.flatnonzero(result.weights > 1e-9)
-        print(f"  LP: local model FOUND ({support.size} strategies carry weight, "
+        print(f"  local model FOUND ({support.size} strategies carry weight, "
               f"reconstruction error {result.max_violation:.2e})")
         heaviest = support[np.argsort(result.weights[support])[::-1][:3]]
         for idx in heaviest:

@@ -11,11 +11,14 @@ The hull has 1,116 facets, known in closed form: 36 positivity rows, 648
 liftings of CHSH and 432 relabelings of CGLMP (Collins & Gisin, J. Phys. A 37,
 1775 (2004); Collins, Gisin, Linden, Massar & Popescu, PRL 88, 040404
 (2002)).  ``facet_table()`` holds them with integer coefficients on the 36
-cells.  ``lhv_feasible`` checks them first: a violated facet excludes the
-behavior from the hull outright and is its witness.  Only a behavior that
-violates none goes on to a small equality-form LP, 36 joint-probability
-cells plus normalization against 81 nonnegative weights, whose solution is
-the local model.
+cells.  ``lhv_feasible`` decides in three steps, cheapest proof first.  A
+violated facet excludes the behavior from the hull outright and is its
+witness.  A behavior that violates none is offered one diagonally scaled
+projection of the product of its marginals onto the cells; nonnegative
+weights that reproduce the 37 equations within FEASIBILITY_TOL prove it
+local.  Only when that fails does it go on to a small equality-form LP, 36
+joint-probability cells plus normalization against 81 nonnegative weights,
+whose solution is the local model or whose residual proves there is none.
 
 This oracle is deliberately independent of the trace-distance criterion in
 the certification module; agreement between the two is a cross-check, not a
@@ -176,14 +179,18 @@ class LhvResult(NamedTuple):
     """Verdict of the local-model search.
 
     ``weights`` is the mixture over ``enumerate_strategies()`` order when one
-    exists, else None.  When a facet decided the verdict, ``facet`` is its row
-    in ``facet_table()``, the witness ``lhv_feasible`` picks, and
+    exists, else None: nonnegative, and reproducing the cells and the
+    normalization within FEASIBILITY_TOL in L1.  When the projection found
+    it, it is an interior point that may weight all 81 strategies and moves
+    continuously with the cells; when the LP did, it is a vertex with at
+    most 25.  When a facet decided the verdict, ``facet`` is its row in
+    ``facet_table()``, the witness ``lhv_feasible`` picks, and
     ``max_violation`` its violation, ``coefficients[facet] @ cells -
     bounds[facet]``, with the cells of each table divided by its sum; that is
     within FEASIBILITY_TOL of the largest violation of any facet.  Otherwise
-    ``facet`` is None and the LP decided: ``max_violation`` is the largest
-    equation residual at the solution when feasible, and the minimized L1
-    infeasibility when not.
+    ``facet`` is None: ``max_violation`` is the largest equation residual of
+    the weights when feasible, and the LP's minimized L1 infeasibility when
+    not.
     """
 
     feasible: bool
@@ -196,7 +203,7 @@ def lhv_feasible(behavior: Behavior) -> LhvResult:
     """Decide whether any mixture of deterministic strategies reproduces the
     behavior.
 
-    Both checks read the cells of each table divided by its own sum, as
+    Every step reads the cells of each table divided by its own sum, as
     ``behavior_from_state`` divides by the trace: a table may miss 1 by up
     to NORMALIZATION_TOL, far more than the FEASIBILITY_TOL the facets and
     the LP allow, so slack that is admitted is not read as nonlocality.
@@ -209,9 +216,12 @@ def lhv_feasible(behavior: Behavior) -> LhvResult:
     between them.  This is sound for any behavior, signalling or not, since a
     valid inequality holds on every mixture of the strategies.
     Otherwise every one of the 36 cells is constrained, redundancies
-    included, plus the normalization of the weights; feasibility at
-    FEASIBILITY_TOL then certifies a local realistic model for the behavior,
-    and infeasibility certifies that none exists.
+    included, plus the normalization of the weights.  One scaled projection
+    proposes weights; if, clipped to nonnegative, they meet that system
+    within FEASIBILITY_TOL in L1, the bar at which the LP reports feasible,
+    they are the local model.  Otherwise the LP decides: feasibility at
+    FEASIBILITY_TOL certifies a local realistic model for the behavior, and
+    infeasibility certifies that none exists.
 
     Raises
     ------
@@ -236,11 +246,46 @@ def lhv_feasible(behavior: Behavior) -> LhvResult:
         )
     matrix = strategy_constraint_matrix()
     rhs = np.concatenate([cells, [1.0]])
-    result = solve_feasibility_lp(matrix, rhs)
-    if not result.feasible:
-        return LhvResult(feasible=False, weights=None, max_violation=result.residual)
-    violation = float(np.max(np.abs(matrix @ result.solution - rhs)))
-    return LhvResult(feasible=True, weights=result.solution, max_violation=violation)
+    weights = _projected_model(matrix, rhs)
+    if weights is None:
+        result = solve_feasibility_lp(matrix, rhs)
+        if not result.feasible:
+            return LhvResult(feasible=False, weights=None, max_violation=result.residual)
+        # Pivot round-off can leave a basic weight a few ulps below zero.
+        weights = np.maximum(result.solution, 0.0)
+    violation = float(np.max(np.abs(matrix @ weights - rhs)))
+    return LhvResult(feasible=True, weights=weights, max_violation=violation)
+
+
+def _projected_model(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """Nonnegative weights with ``matrix @ weights`` within FEASIBILITY_TOL
+    of ``rhs`` in L1, or None when one scaled projection finds none.
+
+    The start ``q`` is the product of the parties' outcome marginals, each
+    setting's read from the cells in ``rhs`` and averaged over the other
+    party's two settings.  One affine-scaling step (Dikin 1967) moves it onto
+    the cells: ``w = q + q * (A.T @ y)`` with ``(A diag(q) A.T + s I) y =
+    rhs - A q``, where ``s = 4 * 37 * eps * tr(A diag(q) A.T)`` is the
+    density gate's shift form and keeps the rank-deficient system solvable.
+    Round-off negatives are clipped to zero; a clearly negative weight then
+    leaves a residual beyond FEASIBILITY_TOL.
+    """
+    tables = rhs[:-1].reshape(2, 2, 3, 3)
+    alice = tables.sum(axis=(1, 3)) / 2.0
+    bob = tables.sum(axis=(0, 2)) / 2.0
+    start = np.einsum("i,j,k,l->ijkl", alice[0], alice[1], bob[0], bob[1]).reshape(-1)
+    scaled = matrix * start
+    normal = scaled @ matrix.T
+    normal.flat[:: len(rhs) + 1] += 4 * len(rhs) * np.finfo(float).eps * np.trace(normal)
+    try:
+        step = np.linalg.solve(normal, rhs - matrix @ start)
+    except np.linalg.LinAlgError:
+        return None
+    weights = np.maximum(start + step @ scaled, 0.0)
+    # Written so that a NaN residual fails too.
+    if not np.abs(matrix @ weights - rhs).sum() <= FEASIBILITY_TOL:
+        return None
+    return weights
 
 
 __all__ = [

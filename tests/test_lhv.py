@@ -14,6 +14,7 @@ from hardycert import (
     maximally_mixed,
     pure_density,
 )
+import hardycert.lhv as lhv
 import hardycert.simplex as simplex
 from hardycert.errors import InvalidStateError, MalformedBehaviorError
 from hardycert.lhv import (
@@ -296,7 +297,8 @@ def test_normalization_slack_is_not_nonlocality(scale):
     white = behavior_from_state(maximally_mixed(2, 2), hardy_observables(fixture_state()))
     for behavior in separable_behaviors(10) + [white]:
         assert lhv_feasible(behavior).feasible
-        # A local verdict there also has facet None and the bare LP's weights.
+        # A local verdict there also has facet None, agrees with the bare LP
+        # and carries weights that reproduce the divided cells.
         assert lp_checked_verdict(Behavior(tables=behavior.tables * scale))
 
 
@@ -311,7 +313,8 @@ def test_lhv_pivot_path_is_pinned(monkeypatch):
     # Pivot counts under greatest improvement (Bland's rule alone walked
     # 17, 48 and 41).  A local case stops once no artificial mass is left.
     # The benchmark's tracer counts simplex.pivots by wrapping this same
-    # module attribute.
+    # module attribute.  The local cases' pivots are pinned on the bare LP,
+    # since lhv_feasible certifies one of them with no LP at all.
     pivots = 0
     step = simplex._pivot
 
@@ -340,13 +343,91 @@ def test_lhv_pivot_path_is_pinned(monkeypatch):
     result = lhv_feasible(nonlocal_behavior)
     assert not result.feasible and result.facet is not None
     assert pivots == 0
-    # Local behaviors violate no facet and still go through the simplex.
-    cases = [(mixture(0.6), 9), (random_separable(2, 2, np.random.default_rng(0)).matrix, 9)]
-    for matrix, count in cases:
+    # Local behaviors violate no facet, and the LP on each system walks 9
+    # pivots.  The projection certifies the separable one with none; at
+    # p = 0.6 its most negative weight is -0.012, so lhv_feasible falls back
+    # to that same LP.
+    separable = random_separable(2, 2, np.random.default_rng(0)).matrix
+    for matrix, count, fallback in ((mixture(0.6), 9, True), (separable, 9, False)):
+        local = behavior(matrix)
         pivots = 0
-        result = lhv_feasible(behavior(matrix))
-        assert result.feasible and result.facet is None
+        rhs = np.concatenate([local.tables.reshape(-1), [1.0]])
+        assert simplex.solve_feasibility_lp(strategy_constraint_matrix(), rhs).feasible
         assert pivots == count
+        pivots = 0
+        result = lhv_feasible(local)
+        assert result.feasible and result.facet is None
+        assert pivots == (count if fallback else 0)
+
+
+def counted_lp(monkeypatch) -> list[int]:
+    """Counts lhv_feasible's calls to the LP: the one-entry list's value."""
+    calls = [0]
+    solve = lhv.solve_feasibility_lp
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(lhv, "solve_feasibility_lp", counted)
+    return calls
+
+
+def seeded_separable_behaviors(count: int) -> list[Behavior]:
+    """Behaviors of seeded separable states at 2x2 to 4x4."""
+    rng = np.random.default_rng(67)
+    behaviors = []
+    for _ in range(count):
+        d1, d2 = (int(d) for d in rng.integers(2, 5, size=2))
+        obs = hardy_observables(random_hardy_state(rng, d1=d1, d2=d2))
+        behaviors.append(behavior_from_state(random_separable(d1, d2, rng), obs))
+    return behaviors
+
+
+def test_projection_certifies_most_separable_behaviors(monkeypatch):
+    # The scaled projection proves locality before the simplex; every model
+    # it returns is one the bare LP agrees exists.  About 97% need no LP.
+    calls = counted_lp(monkeypatch)
+    behaviors = seeded_separable_behaviors(120)
+    projected = 0
+    for behavior in behaviors:
+        before = calls[0]
+        result = lhv_feasible(behavior)
+        assert result.feasible and result.facet is None
+        if calls[0] == before:
+            projected += 1
+            assert lp_checked_verdict(behavior)
+    assert projected >= 0.9 * len(behaviors)
+
+
+def test_projected_weights_are_stable_under_last_bit_changes(monkeypatch):
+    # Projected weights are a fixed continuous function of the cells, so a
+    # last-bit change moves them by round-off, not to another vertex.
+    calls = counted_lp(monkeypatch)
+    compared = 0
+    for behavior in seeded_separable_behaviors(120):
+        result = lhv_feasible(behavior)
+        if calls[0]:
+            calls[0] = 0
+            continue
+        for scale in (1.0 + 2.0**-52, 1.0 - 2.0**-52):
+            moved = lhv_feasible(Behavior(tables=behavior.tables * scale))
+            assert calls[0] == 0
+            assert np.max(np.abs(moved.weights - result.weights)) <= 1e-12
+        compared += 1
+    assert compared >= 108
+
+
+def test_projection_falls_back_to_the_lp_on_a_vertex_mixture(monkeypatch):
+    # The even mixture of "all +1" and "all -1" is local, but its product
+    # start spreads weight over 16 strategies and one projected step cannot
+    # pull it back onto two: the projection fails and the LP finds the model.
+    calls = counted_lp(monkeypatch)
+    cells = strategy_constraint_matrix()[:36, [0, 80]].mean(axis=1)
+    result = lhv_feasible(Behavior(tables=cells.reshape(2, 2, 3, 3)))
+    assert calls[0] == 1
+    assert result.feasible and result.facet is None
+    assert np.flatnonzero(result.weights).tolist() == [0, 80]
 
 
 # ---------------------------------------------------------------- the facets
@@ -427,9 +508,15 @@ def lp_checked_verdict(behavior: Behavior) -> bool:
     result = lhv_feasible(behavior)
     assert result.feasible is reference.feasible
     if result.feasible:
-        # Local verdicts are the LP's own, bit for bit.
+        # A local verdict is a model that checks without the LP: whether the
+        # projection or the simplex found it, it meets the LP's own bar.
         assert result.facet is None
-        assert np.array_equal(result.weights, reference.solution)
+        matrix, rhs = strategy_constraint_matrix(), np.append(cells, 1.0)
+        residuals = np.abs(matrix @ result.weights - rhs)
+        assert np.all(result.weights >= 0.0)
+        assert abs(result.weights.sum() - 1.0) <= FEASIBILITY_TOL
+        assert residuals.sum() <= FEASIBILITY_TOL
+        assert result.max_violation == residuals.max()
     elif result.facet is not None:
         # The witness recomputes from the table alone.
         table = facet_table()
@@ -524,13 +611,16 @@ def test_facet_verdict_matches_lp_along_no_signaling_directions():
 
 
 def test_signaling_behavior_is_never_feasible():
-    # Alice's outcome follows Bob's setting.
-    tables = np.zeros((2, 2, 3, 3))
-    tables[:, 0, 0, 0] = tables[:, 1, 2, 0] = 1.0
-    assert not lhv_feasible(Behavior(tables=tables)).feasible
-    # Independent random tables signal almost surely.
+    # Alice's outcome follows Bob's setting; independent random tables signal
+    # almost surely.  No mixture of strategies signals, so the projection's
+    # residual check alone rejects every one of them, whether a facet or the
+    # LP then decides the verdict.
+    first = np.zeros((2, 2, 3, 3))
+    first[:, 0, 0, 0] = first[:, 1, 2, 0] = 1.0
     rng = np.random.default_rng(74)
-    for _ in range(20):
-        tables = rng.dirichlet(np.ones(9), size=4).reshape(2, 2, 3, 3)
+    random = [rng.dirichlet(np.ones(9), size=4).reshape(2, 2, 3, 3) for _ in range(20)]
+    matrix = strategy_constraint_matrix()
+    for tables in [first] + random:
+        assert lhv._projected_model(matrix, np.append(tables, 1.0)) is None
         result = lhv_feasible(Behavior(tables=tables))
         assert not result.feasible and result.weights is None
