@@ -25,12 +25,12 @@ from .lhv import Behavior
 from .observables import (
     HardyPair,
     HardyProbabilityTable,
+    _best_pair,
     behavior_from_state,
     build_bases,
     build_observables,
-    find_hardy_pair,
 )
-from .states import DensityOperator, SchmidtForm, StateVector, schmidt_decompose
+from .states import DensityOperator, StateVector, _fix_gauge, _schmidt_svd
 
 #: A margin must exceed this to count as a certification; anything closer to
 #: zero is numerically indistinguishable from the boundary.
@@ -53,9 +53,11 @@ class CertificationReport:
     NONLOCAL_CERTIFIED exactly when the margin clears CERTIFICATION_TOL.
     ``behavior`` holds all 36 joint probabilities of ``sigma`` on the
     candidate's observables; it is computed once, on first read of
-    ``behavior`` or ``table``, since the verdict needs none of it.  ``pair``
-    and ``behavior`` are None when the candidate has no admissible weight
-    pair (verdict NOT_HARDY), in which case ``a`` is reported as 0.
+    ``behavior`` or ``table``, since the verdict needs none of it.  That
+    first read also fixes the gauge of the candidate's Schmidt vectors
+    (``schmidt_decompose``'s gauge, on the SVD ``certify`` already ran).
+    ``pair`` and ``behavior`` are None when the candidate has no admissible
+    weight pair (verdict NOT_HARDY), in which case ``a`` is reported as 0.
     """
 
     epsilon: float
@@ -63,9 +65,10 @@ class CertificationReport:
     margin: float
     verdict: Verdict
     pair: HardyPair | None
-    #: The validated state and the candidate's Schmidt form that ``behavior``
-    #: is measured from; None for a NOT_HARDY candidate.
-    _measured: tuple[DensityOperator, SchmidtForm] | None = field(
+    #: The validated state and the candidate's SVD triple (left vectors,
+    #: kept weights, right vectors) that ``behavior`` is measured from; None
+    #: for a NOT_HARDY candidate.
+    _measured: tuple[DensityOperator, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -75,8 +78,8 @@ class CertificationReport:
         observables, computed on first read and kept."""
         if self.pair is None:
             return None
-        sigma, sf = self._measured
-        obs = build_observables(build_bases(sf, self.pair), sigma.d1, sigma.d2)
+        sigma, svd = self._measured
+        obs = build_observables(build_bases(_fix_gauge(*svd), self.pair), sigma.d1, sigma.d2)
         return behavior_from_state(sigma, obs)
 
     @property
@@ -101,7 +104,7 @@ def _trace_distance(difference: np.ndarray) -> float:
     Both operands are validated states (or a state and a unit vector's
     projector), so the difference needs no Hermiticity check of its own.
     """
-    return min(0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(difference)))), 1.0)
+    return min(0.5 * float(np.abs(np.linalg.eigvalsh(difference)).sum()), 1.0)
 
 
 def _unit(state: DensityOperator) -> np.ndarray:
@@ -128,19 +131,21 @@ def trace_distance(s1: DensityOperator, s2: DensityOperator) -> float:
 def certify(sigma: DensityOperator, candidate: StateVector) -> CertificationReport:
     """Run the criterion for ``sigma`` against a candidate pure state.
 
-    Schmidt-decomposes the candidate, selects the weight pair maximizing the
-    parameter ``a`` (``find_hardy_pair`` says which pairs are admissible),
-    measures epsilon as the trace distance from ``sigma`` to the candidate's
-    projector, and compares ``6 * epsilon`` against ``a``.  Both epsilon and
-    ``a`` are taken for the unit-normalised state and candidate.  The joint
-    probabilities of ``sigma`` on the constructed observables, for inspection
-    and for the local-model search, are evaluated once, on first read of
-    ``report.behavior`` or ``report.table``.
+    Takes the candidate's Schmidt weights from one SVD, selects the weight
+    pair maximizing the parameter ``a`` (``find_hardy_pair`` says which pairs
+    are admissible), measures epsilon as the trace distance from ``sigma`` to
+    the candidate's projector, and compares ``6 * epsilon`` against ``a``.
+    Both epsilon and ``a`` are taken for the unit-normalised state and
+    candidate.  The verdict reads only the weights: the Schmidt vectors'
+    gauge, and the joint probabilities of ``sigma`` on the constructed
+    observables, for inspection and for the local-model search, are
+    evaluated once, on first read of ``report.behavior`` or ``report.table``,
+    from the same SVD.
     """
     _check_dims("state", sigma, "candidate", candidate)
     epsilon = _trace_distance(_unit(sigma) - candidate.projector())
-    sf = schmidt_decompose(candidate)
-    pair = find_hardy_pair(sf)
+    svd = _schmidt_svd(candidate)
+    pair = _best_pair(svd[1])
     if pair is None:
         return CertificationReport(
             epsilon=epsilon,
@@ -157,7 +162,7 @@ def certify(sigma: DensityOperator, candidate: StateVector) -> CertificationRepo
         margin=margin,
         verdict=verdict,
         pair=pair,
-        _measured=(sigma, sf),
+        _measured=(sigma, svd),
     )
 
 
@@ -213,7 +218,7 @@ def noise_threshold(psi: StateVector, noise: DensityOperator) -> NoiseThresholdR
         The candidate has no admissible pair of distinct Schmidt weights.
     """
     _check_dims("candidate", psi, "noise", noise)
-    pair = find_hardy_pair(schmidt_decompose(psi))
+    pair = _best_pair(_schmidt_svd(psi)[1])
     if pair is None:
         raise NotHardyError("candidate state has no admissible pair of distinct Schmidt weights")
     d_noise = _trace_distance(_unit(noise) - psi.projector())

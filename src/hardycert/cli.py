@@ -235,7 +235,13 @@ def cmd_noise_threshold(args: argparse.Namespace) -> dict:
     inputs: dict = {}
     psi = _load_pure(args, "state", inputs)
     noise = _load_density(args, "noise", inputs)
-    return _payload("noise-threshold", inputs, dataclasses.asdict(noise_threshold(psi, noise)))
+    try:
+        report = noise_threshold(psi, noise)
+    except NotHardyError:
+        raise NotHardyError(
+            f"state file {args.state} has no admissible pair of distinct Schmidt weights"
+        ) from None
+    return _payload("noise-threshold", inputs, dataclasses.asdict(report))
 
 
 def cmd_lhv_check(args: argparse.Namespace) -> dict:

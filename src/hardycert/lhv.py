@@ -47,6 +47,9 @@ OUTCOMES = (1, 0, -1)
 #: Probabilities within this window outside [0, 1] are clipped to the boundary.
 PROBABILITY_CLIP = 1e-12
 
+#: The machine epsilon, read once for the projection's shift.
+_EPS = float(np.finfo(float).eps)
+
 #: Behaviors whose tables fail to normalize within this are rejected outright.
 NORMALIZATION_TOL = 1e-6
 
@@ -66,14 +69,14 @@ class Behavior:
 
     def __post_init__(self) -> None:
         raw = np.asarray(self.tables)
-        if np.iscomplexobj(raw) and np.any(raw.imag):
+        if np.iscomplexobj(raw) and raw.imag.any():
             raise InvalidStateError("behavior entries must be real")
         tables = np.array(raw.real, dtype=float)
         if tables.shape != (2, 2, 3, 3):
             raise InvalidStateError(f"behavior tables must have shape (2, 2, 3, 3), got {tables.shape}")
-        if not np.all(np.isfinite(tables)):
+        if not np.isfinite(tables).all():
             raise InvalidStateError("behavior entries must be finite")
-        if np.any(tables < -PROBABILITY_CLIP) or np.any(tables > 1.0 + PROBABILITY_CLIP):
+        if (tables < -PROBABILITY_CLIP).any() or (tables > 1.0 + PROBABILITY_CLIP).any():
             raise InvalidStateError("behavior entries must lie in [0, 1]")
         tables.setflags(write=False)
         object.__setattr__(self, "tables", tables)
@@ -276,7 +279,7 @@ def _projected_model(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     start = np.einsum("i,j,k,l->ijkl", alice[0], alice[1], bob[0], bob[1]).reshape(-1)
     scaled = matrix * start
     normal = scaled @ matrix.T
-    normal.flat[:: len(rhs) + 1] += 4 * len(rhs) * np.finfo(float).eps * np.trace(normal)
+    normal.flat[:: len(rhs) + 1] += 4 * len(rhs) * _EPS * np.trace(normal)
     try:
         step = np.linalg.solve(normal, rhs - matrix @ start)
     except np.linalg.LinAlgError:

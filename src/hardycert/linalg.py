@@ -1,4 +1,4 @@
-"""The Hermiticity defect of a dense complex matrix.
+"""The Hermitian part of a dense complex matrix, with its Hermiticity defect.
 
 Every density matrix is checked by the one gate in ``states``, which uses
 this; the trace distance in ``certification`` is taken on differences of
@@ -10,11 +10,23 @@ from __future__ import annotations
 import numpy as np
 
 
+def hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(m + m^H) / 2`` and the largest entrywise deviation between ``m``
+    and ``m^H``, both from one adjoint ``m^H``.
+
+    Finite entries near the largest float can overflow either result.  That
+    gives an infinite defect or infinite entries, silently: the caller
+    refuses them with an error of its own rather than a numpy warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        adjoint = m.conj().T
+        defect = float(np.abs(m - adjoint).max()) if m.size else 0.0
+        return (m + adjoint) / 2.0, defect
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation between ``m`` and its conjugate transpose."""
-    if m.size == 0:
-        return 0.0
-    return float(np.max(np.abs(m - m.conj().T)))
+    return hermitian_part(m)[1]
 
 
-__all__ = ["hermiticity_defect"]
+__all__ = ["hermitian_part", "hermiticity_defect"]

@@ -44,6 +44,14 @@ def _check_weights(p1: float, p2: float) -> None:
         raise NonPositiveWeightError(f"weights must be positive and finite, got ({p1}, {p2})")
 
 
+def _parameter_a(p1: float, p2: float) -> float:
+    """``hardy_parameter_a`` for weights already known to be positive."""
+    if p1 == p2:
+        return 0.0
+    denom = p1 * p1 + p2 * p2 - p1 * p2
+    return (p1 * p1) * (p2 * p2) * (p1 - p2) ** 2 / (denom * denom)
+
+
 def hardy_parameter_a(p1: float, p2: float) -> float:
     """Closed form of the single nonzero probability in the designated table.
 
@@ -51,10 +59,7 @@ def hardy_parameter_a(p1: float, p2: float) -> float:
     equal-weight states certify nothing.
     """
     _check_weights(p1, p2)
-    if p1 == p2:
-        return 0.0
-    denom = p1 * p1 + p2 * p2 - p1 * p2
-    return (p1 * p1) * (p2 * p2) * (p1 - p2) ** 2 / (denom * denom)
+    return _parameter_a(p1, p2)
 
 
 @dataclass(frozen=True)
@@ -83,18 +88,29 @@ def find_hardy_pair(sf: SchmidtForm) -> HardyPair | None:
     and only invite round-off trouble.  Returns None when no admissible pair
     exists (the state is not usable for this construction).
     """
-    weights = sf.weights
-    best: HardyPair | None = None
-    for j in range(weights.size):
-        for i in range(j + 1, weights.size):
-            p2 = float(weights[j])
-            p1 = float(weights[i])
-            if p1 <= PAIR_FLOOR or p2 - p1 <= PAIR_FLOOR:
-                continue
-            value = hardy_parameter_a(p1, p2)
-            if best is None or value > best.a:
-                best = HardyPair(index_small=i, index_large=j, p1=p1, p2=p2, a=value)
-    return best
+    return _best_pair(sf.weights)
+
+
+def _best_pair(weights: np.ndarray) -> HardyPair | None:
+    """``find_hardy_pair`` on a Schmidt form's weights alone.
+
+    An admissible pair's weights are both above ``PAIR_FLOOR`` and differ,
+    so ``a`` is taken without ``hardy_parameter_a``'s checks and is
+    positive.  Of pairs with equal ``a`` the first in the walk wins.
+    """
+    values = weights.tolist()
+    best_a, best = 0.0, None
+    for j, p2 in enumerate(values):
+        for i in range(j + 1, len(values)):
+            p1 = values[i]
+            if p1 > PAIR_FLOOR and p2 - p1 > PAIR_FLOOR:
+                value = _parameter_a(p1, p2)
+                if value > best_a:
+                    best_a, best = value, (i, j)
+    if best is None:
+        return None
+    i, j = best
+    return HardyPair(index_small=i, index_large=j, p1=values[i], p2=values[j], a=best_a)
 
 
 def build_rotations(p1: float, p2: float) -> tuple[np.ndarray, np.ndarray]:

@@ -76,7 +76,7 @@ def solve_feasibility_lp(constraint_matrix, rhs) -> FeasibilityResult:
         raise DimensionMismatchError(
             f"rhs length {b.size} does not match {a.shape[0]} constraint rows"
         )
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("constraint data must be finite")
 
     m, n = a.shape
@@ -138,7 +138,7 @@ def solve_feasibility_lp(constraint_matrix, rhs) -> FeasibilityResult:
 
 def _real(data) -> np.ndarray:
     raw = np.asarray(data)
-    if np.iscomplexobj(raw) and np.any(raw.imag):
+    if np.iscomplexobj(raw) and raw.imag.any():
         raise ValueError("constraint data must be real")
     return np.asarray(raw.real, dtype=float)
 

@@ -20,7 +20,8 @@ its readers do.  A state is its validated matrix and keeps no spectrum;
 The Schmidt decomposition is one SVD of the amplitude coefficient matrix, in
 a fixed phase gauge: each pair of Schmidt vectors is only defined up to
 (u e^{i phi}, v e^{-i phi}), and the measurements built from them depend on
-that choice.
+that choice.  It runs as two steps, ``_schmidt_svd`` and ``_fix_gauge``,
+because a verdict reads only the weights of the first.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     NotPositiveError,
     NotUnitTraceError,
 )
-from .linalg import hermiticity_defect
+from .linalg import hermitian_part
 
 #: Allowed deviation from 1 of a state's trace: a state vector's squared norm
 #: and a ``DensityOperator``'s trace.
@@ -49,6 +50,10 @@ STATE_TOL = 1e-9
 #: far above SVD round-off (about 1e-16) and below ``observables.PAIR_FLOOR``,
 #: so no weight that a pair may use is dropped.
 WEIGHT_FLOOR = 1e-12
+
+#: The gate's round-off constants, read once rather than per state.
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _check_subsystem_dims(d1, d2) -> None:
@@ -85,7 +90,7 @@ class StateVector:
             raise DimensionMismatchError(
                 f"{amps.size} amplitudes do not fill dims ({self.d1}, {self.d2})"
             )
-        if not np.all(np.isfinite(amps)):
+        if not np.isfinite(amps).all():
             raise InvalidStateError("amplitudes must be finite")
         norm_sq = float(np.vdot(amps, amps).real)
         if abs(norm_sq - 1.0) > STATE_TOL:
@@ -97,14 +102,15 @@ class StateVector:
 
     def projector(self) -> np.ndarray:
         """Rank-one density matrix |psi><psi| / <psi|psi>, made exactly
-        Hermitian (the complex products of ``np.outer`` can miss by an ulp).
+        Hermitian (the complex products of the outer product can miss by an
+        ulp).
 
         Dividing by the squared norm gives it unit trace: a certificate
         measured against an unnormalised projector could gain up to
         ``STATE_TOL`` of margin that the unit vector does not have.
         """
         amps = self.amplitudes
-        outer = np.outer(amps, amps.conj())
+        outer = amps[:, None] * amps.conj()
         return (outer + outer.conj().T) / (2.0 * np.vdot(amps, amps).real)
 
     def coefficient_matrix(self) -> np.ndarray:
@@ -127,8 +133,10 @@ def _gate(matrix, d1: int, d2: int, tol: float) -> np.ndarray:
     """The density gate at ``tol``: the matrix to store.
 
     The entries are checked first: dims, shape, finite entries, Hermiticity
-    and a positive trace within ``tol`` of 1.  Positivity comes next, from
-    the cheapest proof that holds:
+    and a positive trace within ``tol`` of 1.  One adjoint of the matrix,
+    taken by ``linalg.hermitian_part``, gives both the Hermiticity defect and
+    the Hermitian part that every later step reads and the gate stores.
+    Positivity comes next, from the cheapest proof that holds:
 
     - One Cholesky factorisation of the Hermitian part minus ``s I``, with
       ``s = 4 (D + 1) eps tr`` (D = d1 d2, eps the machine epsilon, tr the
@@ -153,7 +161,7 @@ def _gate(matrix, d1: int, d2: int, tol: float) -> np.ndarray:
 
     The entries were finite, but forming the Hermitian part can overflow; the
     solvers would then return NaNs or fail to converge, so it is refused
-    first.
+    first, with no numpy warning.
 
     Raises
     ------
@@ -172,24 +180,22 @@ def _gate(matrix, d1: int, d2: int, tol: float) -> np.ndarray:
         raise DimensionMismatchError(
             f"matrix shape {mat.shape} does not match dims ({d1}, {d2})"
         )
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise InvalidStateError("matrix entries must be finite")
-    defect = hermiticity_defect(mat)
+    sym, defect = hermitian_part(mat)
     if defect > tol:
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol}")
-    sym = (mat + mat.conj().T) / 2.0
-    trace = float(np.trace(sym).real)
+    trace = float(sym.trace().real)
     off_unit = abs(trace - 1.0) > tol
     if off_unit or trace <= 0.0:
         # A tol of 1 or more admits a trace <= 0, which no renormalisation repairs.
         expected = f"1 within {tol}" if off_unit else "positive"
         raise NotUnitTraceError(f"trace {trace!r} is not {expected}")
-    if not np.all(np.isfinite(sym)):
+    if not np.isfinite(sym).all():
         raise InvalidStateError("matrix entries overflow the floating-point range")
-    finfo = np.finfo(float)
     # sym - s I: the shift above, taken off the diagonal of a copy.
     shifted = sym.copy()
-    shifted.reshape(-1)[:: dim + 1] -= 4.0 * (dim + 1) * finfo.eps * trace + finfo.tiny
+    shifted.reshape(-1)[:: dim + 1] -= 4.0 * (dim + 1) * _EPS * trace + _TINY
     try:
         # No upper=: numpy 1.24 lacks it, and the factor is not read.
         np.linalg.cholesky(shifted)
@@ -203,7 +209,7 @@ def _gate(matrix, d1: int, d2: int, tol: float) -> np.ndarray:
         values, vectors = np.linalg.eigh(sym)
         # An eigenvalue clipped to zero comes back from eigvalsh a few ulps
         # either side of it; clipped to 4 D ulps, it comes back positive.
-        floor = 4 * dim * finfo.eps
+        floor = 4 * dim * _EPS
         clipped = (vectors * np.clip(values, floor, None)) @ vectors.conj().T
         clipped /= float(np.trace(clipped).real)
         sym = (clipped + clipped.conj().T) / 2.0
@@ -311,9 +317,9 @@ class SchmidtForm:
         weights = np.array(self.weights, dtype=float)
         if weights.ndim != 1 or weights.size == 0:
             raise InvalidStateError("weights must be a non-empty 1-D array")
-        if not np.all(weights > 0.0):  # NaN fails it too
+        if not (weights > 0.0).all():  # NaN fails it too
             raise InvalidStateError("Schmidt weights must be strictly positive")
-        if np.any(np.diff(weights) > 0.0):
+        if (np.diff(weights) > 0.0).any():
             raise InvalidStateError("Schmidt weights must be sorted in descending order")
         if abs(float(np.sum(weights**2)) - 1.0) > STATE_TOL:
             raise InvalidStateError("squared Schmidt weights must sum to 1")
@@ -332,6 +338,31 @@ class SchmidtForm:
         return coeff.reshape(-1)
 
 
+def _schmidt_svd(psi: StateVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``schmidt_decompose`` up to its gauge: the columns of ``U``, the kept,
+    normalised, read-only weights and the rows of ``V^H``, in the solver's
+    phases.  A verdict reads only the weights."""
+    left, weights, right_h = np.linalg.svd(psi.coefficient_matrix(), full_matrices=False)
+    rank = np.count_nonzero(weights > WEIGHT_FLOOR)
+    kept = weights[:rank]
+    kept = kept / math.sqrt(kept.dot(kept))
+    kept.setflags(write=False)
+    return left[:, :rank], kept, right_h[:rank]
+
+
+def _fix_gauge(left: np.ndarray, weights: np.ndarray, right_h: np.ndarray) -> SchmidtForm:
+    """The Schmidt form of one ``_schmidt_svd`` triple, in
+    ``schmidt_decompose``'s gauge."""
+    pivots = left[np.argmax(np.abs(left), axis=0), np.arange(weights.size)]
+    phases = pivots.conj() / np.abs(pivots)
+    return _unchecked(
+        SchmidtForm,
+        weights=weights,
+        left_basis=left * phases,
+        right_basis=right_h.T * phases.conj(),
+    )
+
+
 def schmidt_decompose(psi: StateVector) -> SchmidtForm:
     """Schmidt-decompose a bipartite pure state.
 
@@ -347,26 +378,15 @@ def schmidt_decompose(psi: StateVector) -> SchmidtForm:
     conjugate phase.  The weights, ``a`` and epsilon do not depend on this
     choice, but the measurements built from the bases, and so a state's
     36-cell behavior and the local-model LP, do; the gauge pins them.
+    ``certify`` and ``noise_threshold`` run the SVD alone, and ``certify``
+    fixes the gauge only when a behavior is read.
 
     The form is built without ``SchmidtForm``'s checks: a validated state's
     largest weight is near 1, the SVD sorts the weights in descending order,
-    and the kept ones are positive and normalised here.  Its weights are
-    made read-only, as the constructor makes them.
+    and the kept ones are positive and normalised.  Its weights are
+    read-only, as the constructor makes them.
     """
-    left, weights, right_h = np.linalg.svd(psi.coefficient_matrix(), full_matrices=False)
-    rank = np.count_nonzero(weights > WEIGHT_FLOOR)
-    left = left[:, :rank]
-    pivots = left[np.argmax(np.abs(left), axis=0), np.arange(rank)]
-    phases = pivots.conj() / np.abs(pivots)
-    kept = weights[:rank]
-    kept = kept / np.linalg.norm(kept)
-    kept.setflags(write=False)
-    return _unchecked(
-        SchmidtForm,
-        weights=kept,
-        left_basis=left * phases,
-        right_basis=right_h[:rank].T * phases.conj(),
-    )
+    return _fix_gauge(*_schmidt_svd(psi))
 
 
 __all__ = [

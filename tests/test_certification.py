@@ -21,7 +21,7 @@ from hardycert import (
     trace_distance,
     validate_density,
 )
-from hardycert import certification
+from hardycert import certification, states
 from hardycert.certification import CERTIFICATION_TOL
 from hardycert.errors import DimensionMismatchError, NotHardyError
 from hardycert.observables import PAIR_FLOOR, HardyProbabilityTable
@@ -255,14 +255,77 @@ def test_certify_measures_the_behavior_only_when_read(read, monkeypatch):
     assert calls == dict.fromkeys(MEASUREMENT_STEPS, 1)
 
 
+#: The Schmidt gauge step and the public SVD-plus-gauge that runs it.
+GAUGE_STEPS = ("_fix_gauge", "schmidt_decompose")
+
+
+def count_gauge_steps(monkeypatch) -> Counter:
+    """Calls of each gauge step, by every name the criterion's module and
+    the states module look it up by."""
+    calls: Counter = Counter()
+    for module in (states, certification):
+        for name in GAUGE_STEPS:
+            if not hasattr(module, name):
+                continue
+
+            def counted(*args, _name=name, _step=getattr(module, name)):
+                calls[_name] += 1
+                return _step(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("read", ["behavior", "table"])
+def test_verdicts_fix_no_gauge_until_the_behavior_is_read(read, monkeypatch):
+    # A verdict reads only the Schmidt weights; the gauge-fixed vectors are
+    # built from the same SVD on the first read of the behavior, once.
+    sigma, psi = certified_mixture(np.random.default_rng(51), d1=3, d2=5)
+    calls = count_gauge_steps(monkeypatch)
+    report = certify(sigma, psi)
+    assert report.verdict is Verdict.NONLOCAL_CERTIFIED
+    noise_threshold(psi, maximally_mixed(3, 5))
+    assert sum(calls.values()) == 0
+    getattr(report, read)
+    report.behavior, report.table
+    assert calls == {"_fix_gauge": 1}
+
+
+def equal_weight_state(rng: np.random.Generator, d1: int, d2: int) -> StateVector:
+    """A maximally entangled state in Haar-random local bases: no pair."""
+    rank = min(d1, d2)
+    weights = np.full(rank, 1.0 / np.sqrt(rank))
+    return assemble_pure_state(weights, haar_unitary(d1, rng), haar_unitary(d2, rng), d1, d2)
+
+
 @pytest.mark.parametrize("d1, d2", [(2, 2), (3, 5), (8, 8)])
 def test_lazy_behavior_is_the_eager_one_bit_for_bit(d1, d2):
+    # The verdict's numbers and the lazy behavior are those of the eager
+    # chain schmidt_decompose, find_hardy_pair, build_bases,
+    # build_observables, behavior_from_state, for a certified, a noisy and
+    # an equal-weight (NotHardy) candidate.
     rng = np.random.default_rng([50, d1, d2])
     certified = certified_mixture(rng, d1=d1, d2=d2)
     noisy = (random_density(d1, d2, rng), random_hardy_state(rng, d1=d1, d2=d2))
-    for sigma, psi in (certified, noisy):
+    not_hardy = (random_density(d1, d2, rng), equal_weight_state(rng, d1, d2))
+    for sigma, psi in (certified, noisy, not_hardy):
         report = certify(sigma, psi)
-        obs = build_observables(build_bases(schmidt_decompose(psi), report.pair), d1, d2)
+        sf = schmidt_decompose(psi)
+        pair = find_hardy_pair(sf)
+        unit = sigma.matrix / np.trace(sigma.matrix).real
+        epsilon = min(0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(unit - psi.projector())))), 1.0)
+        assert report.epsilon == epsilon
+        assert report.pair == pair
+        if pair is None:
+            assert report.verdict is Verdict.NOT_HARDY
+            assert (report.a, report.margin) == (0.0, -6.0 * epsilon)
+            assert report.behavior is None and report.table is None
+            with pytest.raises(NotHardyError):
+                noise_threshold(psi, sigma)
+            continue
+        assert (report.a, report.margin) == (pair.a, pair.a - 6.0 * epsilon)
+        assert noise_threshold(psi, sigma).a == pair.a
+        obs = build_observables(build_bases(sf, pair), d1, d2)
         eager = behavior_from_state(sigma, obs)
         assert np.array_equal(report.behavior.tables, eager.tables)
         assert report.table == HardyProbabilityTable.from_behavior(eager.tables)

@@ -368,7 +368,10 @@ def test_noise_threshold_bell_fails(tmp_path, capsys):
         ["noise-threshold", "--state", str(bell), "--noise", str(mix)], capsys
     )
     assert code == 2
-    assert "error:" in err
+    # The error line names the file whose state has no pair, as lhv-check
+    # names its candidate file.
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"state file {bell} has no admissible pair" in err
 
 
 # ----------------------------------------------------------------- lhv-check

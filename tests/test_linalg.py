@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hardycert import DensityOperator, maximally_mixed, trace_distance, validate_density
-from hardycert.errors import NotHermitianError
-from hardycert.linalg import hermiticity_defect
+from hardycert.errors import InvalidStateError, NotHermitianError
+from hardycert.linalg import hermitian_part, hermiticity_defect
 from hardycert.states import STATE_TOL, _gate
 
 
@@ -49,3 +49,52 @@ def test_trace_norm_rejects_non_hermitian():
         assert np.max(np.abs(rho.matrix - nearly)) <= 1e-12
         assert trace_distance(rho, maximally_mixed(1, 2)) == pytest.approx(0.0, abs=1e-12)
         assert trace_distance(rho, rho) == 0.0
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 1), (2, 2), (3, 5), (8, 8)])
+def test_gate_stores_the_hermitian_part_of_one_adjoint(d1, d2):
+    # Within-tolerance non-Hermitian inputs, some of whose mirrored entries
+    # carry signed zeros: the stored matrix is (m + m^H) / 2 and the defect
+    # max|m - m^H|, bit for bit, signs of zero included.  The gate passes at
+    # a tolerance equal to the defect and refuses one ulp below it.
+    rng = np.random.default_rng([60, d1, d2])
+    dim = d1 * d2
+    signed_zeros = 0
+    for _ in range(5):
+        ginibre = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = ginibre @ ginibre.conj().T
+        m = 0.1 * rho / np.trace(rho).real + 0.9 * np.eye(dim) / dim
+        noise = 1e-11 * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        noise.real[np.diag_indices(dim)] = 0.0
+        m = m + noise
+        for i, j in zip(*np.nonzero(np.triu(rng.random((dim, dim)) < 0.3, k=1))):
+            m.real[i, j] = m.real[j, i] = -0.0
+            m.imag[i, j], m.imag[j, i] = -0.0, 0.0
+        sym = (m + m.conj().T) / 2
+        defect = float(np.max(np.abs(m - m.conj().T)))
+        signed_zeros += int(np.signbit(sym.real[sym.real == 0.0]).sum())
+        part, measured = hermitian_part(m)
+        assert part.tobytes() == sym.tobytes() and measured == defect
+        assert hermiticity_defect(m) == defect
+        assert _gate(m, d1, d2, STATE_TOL).tobytes() == sym.tobytes()
+        assert _gate(m, d1, d2, defect).tobytes() == sym.tobytes()
+        with pytest.raises(NotHermitianError, match=f"defect {defect:.3e} exceeds"):
+            _gate(m, d1, d2, np.nextafter(defect, 0.0))
+    assert dim == 1 or signed_zeros > 0
+
+
+def test_overflowing_entries_are_refused_without_a_warning():
+    # Finite entries whose Hermitian part, or whose defect, overflows: the
+    # gate refuses them with its own error and numpy warns of nothing (the
+    # suite turns a RuntimeWarning into a failure).
+    hermitian = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    hermitian[0, 2] = hermitian[2, 0] = 1.5e308
+    with pytest.raises(InvalidStateError, match="overflow"):
+        _gate(hermitian, 2, 2, STATE_TOL)
+    skewed = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    skewed[0, 1], skewed[1, 0] = 1.5e308, 1e308
+    with pytest.raises(NotHermitianError, match="defect 5.000e\\+307"):
+        _gate(skewed, 2, 2, STATE_TOL)
+    skewed[1, 0] = -1.5e308
+    with pytest.raises(NotHermitianError, match="defect inf"):
+        _gate(skewed, 2, 2, STATE_TOL)

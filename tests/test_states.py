@@ -23,11 +23,13 @@ from hardycert import (
 from hardycert.errors import (
     DimensionMismatchError,
     InvalidStateError,
+    NonPositiveWeightError,
     NotHermitianError,
     NotPositiveError,
     NotUnitTraceError,
 )
 from hardycert.io import parse_state_dict, state_to_dict
+from hardycert.observables import PAIR_FLOOR, HardyPair
 from hardycert.states import STATE_TOL, WEIGHT_FLOOR, SchmidtForm
 from support import (
     assemble_pure_state,
@@ -656,6 +658,47 @@ def test_find_hardy_pair_screens_tiny_weights():
     )
     assert tiny > WEIGHT_FLOOR
     assert find_hardy_pair(sf) is None
+
+
+def reference_pair(weights: np.ndarray) -> HardyPair | None:
+    """The pair search as a loop of checked ``hardy_parameter_a`` calls:
+    the admissible pair of largest ``a``, the first of equal ones."""
+    best = None
+    for j in range(weights.size):
+        for i in range(j + 1, weights.size):
+            p2, p1 = float(weights[j]), float(weights[i])
+            if p1 <= PAIR_FLOOR or p2 - p1 <= PAIR_FLOOR:
+                continue
+            value = hardy_parameter_a(p1, p2)
+            if best is None or value > best.a:
+                best = HardyPair(index_small=i, index_large=j, p1=p1, p2=p2, a=value)
+    return best
+
+
+def test_find_hardy_pair_is_the_checked_reference_loop():
+    # Weights drawn from three levels tie exactly; some sit 1e-9 above a
+    # level, inside the pair floor; the last is at, or an ulp above, the
+    # pair floor itself.
+    rng = np.random.default_rng(27)
+    found = 0
+    for trial in range(300):
+        count = int(rng.integers(1, 8))
+        raw = rng.choice(rng.uniform(0.05, 1.0, size=3), size=count)
+        raw[rng.random(count) < 0.3] += 1e-9
+        raw = np.sort(raw)[::-1]
+        last = (PAIR_FLOOR, np.nextafter(PAIR_FLOOR, 1.0), 0.0)[trial % 3]
+        weights = raw / np.linalg.norm(raw) * np.sqrt(1.0 - last**2)
+        if last:
+            weights = np.append(weights, last)
+        sf = SchmidtForm(weights=weights, left_basis=np.eye(weights.size), right_basis=np.eye(weights.size))
+        pair = find_hardy_pair(sf)
+        assert pair == reference_pair(sf.weights)
+        found += pair is not None
+    assert 0 < found < 300
+    # The unchecked formula behind the search leaves the public one checked.
+    for weights in ((0.0, 0.5), (np.nan, 0.5), (np.inf, 0.5)):
+        with pytest.raises(NonPositiveWeightError):
+            hardy_parameter_a(*weights)
 
 
 def test_pair_values_invariant_under_global_phase_and_relabeling():
