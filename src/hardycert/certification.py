@@ -15,6 +15,7 @@ only: a non-positive margin decides nothing.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -30,7 +31,7 @@ from .observables import (
     build_bases,
     build_observables,
 )
-from .states import DensityOperator, StateVector, _fix_gauge, _schmidt_svd
+from .states import _EPS, DensityOperator, StateVector, _fix_gauge, _schmidt_svd
 
 #: A margin must exceed this to count as a certification; anything closer to
 #: zero is numerically indistinguishable from the boundary.
@@ -102,7 +103,8 @@ def _trace_distance(difference: np.ndarray) -> float:
     """Half the trace norm of a Hermitian difference of two states, in [0, 1].
 
     Both operands are validated states (or a state and a unit vector's
-    projector), so the difference needs no Hermiticity check of its own.
+    outer product, of which ``eigvalsh`` reads only the lower triangle), so
+    the difference needs no Hermiticity check of its own.
     """
     return min(0.5 * float(np.abs(np.linalg.eigvalsh(difference)).sum()), 1.0)
 
@@ -116,6 +118,33 @@ def _unit(state: DensityOperator) -> np.ndarray:
     ``CERTIFICATION_TOL``.
     """
     return state.matrix / state.matrix.trace().real
+
+
+def _candidate_distance(unit: np.ndarray, psi: StateVector) -> float:
+    """Trace distance from a unit-trace state to a candidate's unit vector.
+
+    With v the unit vector, ``f = <v|unit|v>`` and ``r = unit v - f v``, the
+    distance lies in ``[1 - f, 1 - f + |r|]``.  The lower end is the
+    Fuchs-van de Graaf bound (IEEE Trans. Inf. Theory 45, 1216 (1999)).  The
+    upper end holds because ``unit - r v^H - v r^H`` has v as an exact
+    eigenvector, and that perturbation has trace norm ``2 |r|``.  When
+    ``|r|`` is at most the density gate's shift at unit trace,
+    ``4 (D + 1) eps``, v is an eigenvector up to round-off and the upper end
+    is returned, clipped to [0, 1], from this one matrix-vector product: the
+    top eigenvector, white noise and a white-noise mixture against its own
+    candidate take no eigensolve.  Any other candidate pays one ``eigvalsh``
+    of ``unit - v v^H``; it reads only the lower triangle, so the outer
+    product needs no symmetrising.
+    """
+    amps = psi.amplitudes
+    v = amps / math.sqrt(np.vdot(amps, amps).real)
+    w = unit @ v
+    f = float(np.vdot(v, w).real)
+    r = w - f * v
+    r_norm = math.sqrt(np.vdot(r, r).real)
+    if r_norm <= 4.0 * (v.size + 1) * _EPS:
+        return min(max(1.0 - f + r_norm, 0.0), 1.0)
+    return _trace_distance(unit - v[:, None] * v.conj())
 
 
 def trace_distance(s1: DensityOperator, s2: DensityOperator) -> float:
@@ -140,10 +169,12 @@ def certify(sigma: DensityOperator, candidate: StateVector) -> CertificationRepo
     gauge, and the joint probabilities of ``sigma`` on the constructed
     observables, for inspection and for the local-model search, are
     evaluated once, on first read of ``report.behavior`` or ``report.table``,
-    from the same SVD.
+    from the same SVD.  A candidate that is an eigenvector of ``sigma``, such
+    as ``top_eigenvector``'s, gets epsilon from one matrix-vector product
+    (``_candidate_distance``); any other pays one ``eigvalsh``.
     """
     _check_dims("state", sigma, "candidate", candidate)
-    epsilon = _trace_distance(_unit(sigma) - candidate.projector())
+    epsilon = _candidate_distance(_unit(sigma), candidate)
     svd = _schmidt_svd(candidate)
     pair = _best_pair(svd[1])
     if pair is None:
@@ -210,7 +241,10 @@ def noise_threshold(psi: StateVector, noise: DensityOperator) -> NoiseThresholdR
         p_star = max(0, 1 - a / (6 * d_noise)),
 
     with p_star = 0 whenever the bare noise operator already lies inside the
-    certified neighborhood (including noise = |psi><psi| itself).
+    certified neighborhood (including noise = |psi><psi| itself).  Against
+    noise that has psi as an eigenvector, white noise and psi's own
+    projector among them, d_noise comes from one matrix-vector product
+    (``_candidate_distance``) and no eigensolve.
 
     Raises
     ------
@@ -221,7 +255,7 @@ def noise_threshold(psi: StateVector, noise: DensityOperator) -> NoiseThresholdR
     pair = _best_pair(_schmidt_svd(psi)[1])
     if pair is None:
         raise NotHardyError("candidate state has no admissible pair of distinct Schmidt weights")
-    d_noise = _trace_distance(_unit(noise) - psi.projector())
+    d_noise = _candidate_distance(_unit(noise), psi)
     if 6.0 * d_noise <= pair.a:
         p_star = 0.0
     else:

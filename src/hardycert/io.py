@@ -145,6 +145,8 @@ def load_state_file(
         # UTF-8 with universal newlines, as text-mode reading gives, so JSON
         # error positions count a CRLF file's line ends as one character.
         data = json.loads(TextIOWrapper(BytesIO(raw), encoding="utf-8").read())
+    except UnicodeDecodeError as exc:
+        raise StateFileError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise StateFileError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError:

@@ -24,9 +24,4 @@ def hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:
         return (m + adjoint) / 2.0, defect
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation between ``m`` and its conjugate transpose."""
-    return hermitian_part(m)[1]
-
-
-__all__ = ["hermitian_part", "hermiticity_defect"]
+__all__ = ["hermitian_part"]

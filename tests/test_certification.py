@@ -34,6 +34,7 @@ from support import (
     random_density,
     random_hardy_state,
     random_projector,
+    random_state_vector,
 )
 
 
@@ -109,6 +110,109 @@ def test_trace_distance_dominates_projector_gaps():
         proj = random_projector(d1 * d2, rng)
         gap = abs(np.trace(proj @ s1.matrix).real - np.trace(proj @ s2.matrix).real)
         assert gap <= trace_distance(s1, s2) + 1e-10
+
+
+# ------------------------------------------------------- candidate distance
+
+#: Seeded subsystem dimensions of the distance properties, 2x2 to 8x8.
+DISTANCE_DIMS = [(2, 2), (2, 3), (3, 3), (4, 4), (8, 8)]
+
+
+def distance_pad(dim: int) -> float:
+    """The density gate's shift at unit trace, ``4 (D + 1) eps``."""
+    return 4.0 * (dim + 1) * np.finfo(float).eps
+
+
+def bracket(sigma: DensityOperator, psi: StateVector) -> tuple[float, float]:
+    """``(1 - f, 1 - f + |r|)`` for the unit state and candidate v, with
+    ``f = <v|sigma|v>`` and ``r = sigma v - f v``."""
+    unit = sigma.matrix / np.trace(sigma.matrix).real
+    v = psi.amplitudes / np.linalg.norm(psi.amplitudes)
+    w = unit @ v
+    f = np.vdot(v, w).real
+    return 1.0 - f, 1.0 - f + np.linalg.norm(w - f * v)
+
+
+def count_spectra(monkeypatch) -> list:
+    """Shapes of the matrices ``eigvalsh`` sees from here on."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.shape) or eigvalsh(a))
+    return seen
+
+
+@pytest.mark.parametrize("d1, d2", DISTANCE_DIMS)
+def test_eigvalsh_distance_lies_in_the_bracket(d1, d2):
+    # Fuchs-van de Graaf below, the rank-two perturbation that makes v an
+    # eigenvector above, for candidates that are no eigenvector of sigma.
+    rng = np.random.default_rng([60, d1, d2])
+    pad = distance_pad(d1 * d2)
+    for _ in range(10):
+        sigma = random_density(d1, d2, rng, rank=int(rng.integers(1, d1 * d2 + 1)))
+        top = candidate_from_state(sigma).amplitudes
+        near = top + 1e-6 * random_state_vector(d1, d2, rng).amplitudes
+        candidates = [
+            random_state_vector(d1, d2, rng),
+            random_hardy_state(rng, d1=d1, d2=d2),
+            StateVector(d1, d2, near / np.linalg.norm(near)),
+        ]
+        for sigma, psi in [(sigma, psi) for psi in candidates] + [certified_mixture(rng, d1, d2)]:
+            low, high = bracket(sigma, psi)
+            exact = trace_distance(sigma, pure_density(psi))
+            epsilon = certify(sigma, psi).epsilon
+            assert low - pad <= exact <= high + pad
+            assert low - pad <= epsilon <= high + pad
+            assert 0.0 <= epsilon <= 1.0
+
+
+@pytest.mark.parametrize("d1, d2", DISTANCE_DIMS)
+def test_eigenvector_candidates_take_no_spectrum(d1, d2, monkeypatch):
+    # The top eigenvector, white noise, a white-noise mixture with its own
+    # candidate and a candidate's own projector: v is an eigenvector up to
+    # round-off, and the distance is the bracket's upper end.
+    rng = np.random.default_rng([61, d1, d2])
+    dim = d1 * d2
+    pad = distance_pad(dim)
+    white = maximally_mixed(d1, d2)
+    cases = []
+    for _ in range(5):
+        sigma = random_density(d1, d2, rng)
+        psi = random_hardy_state(rng, d1=d1, d2=d2)
+        p = float(rng.uniform(0.0, 1.0))
+        mixture = validate_density(p * psi.projector() + (1.0 - p) * np.eye(dim) / dim, d1, d2)
+        cases += [
+            (lambda s=sigma: certify(s, candidate_from_state(s)).epsilon,
+             lambda s=sigma: trace_distance(s, pure_density(candidate_from_state(s)))),
+            (lambda psi=psi: noise_threshold(psi, white).d_noise,
+             lambda psi=psi: trace_distance(white, pure_density(psi))),
+            (lambda psi=psi: certify(white, psi).epsilon,
+             lambda psi=psi: trace_distance(white, pure_density(psi))),
+            (lambda m=mixture, psi=psi: certify(m, psi).epsilon,
+             lambda m=mixture, psi=psi: trace_distance(m, pure_density(psi))),
+            (lambda m=mixture, psi=psi: noise_threshold(psi, m).d_noise,
+             lambda m=mixture, psi=psi: trace_distance(m, pure_density(psi))),
+            (lambda psi=psi: noise_threshold(psi, pure_density(psi)).d_noise, lambda: 0.0),
+        ]
+    references = [reference() for _, reference in cases]
+    spectra = count_spectra(monkeypatch)
+    values = [value() for value, _ in cases]
+    assert spectra == []
+    for value, reference in zip(values, references):
+        assert 0.0 <= value <= 1.0
+        assert abs(value - reference) <= pad
+
+
+def test_candidate_distance_stays_in_the_unit_interval():
+    # Round-off can put 1 - f + |r| a few ulps outside [0, 1] at both ends:
+    # a candidate's own projector and an orthogonal one.
+    rng = np.random.default_rng(62)
+    for d1, d2 in DISTANCE_DIMS * 4:
+        pad = distance_pad(d1 * d2)
+        basis = haar_unitary(d1 * d2, rng)
+        psi, phi = StateVector(d1, d2, basis[:, 0]), StateVector(d1, d2, basis[:, 1])
+        assert 0.0 <= certify(pure_density(psi), psi).epsilon <= pad
+        assert 1.0 - pad <= certify(pure_density(phi), psi).epsilon <= 1.0
+        assert 0.0 <= certify(random_density(d1, d2, rng), psi).epsilon <= 1.0
 
 
 # ----------------------------------------------------------------- certify
@@ -312,8 +416,12 @@ def test_lazy_behavior_is_the_eager_one_bit_for_bit(d1, d2):
         report = certify(sigma, psi)
         sf = schmidt_decompose(psi)
         pair = find_hardy_pair(sf)
+        # None of these candidates is an eigenvector of its state, so
+        # epsilon is the eigvalsh distance to the unit candidate's v v^H.
         unit = sigma.matrix / np.trace(sigma.matrix).real
-        epsilon = min(0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(unit - psi.projector())))), 1.0)
+        v = psi.amplitudes / np.sqrt(np.vdot(psi.amplitudes, psi.amplitudes).real)
+        difference = unit - np.outer(v, v.conj())
+        epsilon = min(0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(difference)))), 1.0)
         assert report.epsilon == epsilon
         assert report.pair == pair
         if pair is None:

@@ -237,6 +237,20 @@ def test_certify_malformed_json(tmp_path, capsys):
         assert out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("role", ["state", "candidate"])
+def test_file_that_is_not_utf8_is_named(role, tmp_path, capsys):
+    # Undecodable bytes used to exit with the codec's message alone, which
+    # does not say which of the two files is bad.
+    good = gen(tmp_path, "good.json", "hardy")
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    files = {"state": good, "candidate": good, role: bad}
+    argv = ["certify", "--state", str(files["state"]), "--candidate", str(files["candidate"])]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: not UTF-8 text (") and err.count("\n") == 1
+
+
 def test_certify_rejects_json_booleans(tmp_path, capsys):
     # Booleans used to parse as the numbers 1 and 0, giving a 1x2 state.
     path = tmp_path / "bool.json"

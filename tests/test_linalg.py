@@ -3,7 +3,7 @@ import pytest
 
 from hardycert import DensityOperator, maximally_mixed, trace_distance, validate_density
 from hardycert.errors import InvalidStateError, NotHermitianError
-from hardycert.linalg import hermitian_part, hermiticity_defect
+from hardycert.linalg import hermitian_part
 from hardycert.states import STATE_TOL, _gate
 
 
@@ -15,7 +15,7 @@ def test_hermitian_eig_rejects_non_hermitian(monkeypatch):
     # Hermitian part.  It is positive definite, so the Cholesky proof
     # suffices and no spectrum is solved.
     nearly = np.eye(2) / 2.0 + np.array([[0.0, 1e-12], [0.0, 0.0]])
-    assert hermiticity_defect(nearly) == pytest.approx(1e-12, rel=1e-9)
+    assert hermitian_part(nearly)[1] == pytest.approx(1e-12, rel=1e-9)
     solved = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a) or eigvalsh(a))
@@ -75,7 +75,7 @@ def test_gate_stores_the_hermitian_part_of_one_adjoint(d1, d2):
         signed_zeros += int(np.signbit(sym.real[sym.real == 0.0]).sum())
         part, measured = hermitian_part(m)
         assert part.tobytes() == sym.tobytes() and measured == defect
-        assert hermiticity_defect(m) == defect
+        assert hermitian_part(m)[1] == defect
         assert _gate(m, d1, d2, STATE_TOL).tobytes() == sym.tobytes()
         assert _gate(m, d1, d2, defect).tobytes() == sym.tobytes()
         with pytest.raises(NotHermitianError, match=f"defect {defect:.3e} exceeds"):

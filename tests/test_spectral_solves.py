@@ -1,8 +1,9 @@
 """Solves per command: a positive-definite state is proved a state by one
 Cholesky factorisation and no eigensolve, a repair pays for the eigensolves
 it reads, white noise and a pure state's projector pay for none,
-eigenvectors are computed only where they are read, and the candidate's
-Schmidt form is one SVD.
+eigenvectors are computed only where they are read, the distance to a
+candidate that is an eigenvector of the state needs no spectrum, and the
+candidate's Schmidt form is one SVD.
 
 ``numpy.linalg.cholesky``, ``eigh`` (eigenvalues and eigenvectors),
 ``eigvalsh`` (eigenvalues only) and ``svd`` are wrapped to record the shape
@@ -42,8 +43,10 @@ def solves(monkeypatch):
 def files(tmp_path):
     sigma, psi = certified_mixture(np.random.default_rng(5), d1=D1, d2=D2)
     product = StateVector(D1, D2, np.eye(DIM)[0])
-    paths = {name: tmp_path / f"{name}.json" for name in ("state", "candidate", "product")}
-    for name, state in (("state", sigma), ("candidate", psi), ("product", product)):
+    white = maximally_mixed(D1, D2)
+    states = {"state": sigma, "candidate": psi, "product": product, "white": white}
+    paths = {name: tmp_path / f"{name}.json" for name in states}
+    for name, state in states.items():
         paths[name].write_text(json.dumps(state_to_dict(state)))
     return paths
 
@@ -70,20 +73,23 @@ def test_explicit_candidate_needs_no_eigenvectors_of_sigma(files, solves, capsys
 @pytest.mark.parametrize(
     "argv, spectra, eigenvectors",
     [
-        (["certify", "--state", "state"], 1, 1),
+        (["certify", "--state", "state"], 0, 1),
         (["certify", "--state", "state", "--candidate", "candidate"], 1, 0),
         (["lhv-check", "--state", "state", "--candidate", "candidate"], 1, 0),
         (["noise-threshold", "--state", "candidate", "--noise", "state"], 1, 0),
+        (["noise-threshold", "--state", "candidate", "--noise", "white"], 0, 0),
     ],
-    ids=["certify", "certify-candidate", "lhv-check", "noise-threshold"],
+    ids=["certify", "certify-candidate", "lhv-check", "noise-threshold", "noise-threshold-white"],
 )
-def test_each_command_pays_two_spectra(argv, spectra, eigenvectors, files, solves, capsys):
-    # The full-rank mixed file is proved a state by one Cholesky and no
-    # spectrum.  Every command solves one spectrum, of sigma - |psi><psi|
-    # for the trace distance; only certify without a candidate solves
-    # sigma's eigenvectors, whose one eigh gives the top eigenvector and the
-    # degeneracy gap.  The candidate's projector is never validated as a
-    # state of its own.
+def test_spectra_each_command_solves(argv, spectra, eigenvectors, files, solves, capsys):
+    """Every full-rank mixed file is proved a state by one Cholesky and no
+    spectrum.  The trace distance to a candidate that is an eigenvector of
+    the state, the top eigenvector or any vector against white noise, comes
+    from one matrix-vector product; any other candidate pays one spectrum of
+    sigma - |psi><psi|.  Only certify without a candidate solves sigma's
+    eigenvectors, whose one eigh gives the top eigenvector and the
+    degeneracy gap.  The candidate's projector is never validated as a state
+    of its own."""
     run([files.get(arg, arg) for arg in argv], capsys)
     assert solves["cholesky"] == [(DIM, DIM)]
     assert solves["eigvalsh"].count((DIM, DIM)) == spectra
