@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,14 +73,39 @@ class Behavior:
         if np.iscomplexobj(raw) and raw.imag.any():
             raise InvalidStateError("behavior entries must be real")
         tables = np.array(raw.real, dtype=float)
-        if tables.shape != (2, 2, 3, 3):
-            raise InvalidStateError(f"behavior tables must have shape (2, 2, 3, 3), got {tables.shape}")
-        if not np.isfinite(tables).all():
-            raise InvalidStateError("behavior entries must be finite")
-        if (tables < -PROBABILITY_CLIP).any() or (tables > 1.0 + PROBABILITY_CLIP).any():
-            raise InvalidStateError("behavior entries must lie in [0, 1]")
+        _check_tables(tables)
         tables.setflags(write=False)
         object.__setattr__(self, "tables", tables)
+
+
+def _check_tables(tables: np.ndarray) -> None:
+    """Refuse real tables whose shape is not (2, 2, 3, 3), or whose entries
+    are not finite or stray from [0, 1] by more than PROBABILITY_CLIP."""
+    if tables.shape != (2, 2, 3, 3):
+        raise InvalidStateError(f"behavior tables must have shape (2, 2, 3, 3), got {tables.shape}")
+    # min and max propagate NaN, so both are finite only when every entry is.
+    low, high = float(tables.min()), float(tables.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise InvalidStateError("behavior entries must be finite")
+    if low < -PROBABILITY_CLIP or high > 1.0 + PROBABILITY_CLIP:
+        raise InvalidStateError("behavior entries must lie in [0, 1]")
+
+
+def _checked_behavior(tables: np.ndarray) -> Behavior:
+    """A ``Behavior`` over a fresh real float array that no one else holds,
+    such as ``observables.behavior_from_state`` computes.
+
+    The constructor's shape, finiteness and range checks run, with its
+    messages; the realness check and the copy do not, as the array is real
+    and owned.  Entries within PROBABILITY_CLIP outside [0, 1] are then
+    clipped to the boundary, in place, and the array is made read-only.
+    """
+    _check_tables(tables)
+    np.clip(tables, 0.0, 1.0, out=tables)
+    tables.setflags(write=False)
+    behavior = object.__new__(Behavior)
+    object.__setattr__(behavior, "tables", tables)
+    return behavior
 
 
 def enumerate_strategies() -> list[tuple[int, int, int, int]]:
@@ -237,7 +263,12 @@ def lhv_feasible(behavior: Behavior) -> LhvResult:
         raise MalformedBehaviorError(
             f"table normalization off by {worst:.3e}, beyond {NORMALIZATION_TOL}"
         )
-    cells = (behavior.tables / sums[:, :, None, None]).reshape(-1)
+    # The cells go straight into the right-hand side of the 37 equations;
+    # its last entry is the normalization of the weights.
+    rhs = np.empty(37)
+    rhs[-1] = 1.0
+    cells = rhs[:-1]
+    np.divide(behavior.tables, sums[:, :, None, None], out=cells.reshape(2, 2, 3, 3))
     facets = facet_table()
     violations = facets.coefficients @ cells - facets.bounds
     largest = violations.max()
@@ -248,21 +279,24 @@ def lhv_feasible(behavior: Behavior) -> LhvResult:
             feasible=False, weights=None, max_violation=float(violations[facet]), facet=facet
         )
     matrix = strategy_constraint_matrix()
-    rhs = np.concatenate([cells, [1.0]])
-    weights = _projected_model(matrix, rhs)
-    if weights is None:
+    projected = _projected_model(matrix, rhs)
+    if projected is None:
         result = solve_feasibility_lp(matrix, rhs)
         if not result.feasible:
             return LhvResult(feasible=False, weights=None, max_violation=result.residual)
         # Pivot round-off can leave a basic weight a few ulps below zero.
         weights = np.maximum(result.solution, 0.0)
-    violation = float(np.max(np.abs(matrix @ weights - rhs)))
+        residual = matrix @ weights - rhs
+    else:
+        weights, residual = projected
+    violation = float(np.max(np.abs(residual)))
     return LhvResult(feasible=True, weights=weights, max_violation=violation)
 
 
-def _projected_model(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+def _projected_model(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Nonnegative weights with ``matrix @ weights`` within FEASIBILITY_TOL
-    of ``rhs`` in L1, or None when one scaled projection finds none.
+    of ``rhs`` in L1, with their residual ``matrix @ weights - rhs``, or
+    None when one scaled projection finds none.
 
     The start ``q`` is the product of the parties' outcome marginals, each
     setting's read from the cells in ``rhs`` and averaged over the other
@@ -276,19 +310,23 @@ def _projected_model(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     tables = rhs[:-1].reshape(2, 2, 3, 3)
     alice = tables.sum(axis=(1, 3)) / 2.0
     bob = tables.sum(axis=(0, 2)) / 2.0
-    start = np.einsum("i,j,k,l->ijkl", alice[0], alice[1], bob[0], bob[1]).reshape(-1)
+    # q[i, j, k, l] = alice[0, i] alice[1, j] bob[0, k] bob[1, l], as the
+    # outer product of each party's outer product.
+    alice_outer = (alice[0][:, None] * alice[1]).reshape(-1, 1)
+    start = (alice_outer * (bob[0][:, None] * bob[1]).reshape(-1)).reshape(-1)
     scaled = matrix * start
     normal = scaled @ matrix.T
-    normal.flat[:: len(rhs) + 1] += 4 * len(rhs) * _EPS * np.trace(normal)
+    normal.reshape(-1)[:: len(rhs) + 1] += 4 * len(rhs) * _EPS * normal.trace()
     try:
         step = np.linalg.solve(normal, rhs - matrix @ start)
     except np.linalg.LinAlgError:
         return None
     weights = np.maximum(start + step @ scaled, 0.0)
+    residual = matrix @ weights - rhs
     # Written so that a NaN residual fails too.
-    if not np.abs(matrix @ weights - rhs).sum() <= FEASIBILITY_TOL:
+    if not np.abs(residual).sum() <= FEASIBILITY_TOL:
         return None
-    return weights
+    return weights, residual
 
 
 __all__ = [

@@ -15,8 +15,8 @@ This module is the whole Hardy measurement, in three steps:
 ``find_hardy_pair`` picks the Schmidt pair that maximises ``a``,
 ``build_bases`` and ``build_observables`` turn it into projector stacks, and
 ``behavior_from_state`` reads a state's 36 cells on them.  It imports
-``states`` for the state types and ``lhv`` for the table axes and the
-``Behavior`` type; neither of them imports it back.
+``states`` for the state types and ``lhv`` for the ``Behavior`` type and
+its checked constructor; neither of them imports it back.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, NonPositiveWeightError
-from .lhv import PROBABILITY_CLIP, Behavior
+from .lhv import Behavior, _checked_behavior
 from .states import DensityOperator, SchmidtForm
 
 #: A weight pair is admissible when its smaller weight and its gap both exceed
@@ -155,7 +155,9 @@ def build_bases(sf: SchmidtForm, pair: HardyPair) -> tuple[np.ndarray, np.ndarra
     designated joint probabilities, which the test suite checks directly.
     """
     u, v = build_rotations(pair.p1, pair.p2)
-    rotations = np.stack([u, v @ u])
+    rotations = np.empty((2, 2, 2), dtype=complex)
+    rotations[0] = u
+    np.matmul(v, u, out=rotations[1])
     slots = [pair.index_small, pair.index_large]
     # Row k of a rotation holds the coefficients of the k-th new vector in
     # the Schmidt-pair basis, so the image vectors are the rows of R @ basis.T.
@@ -180,9 +182,14 @@ class HardyObservables(NamedTuple):
 
 
 def _projector_stack(vectors: np.ndarray, dim: int) -> np.ndarray:
-    rank_one = np.einsum("sai,saj->saij", vectors, vectors.conj())
-    zero = np.eye(dim) - rank_one.sum(axis=1)
-    stack = np.stack([rank_one[:, 0], zero, rank_one[:, 1]], axis=1)
+    """One party's ``(2, 3, dim, dim)`` stack, written in place: the +1 and
+    -1 projectors of each setting's vectors in outcome slots 0 and 2, and
+    the 0 projector, the identity less both, in slot 1."""
+    stack = np.empty((2, 3, dim, dim), dtype=complex)
+    np.multiply(vectors[:, :, :, None], vectors.conj()[:, :, None, :], out=stack[:, ::2])
+    zero = stack[:, 1]
+    np.add(stack[:, 0], stack[:, 2], out=zero)
+    np.subtract(np.eye(dim), zero, out=zero)
     stack.setflags(write=False)
     return stack
 
@@ -206,12 +213,17 @@ def behavior_from_state(sigma: DensityOperator, obs: HardyObservables) -> Behavi
     all 36 cells at once.  A state's trace may miss 1 by up to ``STATE_TOL``,
     and the facets and the LP read tables that sum to 1, so the cells are
     divided by it.  Values within PROBABILITY_CLIP outside [0, 1] are clipped
-    to the boundary against round-off overshoot.
+    to the boundary against round-off overshoot.  The behavior is built once,
+    on the one fresh array the division writes: ``Behavior``'s shape,
+    finiteness and range checks run on it, and no copy is made.
 
     Raises
     ------
     DimensionMismatchError
         The stacks' dims differ from the state's.
+    InvalidStateError
+        The stacks are not a measurement: their cells, as ``Behavior``
+        would refuse them.
     """
     alice, bob = obs
     d1, d2 = alice.shape[-1], bob.shape[-1]
@@ -223,10 +235,12 @@ def behavior_from_state(sigma: DensityOperator, obs: HardyObservables) -> Behavi
     # with R[(i,j),(m,n)] = rho[(j,n),(i,m)]: one bilinear form per cell.
     r = sigma.matrix.reshape(d1, d2, d1, d2).transpose(2, 0, 3, 1).reshape(d1 * d1, d2 * d2)
     cells = alice.reshape(-1, d1 * d1) @ r @ bob.reshape(-1, d2 * d2).T
-    cells = cells.real / np.trace(sigma.matrix).real
-    values = cells.reshape(alice.shape[:2] + bob.shape[:2]).transpose(0, 2, 1, 3)
-    clipped = np.clip(values, 0.0, 1.0)
-    return Behavior(tables=np.where(np.abs(values - clipped) <= PROBABILITY_CLIP, clipped, values))
+    values = cells.real.reshape(alice.shape[:2] + bob.shape[:2]).transpose(0, 2, 1, 3)
+    # Divided straight into a fresh array in table order: the one array the
+    # behavior keeps.
+    tables = np.empty(values.shape)
+    np.divide(values, np.trace(sigma.matrix).real, out=tables)
+    return _checked_behavior(tables)
 
 
 #: (alice setting, bob setting, alice outcome, bob outcome) indices into the

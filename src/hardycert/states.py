@@ -180,9 +180,13 @@ def _gate(matrix, d1: int, d2: int, tol: float) -> np.ndarray:
         raise DimensionMismatchError(
             f"matrix shape {mat.shape} does not match dims ({d1}, {d2})"
         )
-    if not np.isfinite(mat).all():
-        raise InvalidStateError("matrix entries must be finite")
     sym, defect = hermitian_part(mat)
+    # A non-finite entry leaves its Hermitian-part entry non-finite, so one
+    # pass over the Hermitian part clears the input too; only when it fails
+    # is the input read, to tell a non-finite entry from an overflow.
+    sym_finite = bool(np.isfinite(sym).all())
+    if not sym_finite and not np.isfinite(mat).all():
+        raise InvalidStateError("matrix entries must be finite")
     if defect > tol:
         raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol}")
     trace = float(sym.trace().real)
@@ -191,7 +195,7 @@ def _gate(matrix, d1: int, d2: int, tol: float) -> np.ndarray:
         # A tol of 1 or more admits a trace <= 0, which no renormalisation repairs.
         expected = f"1 within {tol}" if off_unit else "positive"
         raise NotUnitTraceError(f"trace {trace!r} is not {expected}")
-    if not np.isfinite(sym).all():
+    if not sym_finite:
         raise InvalidStateError("matrix entries overflow the floating-point range")
     # sym - s I: the shift above, taken off the diagonal of a copy.
     shifted = sym.copy()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from hardycert import (
     schmidt_decompose,
     validate_density,
 )
-from hardycert.errors import DimensionMismatchError, NonPositiveWeightError
-from hardycert.lhv import OUTCOMES
-from hardycert.observables import HardyProbabilityTable, build_rotations
+from hardycert.errors import DimensionMismatchError, InvalidStateError, NonPositiveWeightError
+from hardycert.lhv import OUTCOMES, PROBABILITY_CLIP, Behavior
+from hardycert.observables import HardyObservables, HardyProbabilityTable, build_rotations
+from hardycert.states import SchmidtForm
 from support import (
     A_FIXTURE,
     certified_mixture,
@@ -143,6 +145,24 @@ def test_build_bases_y_vectors_compose_rotations():
     assert np.max(np.abs(alice[1, 0] - expected)) < 1e-12
 
 
+def test_build_bases_rotates_by_build_rotations():
+    # Schmidt vectors that put the selected pair on the unit vectors make the
+    # bases the rotations themselves: u for x and v @ u for y, on each side,
+    # within an ulp of each real and imaginary part.
+    rng = np.random.default_rng(33)
+    swap = np.eye(2)[:, ::-1]
+    for _ in range(20):
+        p1, p2 = sorted(rng.uniform(0.05, 1.0, size=2))
+        norm = math.hypot(p1, p2)
+        sf = SchmidtForm(weights=[p2 / norm, p1 / norm], left_basis=swap, right_basis=swap)
+        pair = find_hardy_pair(sf)
+        u, v = build_rotations(pair.p1, pair.p2)
+        for side in build_bases(sf, pair):
+            for got, want in zip(side, (u, v @ u)):
+                for part in (np.real, np.imag):
+                    assert np.all(np.abs(part(got) - part(want)) <= np.spacing(np.abs(part(want))))
+
+
 # ------------------------------------------------------------- observables
 
 
@@ -243,6 +263,62 @@ def test_behavior_matches_kron_reference():
                     tables[0, 1, 1, 0],
                     tables[1, 1, 0, 0],
                 )
+
+
+def _unclipped_cells(sigma, obs) -> np.ndarray:
+    """The cells by the bilinear form ``behavior_from_state`` takes, in the
+    same operations and order, before any clip."""
+    alice, bob = obs
+    d1, d2 = alice.shape[-1], bob.shape[-1]
+    r = sigma.matrix.reshape(d1, d2, d1, d2).transpose(2, 0, 3, 1).reshape(d1 * d1, d2 * d2)
+    cells = alice.reshape(-1, d1 * d1) @ r @ bob.reshape(-1, d2 * d2).T
+    cells = cells.real / np.trace(sigma.matrix).real
+    return cells.reshape(alice.shape[:2] + bob.shape[:2]).transpose(0, 2, 1, 3)
+
+
+def test_behavior_from_state_is_the_public_constructor_bit_for_bit():
+    # behavior_from_state builds its Behavior without the constructor's copy
+    # and clips in place; the constructor, on the same cells clipped within
+    # PROBABILITY_CLIP of [0, 1], stores the same tables.  Pure states put
+    # round-off negatives on their zero cells, so the clip is exercised.
+    rng = np.random.default_rng(38)
+    clipped_any = False
+    for d1, d2 in ((2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (3, 5)):
+        for _ in range(3):
+            psi = random_hardy_state(rng, d1=d1, d2=d2)
+            obs = hardy_observables(psi)
+            for sigma in (pure_density(psi), random_density(d1, d2, rng)):
+                values = _unclipped_cells(sigma, obs)
+                clipped = np.clip(values, 0.0, 1.0)
+                clipped_any |= bool((values != clipped).any())
+                near = np.abs(values - clipped) <= PROBABILITY_CLIP
+                expected = Behavior(tables=np.where(near, clipped, values)).tables
+                assert np.array_equal(behavior_from_state(sigma, obs).tables, expected)
+    assert clipped_any
+
+
+def test_behavior_from_state_refuses_what_the_constructor_refuses():
+    # Stacks that are not a measurement: scaled up, negated, holding a NaN,
+    # or with two outcomes per setting.  Each raises the constructor's
+    # InvalidStateError, with its message, through behavior_from_state.
+    rng = np.random.default_rng(39)
+    psi = random_hardy_state(rng, d1=3, d2=3)
+    obs = hardy_observables(psi)
+    sigma = random_density(3, 3, rng)
+    holed = obs.alice.copy()
+    holed[0, 0, 0, 0] = np.nan
+    stacks = [
+        (2.0 * obs.alice, 10.0 * obs.bob),
+        (obs.alice, -obs.bob),
+        (holed, obs.bob),
+        (obs.alice[:, :2], obs.bob),
+    ]
+    for alice, bob in stacks:
+        bad = HardyObservables(alice=alice, bob=bob)
+        with pytest.raises(InvalidStateError) as public:
+            Behavior(tables=_unclipped_cells(sigma, bad))
+        with pytest.raises(InvalidStateError, match=re.escape(str(public.value))):
+            behavior_from_state(sigma, bad)
 
 
 # -------------------------------------------------------- probability table

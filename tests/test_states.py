@@ -261,6 +261,37 @@ def test_gate_refuses_entries_that_overflow():
         validate_density(matrix, 2, 2, tol=0.95)
 
 
+def test_gate_keeps_its_error_order_with_one_finiteness_pass():
+    # The gate reads the input's entries only when its Hermitian part holds
+    # a non-finite one.  A non-finite entry still raises its own error first,
+    # even where the matrix is also far from Hermitian or its trace is not
+    # finite, at any tolerance.
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 0.0)):
+        for cell in ((0, 1), (2, 2)):
+            matrix = np.eye(4, dtype=complex) / 4.0 + 0.3 * np.eye(4, k=1)
+            matrix[cell] = bad
+            for build in (
+                lambda: DensityOperator(d1=2, d2=2, matrix=matrix),
+                lambda: validate_density(matrix, 2, 2),
+                lambda: validate_density(matrix, 2, 2, tol=0.95),
+            ):
+                with pytest.raises(InvalidStateError, match="matrix entries must be finite"):
+                    build()
+    # Finite entries whose Hermitian part overflows still raise the overflow
+    # error, and only after the Hermiticity and trace checks.
+    matrix = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    matrix[0, 1] = matrix[1, 0] = 1.5e308
+    with pytest.raises(InvalidStateError, match="overflow"):
+        validate_density(matrix, 2, 2)
+    matrix[1, 0] = 1e308
+    with pytest.raises(NotHermitianError):
+        validate_density(matrix, 2, 2)
+    matrix[1, 0] = 1.5e308
+    matrix[1, 1] = 0.0
+    with pytest.raises(NotUnitTraceError):
+        validate_density(matrix, 2, 2)
+
+
 def test_constructor_and_validate_density_share_one_gate():
     # Inputs whose trace is within STATE_TOL of 1, every other one with a
     # round-off negative eigenvalue that the gate repairs.  Both entry points
