@@ -18,6 +18,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -217,8 +218,7 @@ def candidate_from_state(sigma: DensityOperator) -> StateVector:
     return top_eigenvector(sigma)[0]
 
 
-@dataclass(frozen=True)
-class NoiseThresholdReport:
+class NoiseThresholdReport(NamedTuple):
     """Critical mixing weight for p |psi><psi| + (1 - p) noise mixtures.
 
     Mixtures with p above ``p_star`` have strictly positive criterion margin;
@@ -232,19 +232,21 @@ class NoiseThresholdReport:
 
 
 def noise_threshold(psi: StateVector, noise: DensityOperator) -> NoiseThresholdReport:
-    """Critical mixing weight, in closed form.
+    """Critical mixing weight: ``certify(noise, psi)`` solved for p.
 
     The Hermitian difference between the mixture and the pure projector
     scales exactly linearly in (1 - p), so the distance obeys
-    D(sigma_p, psi) = (1 - p) * d_noise and the criterion boundary sits at
+    D(sigma_p, psi) = (1 - p) * d_noise, with ``d_noise`` the report's
+    epsilon, and the criterion boundary sits at
 
         p_star = max(0, 1 - a / (6 * d_noise)),
 
-    with p_star = 0 whenever the bare noise operator already lies inside the
-    certified neighborhood (including noise = |psi><psi| itself).  Against
-    noise that has psi as an eigenvector, white noise and psi's own
-    projector among them, d_noise comes from one matrix-vector product
-    (``_candidate_distance``) and no eigensolve.
+    with p_star = 0 whenever the report's margin is not negative: the bare
+    noise operator already lies inside the certified neighborhood
+    (including noise = |psi><psi| itself).  ``d_noise`` and ``a`` are
+    ``certify``'s own, so against noise that has psi as an eigenvector,
+    white noise and psi's own projector among them, d_noise takes no
+    eigensolve.
 
     Raises
     ------
@@ -252,15 +254,11 @@ def noise_threshold(psi: StateVector, noise: DensityOperator) -> NoiseThresholdR
         The candidate has no admissible pair of distinct Schmidt weights.
     """
     _check_dims("candidate", psi, "noise", noise)
-    pair = _best_pair(_schmidt_svd(psi)[1])
-    if pair is None:
+    report = certify(noise, psi)
+    if report.pair is None:
         raise NotHardyError("candidate state has no admissible pair of distinct Schmidt weights")
-    d_noise = _candidate_distance(_unit(noise), psi)
-    if 6.0 * d_noise <= pair.a:
-        p_star = 0.0
-    else:
-        p_star = 1.0 - pair.a / (6.0 * d_noise)
-    return NoiseThresholdReport(p_star=p_star, d_noise=d_noise, a=pair.a)
+    p_star = 0.0 if report.margin >= 0.0 else 1.0 - report.a / (6.0 * report.epsilon)
+    return NoiseThresholdReport(p_star=p_star, d_noise=report.epsilon, a=report.a)
 
 
 __all__ = [

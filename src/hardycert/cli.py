@@ -23,7 +23,6 @@ once and wraps it in the envelope of ``_payload``, with one ``{"path",
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -225,7 +224,7 @@ def cmd_certify(args: argparse.Namespace) -> dict:
     return _payload("certify", inputs, {
         **_criterion(report),
         "nonseparable": report.verdict is Verdict.NONLOCAL_CERTIFIED,
-        "pair": None if pair is None else dataclasses.asdict(pair),
+        "pair": None if pair is None else pair._asdict(),
         "table": None if table is None else table._asdict(),
         "candidate": source,
     })
@@ -241,7 +240,7 @@ def cmd_noise_threshold(args: argparse.Namespace) -> dict:
         raise NotHardyError(
             f"state file {args.state} has no admissible pair of distinct Schmidt weights"
         ) from None
-    return _payload("noise-threshold", inputs, dataclasses.asdict(report))
+    return _payload("noise-threshold", inputs, report._asdict())
 
 
 def cmd_lhv_check(args: argparse.Namespace) -> dict:

@@ -26,7 +26,8 @@ class NotPositiveError(InvalidStateError):
 
 
 class NonPositiveWeightError(HardycertError):
-    """Schmidt weights entering the measurement construction must be finite and > 0."""
+    """Schmidt weights entering the measurement construction must be > 0, at
+    most ``1 + STATE_TOL``, and not so small that its closed forms underflow."""
 
 
 class NotHardyError(HardycertError):

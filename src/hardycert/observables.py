@@ -22,14 +22,13 @@ its checked constructor; neither of them imports it back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NonPositiveWeightError
 from .lhv import Behavior, _checked_behavior
-from .states import DensityOperator, SchmidtForm
+from .states import STATE_TOL, DensityOperator, SchmidtForm
 
 #: A weight pair is admissible when its smaller weight and its gap both exceed
 #: this floor.  The floor loses no certificate: the denominator of
@@ -40,14 +39,19 @@ PAIR_FLOOR = 1e-8
 
 
 def _check_weights(p1: float, p2: float) -> None:
-    if not (0.0 < p1 < math.inf and 0.0 < p2 < math.inf):  # NaN fails it too
-        raise NonPositiveWeightError(f"weights must be positive and finite, got ({p1}, {p2})")
+    """Refuse a pair that the closed forms cannot take: a weight that is not
+    positive, or above ``1 + STATE_TOL`` (no accepted state has one), or two
+    weights so small that the squared denominator of ``hardy_parameter_a``
+    underflows to 0.  Any other pair gives finite values."""
+    if not (0.0 < p1 <= 1.0 + STATE_TOL and 0.0 < p2 <= 1.0 + STATE_TOL):  # NaN fails it too
+        raise NonPositiveWeightError(f"weights must lie in (0, 1 + {STATE_TOL}], got ({p1}, {p2})")
+    denom = p1 * p1 + p2 * p2 - p1 * p2
+    if denom * denom == 0.0:
+        raise NonPositiveWeightError(f"weights ({p1}, {p2}) are too small for the closed forms")
 
 
 def _parameter_a(p1: float, p2: float) -> float:
-    """``hardy_parameter_a`` for weights already known to be positive."""
-    if p1 == p2:
-        return 0.0
+    """``hardy_parameter_a`` for weights that pass ``_check_weights``."""
     denom = p1 * p1 + p2 * p2 - p1 * p2
     return (p1 * p1) * (p2 * p2) * (p1 - p2) ** 2 / (denom * denom)
 
@@ -62,8 +66,7 @@ def hardy_parameter_a(p1: float, p2: float) -> float:
     return _parameter_a(p1, p2)
 
 
-@dataclass(frozen=True)
-class HardyPair:
+class HardyPair(NamedTuple):
     """A selected pair of distinct Schmidt weights with its certification
     parameter.
 

@@ -518,6 +518,31 @@ def test_noise_threshold_boundary_spot_checks():
             assert (margin > 0) == expect_positive
 
 
+@pytest.mark.parametrize("d1, d2", [(2, 2), (3, 3), (3, 5), (4, 4), (8, 8)])
+def test_noise_threshold_is_certify_solved_for_p(d1, d2):
+    # The threshold is the criterion of certify(noise, psi) solved for the
+    # mixing weight: the same epsilon and a, bit for bit, and the same test.
+    rng = np.random.default_rng([52, d1, d2])
+    _, psi = certified_mixture(rng, d1=d1, d2=d2)
+    product = np.kron(random_projector(d1, rng, rank=1), random_projector(d2, rng, rank=1))
+    noises = [
+        maximally_mixed(d1, d2),
+        pure_density(psi),
+        validate_density(product, d1, d2),
+        random_density(d1, d2, rng),
+    ]
+    for noise in noises:
+        report, criterion = noise_threshold(psi, noise), certify(noise, psi)
+        eps, a = criterion.epsilon, criterion.a
+        assert report.d_noise == eps and report.a == a
+        assert report.p_star == (0.0 if 6.0 * eps <= a else 1.0 - a / (6.0 * eps))
+    not_hardy = equal_weight_state(rng, d1, d2)
+    with pytest.raises(NotHardyError, match="^candidate state has no admissible pair"):
+        noise_threshold(not_hardy, maximally_mixed(d1, d2))
+    with pytest.raises(DimensionMismatchError, match=rf"^candidate dims \({d1}, {d2}\) .* noise dims"):
+        noise_threshold(psi, maximally_mixed(d1 + 1, d2))
+
+
 def test_mixture_distance_is_linear_in_noise_weight():
     rng = np.random.default_rng(47)
     psi = fixture_state()

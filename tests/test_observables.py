@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hardycert import (
 from hardycert.errors import DimensionMismatchError, InvalidStateError, NonPositiveWeightError
 from hardycert.lhv import OUTCOMES, PROBABILITY_CLIP, Behavior
 from hardycert.observables import HardyObservables, HardyProbabilityTable, build_rotations
-from hardycert.states import SchmidtForm
+from hardycert.states import STATE_TOL, SchmidtForm
 from support import (
     A_FIXTURE,
     certified_mixture,
@@ -60,7 +61,20 @@ def test_hardy_parameter_maximum_identity():
     assert value == pytest.approx((5.0 * math.sqrt(5.0) - 11.0) / 2.0, abs=1e-12)
 
 
-BAD_WEIGHTS = [(0.0, 0.5), (0.5, -0.1), (math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5)]
+BAD_WEIGHTS = [
+    (0.0, 0.5),
+    (0.5, -0.1),
+    (math.nan, 0.5),
+    (0.5, math.nan),
+    (math.inf, 0.5),
+    # Above 1 + STATE_TOL, which no weight of an accepted state exceeds.
+    (1e160, 2e160),
+    (1e-144, 1e150),
+    (1e6, 1e306),
+    # Positive, but the squared denominator underflows to 0.
+    (1e-100, 2e-100),
+    (1e-200, 1e-200),
+]
 
 
 def test_hardy_parameter_rejects_bad_weights():
@@ -103,6 +117,33 @@ def test_build_rotations_rejects_bad_weights():
     for weights in BAD_WEIGHTS:
         with pytest.raises(NonPositiveWeightError):
             build_rotations(*weights)
+
+
+#: Weights from the smallest subnormal to 2e304: one and two times every
+#: sixth power of ten, and 1 + STATE_TOL with its next float.
+WEIGHT_GRID = [5e-324, 1.0 + STATE_TOL, math.nextafter(1.0 + STATE_TOL, math.inf)] + [
+    m * 10.0**k for k in range(-320, 307, 6) for m in (1.0, 2.0)
+]
+
+
+def test_closed_forms_give_finite_values_or_refuse_the_weights():
+    # Every pair either gives finite values, without a warning, from both
+    # closed forms, or is refused by both with NonPositiveWeightError; no
+    # other exception escapes.  Pairs that a state can carry are admitted.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p1 in WEIGHT_GRID:
+            for p2 in WEIGHT_GRID:
+                try:
+                    a = hardy_parameter_a(p1, p2)
+                except NonPositiveWeightError:
+                    assert not (1e-80 <= p1 <= 1.0 and 1e-80 <= p2 <= 1.0), (p1, p2)
+                    with pytest.raises(NonPositiveWeightError):
+                        build_rotations(p1, p2)
+                    continue
+                u, v = build_rotations(p1, p2)
+                assert 0.0 <= a < math.inf, (p1, p2)
+                assert np.isfinite(u).all() and np.isfinite(v).all(), (p1, p2)
 
 
 # ------------------------------------------------------------------- bases

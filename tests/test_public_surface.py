@@ -4,8 +4,11 @@ internal imports go one way: states, then local models, then the Hardy
 measurement, then the criterion."""
 
 import ast
+import dataclasses
+import functools
 import importlib
 import pkgutil
+from enum import Enum
 from pathlib import Path
 
 import hardycert
@@ -39,10 +42,7 @@ def test_every_all_entry_resolves():
     # A stale entry breaks ``from module import *`` for every caller.  The
     # list takes in ``hardycert.__main__``, whose import must return rather
     # than run the command line and end the process.
-    modules = [hardycert] + [
-        importlib.import_module(f"hardycert.{info.name}")
-        for info in pkgutil.iter_modules(hardycert.__path__)
-    ]
+    modules = _package_modules()
     assert "hardycert.__main__" in [module.__name__ for module in modules]
     for module in modules:
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
@@ -57,6 +57,36 @@ def test_io_keeps_only_the_state_file_format():
     # Reports are laid out in hardycert.cli, their one caller.
     state_file = ["dump_json", "load_state_file", "parse_state_dict", "state_to_dict"]
     assert hardycert.io.__all__ == state_file
+
+
+def _package_modules() -> list:
+    """The package and each of its modules, ``hardycert.__main__`` too."""
+    return [hardycert] + [
+        importlib.import_module(f"hardycert.{info.name}")
+        for info in pkgutil.iter_modules(hardycert.__path__)
+    ]
+
+
+def test_result_records_are_named_tuples():
+    # A frozen dataclass earns its place by checking its fields in
+    # ``__post_init__`` or by computing one on first read; any other record
+    # of results is a NamedTuple, read by attribute and ``_asdict()``.
+    records, offenders = set(), []
+    for module in _package_modules():
+        for cls in vars(module).values():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__:
+                continue
+            if issubclass(cls, (Enum, Exception)):
+                continue
+            records.add(cls.__name__)
+            if dataclasses.is_dataclass(cls):
+                cached = any(isinstance(v, functools.cached_property) for v in vars(cls).values())
+                if not ("__post_init__" in vars(cls) or cached):
+                    offenders.append(cls.__name__)
+            elif not (issubclass(cls, tuple) and hasattr(cls, "_fields")):
+                offenders.append(cls.__name__)
+    assert records >= {"Behavior", "CertificationReport", "HardyPair", "NoiseThresholdReport"}
+    assert not offenders, f"plain records that are no NamedTuple: {sorted(offenders)}"
 
 
 def _package_imports() -> dict[str, tuple[set[str], ast.Module]]:
