@@ -32,7 +32,8 @@ from .observables import (
     build_bases,
     build_observables,
 )
-from .states import _EPS, DensityOperator, StateVector, _fix_gauge, _schmidt_svd
+from .linalg import _roundoff
+from .states import DensityOperator, StateVector, _fix_gauge, _schmidt_svd
 
 #: A margin must exceed this to count as a certification; anything closer to
 #: zero is numerically indistinguishable from the boundary.
@@ -143,7 +144,7 @@ def _candidate_distance(unit: np.ndarray, psi: StateVector) -> float:
     f = float(np.vdot(v, w).real)
     r = w - f * v
     r_norm = math.sqrt(np.vdot(r, r).real)
-    if r_norm <= 4.0 * (v.size + 1) * _EPS:
+    if r_norm <= _roundoff(v.size, 1.0):
         return min(max(1.0 - f + r_norm, 0.0), 1.0)
     return _trace_distance(unit - v[:, None] * v.conj())
 
@@ -175,26 +176,33 @@ def certify(sigma: DensityOperator, candidate: StateVector) -> CertificationRepo
     (``_candidate_distance``); any other pays one ``eigvalsh``.
     """
     _check_dims("state", sigma, "candidate", candidate)
-    epsilon = _candidate_distance(_unit(sigma), candidate)
     svd = _schmidt_svd(candidate)
-    pair = _best_pair(svd[1])
+    return _criterion(sigma, candidate, svd, _best_pair(svd[1]))
+
+
+def _criterion(
+    sigma: DensityOperator, candidate: StateVector, svd: tuple, pair: HardyPair | None
+) -> CertificationReport:
+    """``certify``'s report, given the candidate's ``_schmidt_svd`` triple
+    and its best pair, so ``noise_threshold`` can refuse a candidate with no
+    pair before any distance is taken.  Such a candidate has ``a`` = 0, and
+    its margin ``0.0 - 6 epsilon`` reads ``+0.0``, not ``-0.0``, at
+    epsilon = 0.
+    """
+    epsilon = _candidate_distance(_unit(sigma), candidate)
+    a = 0.0 if pair is None else pair.a
+    margin = a - 6.0 * epsilon
     if pair is None:
-        return CertificationReport(
-            epsilon=epsilon,
-            a=0.0,
-            margin=-6.0 * epsilon,
-            verdict=Verdict.NOT_HARDY,
-            pair=None,
-        )
-    margin = pair.a - 6.0 * epsilon
-    verdict = Verdict.NONLOCAL_CERTIFIED if margin > CERTIFICATION_TOL else Verdict.INCONCLUSIVE
+        verdict = Verdict.NOT_HARDY
+    else:
+        verdict = Verdict.NONLOCAL_CERTIFIED if margin > CERTIFICATION_TOL else Verdict.INCONCLUSIVE
     return CertificationReport(
         epsilon=epsilon,
-        a=pair.a,
+        a=a,
         margin=margin,
         verdict=verdict,
         pair=pair,
-        _measured=(sigma, svd),
+        _measured=None if pair is None else (sigma, svd),
     )
 
 
@@ -251,12 +259,15 @@ def noise_threshold(psi: StateVector, noise: DensityOperator) -> NoiseThresholdR
     Raises
     ------
     NotHardyError
-        The candidate has no admissible pair of distinct Schmidt weights.
+        The candidate has no admissible pair of distinct Schmidt weights;
+        raised after its SVD, before any distance is taken.
     """
     _check_dims("candidate", psi, "noise", noise)
-    report = certify(noise, psi)
-    if report.pair is None:
+    svd = _schmidt_svd(psi)
+    pair = _best_pair(svd[1])
+    if pair is None:
         raise NotHardyError("candidate state has no admissible pair of distinct Schmidt weights")
+    report = _criterion(noise, psi, svd, pair)
     p_star = 0.0 if report.margin >= 0.0 else 1.0 - report.a / (6.0 * report.epsilon)
     return NoiseThresholdReport(p_star=p_star, d_noise=report.epsilon, a=report.a)
 

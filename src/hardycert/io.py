@@ -14,9 +14,10 @@ keeps a matrix with a nonnegative spectrum as it is, so a validated state
 written by ``state_to_dict`` parses back bit for bit too.
 
 Each direction is one array conversion per file, not one Python call per
-entry: the pairs are parsed through one object array, and written from one
-stacked ``(..., 2)`` float array.  A malformed file still fails with an error
-naming its first bad entry, found by walking the entries in file order.
+entry: the pairs are read in one flat pass in file order, checked by type
+and converted by one float array, and written from one stacked ``(..., 2)``
+float array.  A malformed file still fails with an error naming its first
+bad entry, found by walking the same flat pairs in file order.
 A state file is read once, and ``load_state_file`` returns the digest of the
 bytes it parsed.  ``dump_json`` writes state files and reports alike.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 from io import BytesIO, TextIOWrapper
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -53,27 +55,30 @@ def _parse_complex(value, where: str) -> complex:
 
 
 def _complex_array(raw: list, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """``raw``, nested lists of ``[re, im]`` pairs, as a complex array of ``shape``.
+    """``raw``, a list of ``[re, im]`` pairs (a list of rows of them when
+    ``shape`` has two axes), as a complex array of ``shape``.
 
-    One object array checks the nesting and every leaf type at once.  The
-    complex view of its contiguous ``(..., 2)`` float copy holds exactly the
+    The pairs are flattened once, in file order, and so are their parts.
+    Set checks on the pairs' types and lengths and on the parts' types admit
+    only lists or tuples of two ints or floats, never bools.  One float
+    array of the parts is then viewed as complex, which holds exactly the
     values ``complex(float(re), float(im))`` would, ``-0.0`` included, with
-    no arithmetic.  When that fails, the entries are walked in file order so
-    the error names the first bad one, as ``name[i][j]``.
+    no arithmetic.  When that fails, the same flat pairs are walked in file
+    order so the error names the first bad one, as ``name[i][j]`` or
+    ``name[k]``.
     """
-    try:
-        parts = np.array(raw, dtype=object)
-        if parts.size == 0:  # an empty list has no pair nesting to find
-            parts = parts.reshape(shape + (2,))
-        if parts.shape == shape + (2,) and all(map(_is_number_type, set(map(type, parts.flat)))):
-            return parts.astype(float).view(complex).reshape(shape)
-    except (ValueError, OverflowError):
-        pass
-    for index in np.ndindex(*shape):
-        entry = raw
-        for i in index:
-            entry = entry[i]
-        _parse_complex(entry, name + "".join(f"[{i}]" for i in index))
+    pairs = list(chain.from_iterable(raw)) if len(shape) == 2 else raw
+    pair_kinds = set(map(type, pairs))
+    if all(issubclass(kind, (list, tuple)) for kind in pair_kinds) and set(map(len, pairs)) <= {2}:
+        parts = list(chain.from_iterable(pairs))
+        try:
+            if all(map(_is_number_type, set(map(type, parts)))):
+                return np.array(parts, dtype=float).view(complex).reshape(shape)
+        except (ValueError, OverflowError):
+            pass
+    for k, pair in enumerate(pairs):
+        where = f"[{k // shape[-1]}][{k % shape[-1]}]" if len(shape) == 2 else f"[{k}]"
+        _parse_complex(pair, name + where)
     raise StateFileError(f'"{name}" must be nested [re, im] pairs of shape {shape}')
 
 

@@ -38,7 +38,7 @@ from .errors import (
     NotPositiveError,
     NotUnitTraceError,
 )
-from .linalg import hermitian_part
+from .linalg import _EPS, _roundoff, hermitian_part
 
 #: Allowed deviation from 1 of a state's trace: a state vector's squared norm
 #: and a ``DensityOperator``'s trace.
@@ -51,8 +51,7 @@ STATE_TOL = 1e-9
 #: so no weight that a pair may use is dropped.
 WEIGHT_FLOOR = 1e-12
 
-#: The gate's round-off constants, read once rather than per state.
-_EPS = float(np.finfo(float).eps)
+#: The smallest normal float, read once rather than per state.
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -199,7 +198,7 @@ def _gate(matrix, d1: int, d2: int, tol: float) -> np.ndarray:
         raise InvalidStateError("matrix entries overflow the floating-point range")
     # sym - s I: the shift above, taken off the diagonal of a copy.
     shifted = sym.copy()
-    shifted.reshape(-1)[:: dim + 1] -= 4.0 * (dim + 1) * _EPS * trace + _TINY
+    shifted.reshape(-1)[:: dim + 1] -= _roundoff(dim, trace) + _TINY
     try:
         # No upper=: numpy 1.24 lacks it, and the factor is not read.
         np.linalg.cholesky(shifted)

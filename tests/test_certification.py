@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -254,6 +255,16 @@ def test_certify_equal_weight_candidate_is_not_hardy(monkeypatch):
     assert sum(calls.values()) == 0
 
 
+def test_not_hardy_margin_at_zero_distance_is_positive_zero():
+    bell = np.zeros(4, dtype=complex)
+    bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
+    candidate = StateVector(2, 2, bell)
+    report = certify(pure_density(candidate), candidate)
+    assert report.verdict is Verdict.NOT_HARDY
+    assert report.epsilon == 0.0
+    assert report.margin == 0.0 and math.copysign(1.0, report.margin) == 1.0
+
+
 def test_certify_margin_identity_and_verdict_consistency():
     rng = np.random.default_rng(43)
     for _ in range(25):
@@ -495,6 +506,37 @@ def test_noise_threshold_requires_distinct_weights():
     bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
     with pytest.raises(NotHardyError):
         noise_threshold(StateVector(2, 2, bell), maximally_mixed(2, 2))
+
+
+def test_noise_threshold_refuses_a_not_hardy_candidate_before_any_distance(monkeypatch):
+    def no_distance(*args):
+        raise AssertionError("a trace distance was taken")
+
+    monkeypatch.setattr(certification, "_candidate_distance", no_distance)
+    bell = np.zeros(4, dtype=complex)
+    bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
+    rng = np.random.default_rng(31)
+    for noise in (maximally_mixed(2, 2), random_density(2, 2, rng)):
+        with pytest.raises(
+            NotHardyError, match="^candidate state has no admissible pair of distinct Schmidt weights$"
+        ):
+            noise_threshold(StateVector(2, 2, bell), noise)
+
+
+def test_noise_threshold_takes_one_svd(monkeypatch):
+    svd = np.linalg.svd
+    calls = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    rng = np.random.default_rng(32)
+    noise_threshold(fixture_state(), maximally_mixed(2, 2))
+    assert len(calls) == 1
+    noise_threshold(random_hardy_state(rng, d1=3, d2=3), random_density(3, 3, rng))
+    assert len(calls) == 2
+    bell = np.zeros(4, dtype=complex)
+    bell[0] = bell[3] = 1.0 / np.sqrt(2.0)
+    with pytest.raises(NotHardyError):
+        noise_threshold(StateVector(2, 2, bell), maximally_mixed(2, 2))
+    assert len(calls) == 3
 
 
 def test_noise_threshold_rejects_mismatched_dims():

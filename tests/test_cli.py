@@ -1,6 +1,7 @@
 import builtins
 import hashlib
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -201,6 +202,16 @@ def test_certify_bell_is_not_hardy(tmp_path, capsys):
     assert report["verdict"] == "NotHardy"
     assert report["nonseparable"] is False
     assert report["pair"] is None
+
+
+def test_certify_bell_against_itself_reports_a_positive_zero_margin(tmp_path, capsys):
+    state = gen(tmp_path, "bell.json", "bell")
+    code, out, _ = run_cli(["certify", "--state", str(state), "--candidate", str(state)], capsys)
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["verdict"] == "NotHardy" and report["epsilon"] == 0.0
+    assert report["margin"] == 0.0 and math.copysign(1.0, report["margin"]) == 1.0
+    assert '"margin": 0.0,' in out
 
 
 def test_certify_writes_output_file_deterministically(tmp_path, capsys):

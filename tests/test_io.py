@@ -278,6 +278,56 @@ def test_parse_errors_match_per_entry_reference():
         assert_same_outcome({**pure, "amplitudes": amps})
 
 
+def test_tuple_pairs_parse_like_list_pairs():
+    pure = reference_state_to_dict(fixture_state())
+    mixed = reference_state_to_dict(maximally_mixed(2, 2))
+    tupled_pure = {**pure, "amplitudes": [tuple(pair) for pair in pure["amplitudes"]]}
+    tupled_mixed = {**mixed, "matrix": [[tuple(pair) for pair in row] for row in mixed["matrix"]]}
+    # Every other pair a tuple, the rest lists.
+    alternating = [tuple(pair) if k % 2 else pair for k, pair in enumerate(pure["amplitudes"])]
+    mixed_kinds = {**pure, "amplitudes": alternating}
+    for data, listed in ((tupled_pure, pure), (tupled_mixed, mixed), (mixed_kinds, pure)):
+        assert_same_outcome(data)
+        got, want = _outcome(parse_state_dict, data), _outcome(parse_state_dict, listed)
+        assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+
+
+def test_bytes_and_array_pairs_are_refused_like_the_reference():
+    pure = reference_state_to_dict(fixture_state())
+    mixed = reference_state_to_dict(maximally_mixed(2, 2))
+    # Bytes have a length and iterate as ints: read as a pair, b"\x01\x00"
+    # would be 1+0j, a different state.
+    for entry in (b"\x01\x00", bytearray(b"\x01\x00"), np.array([0.5, 0.0])):
+        amps = [list(pair) for pair in pure["amplitudes"]]
+        amps[1] = entry
+        assert _outcome(reference_parse_state_dict, {**pure, "amplitudes": amps})[0] is StateFileError
+        assert_same_outcome({**pure, "amplitudes": amps})
+        matrix = [[list(pair) for pair in row] for row in mixed["matrix"]]
+        matrix[2][1] = entry
+        assert_same_outcome({**mixed, "matrix": matrix})
+    # Every pair a numpy array, as a Python caller might build them.
+    amps = [np.array(pair) for pair in pure["amplitudes"]]
+    with pytest.raises(StateFileError, match=r"^amplitudes\[0\]: expected a \[re, im\] pair, got array"):
+        parse_state_dict({**pure, "amplitudes": amps})
+    assert_same_outcome({**pure, "amplitudes": amps})
+    matrix = [[np.array(pair) for pair in row] for row in mixed["matrix"]]
+    with pytest.raises(StateFileError, match=r"^matrix\[0\]\[0\]: expected a \[re, im\] pair, got array"):
+        parse_state_dict({**mixed, "matrix": matrix})
+    assert_same_outcome({**mixed, "matrix": matrix})
+
+
+@pytest.mark.parametrize("column", [0, 4, 8])
+def test_the_one_bad_pair_in_the_last_row_of_a_3x3_file_is_named(tmp_path, column):
+    data = state_to_dict(maximally_mixed(3, 3))
+    data["matrix"][8][column] = [0.0, "0"]
+    assert_same_outcome(data)
+    path = tmp_path / "mixed-3x3.json"
+    path.write_text(dump_json(data))
+    want = rf"^matrix\[8\]\[{column}\]: expected a \[re, im\] pair, got \[0\.0, '0'\]$"
+    with pytest.raises(StateFileError, match=want):
+        load_state_file(path)
+
+
 # ---------------------------------------------------------------- bad input
 
 
