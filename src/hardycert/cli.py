@@ -68,7 +68,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         "--tol",
         type=_tolerance,
         default=STATE_TOL,
-        help="density-matrix validation tolerance (default %(default)g)",
+        help="density-matrix validation tolerance, and nothing else (default %(default)g)",
     )
     parser.add_argument("--output", type=Path, default=None, help="report path (default stdout)")
 
@@ -211,12 +211,13 @@ def cmd_certify(args: argparse.Namespace) -> dict:
         source: dict = {"source": "file"}
     else:
         candidate, gap = top_eigenvector(sigma)  # a 1x1 state has no gap
-        if gap is not None and gap <= args.tol:
+        if gap is not None and gap <= STATE_TOL:
             # Any vector of a degenerate top eigenspace would do, so the
-            # verdict would speak about an arbitrary candidate.
+            # verdict would speak about an arbitrary candidate.  The gap is
+            # held to STATE_TOL, not --tol, which only validates.
             raise NotHardyError(
                 f"top eigenvalue of {args.state} is degenerate (gap {gap:.3e} <= tol "
-                f"{args.tol:g}), so it defines no candidate; pass --candidate"
+                f"{STATE_TOL:g}), so it defines no candidate; pass --candidate"
             )
         source = {"source": "top-eigenvector", "degeneracy_gap": gap}
     report = certify(sigma, candidate)

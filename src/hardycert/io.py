@@ -19,7 +19,9 @@ and converted by one float array, and written from one stacked ``(..., 2)``
 float array.  A malformed file still fails with an error naming its first
 bad entry, found by walking the same flat pairs in file order.
 A state file is read once, and ``load_state_file`` returns the digest of the
-bytes it parsed.  ``dump_json`` writes state files and reports alike.
+bytes it parsed.  A file whose objects repeat a key is refused: ``json``
+keeps the last of them, and a reader that kept the first would parse a
+different state.  ``dump_json`` writes state files and reports alike.
 """
 
 from __future__ import annotations
@@ -34,6 +36,17 @@ import numpy as np
 
 from .errors import StateFileError
 from .states import STATE_TOL, DensityOperator, StateVector, validate_density
+
+
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` of the state-file parser: an object's pairs as
+    a dict, refusing a repeated key."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise StateFileError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
 
 
 def _is_number_type(kind: type) -> bool:
@@ -149,7 +162,10 @@ def load_state_file(
     try:
         # UTF-8 with universal newlines, as text-mode reading gives, so JSON
         # error positions count a CRLF file's line ends as one character.
-        data = json.loads(TextIOWrapper(BytesIO(raw), encoding="utf-8").read())
+        text = TextIOWrapper(BytesIO(raw), encoding="utf-8").read()
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except StateFileError as exc:
+        raise StateFileError(f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise StateFileError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:

@@ -22,10 +22,11 @@ whose solution is the local model or whose residual proves there is none.
 
 This oracle is deliberately independent of the trace-distance criterion in
 the certification module; agreement between the two is a cross-check, not a
-construction.  It imports only ``errors`` and ``simplex``: it knows nothing
-of states, measurements or the criterion, and reads a behavior only as 36
-numbers.  It owns the table axes that the measurement side fills,
-``OUTCOMES`` and the ``PROBABILITY_CLIP`` window of ``Behavior``.
+construction.  It imports only ``errors``, ``simplex`` and ``linalg``, the
+package's numerics: it knows nothing of states, measurements or the
+criterion, and reads a behavior only as 36 numbers.  It owns the table axes
+that the measurement side fills, ``OUTCOMES`` and the ``PROBABILITY_CLIP``
+window of ``Behavior``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidStateError, MalformedBehaviorError
+from .linalg import _roundoff
 from .simplex import FEASIBILITY_TOL, solve_feasibility_lp
 
 #: Canonical outcome order for the three-outcome observables.  Lexicographic
@@ -47,9 +49,6 @@ OUTCOMES = (1, 0, -1)
 
 #: Probabilities within this window outside [0, 1] are clipped to the boundary.
 PROBABILITY_CLIP = 1e-12
-
-#: The machine epsilon, read once for the projection's shift.
-_EPS = float(np.finfo(float).eps)
 
 #: Behaviors whose tables fail to normalize within this are rejected outright.
 NORMALIZATION_TOL = 1e-6
@@ -302,8 +301,9 @@ def _projected_model(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, n
     setting's read from the cells in ``rhs`` and averaged over the other
     party's two settings.  One affine-scaling step (Dikin 1967) moves it onto
     the cells: ``w = q + q * (A.T @ y)`` with ``(A diag(q) A.T + s I) y =
-    rhs - A q``, where ``s = 4 * 37 * eps * tr(A diag(q) A.T)`` is the
-    density gate's shift form and keeps the rank-deficient system solvable.
+    rhs - A q``, where ``s = 4 * 37 * eps * tr(A diag(q) A.T)``, the
+    package's one round-off form ``linalg._roundoff`` over the 37 rows,
+    keeps the rank-deficient system solvable.
     Round-off negatives are clipped to zero; a clearly negative weight then
     leaves a residual beyond FEASIBILITY_TOL.
     """
@@ -316,7 +316,7 @@ def _projected_model(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, n
     start = (alice_outer * (bob[0][:, None] * bob[1]).reshape(-1)).reshape(-1)
     scaled = matrix * start
     normal = scaled @ matrix.T
-    normal.reshape(-1)[:: len(rhs) + 1] += 4 * len(rhs) * _EPS * normal.trace()
+    normal.reshape(-1)[:: len(rhs) + 1] += _roundoff(len(rhs) - 1, normal.trace())
     try:
         step = np.linalg.solve(normal, rhs - matrix @ start)
     except np.linalg.LinAlgError:

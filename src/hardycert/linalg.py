@@ -1,25 +1,36 @@
-"""The Hermitian part of a dense complex matrix, with its Hermiticity defect,
-and the package's bound on round-off in an n x n matrix.
+"""The package's numerics: the Hermitian part of a dense complex matrix, with
+its Hermiticity defect, and the one bound on round-off in an n x n matrix.
 
 Every density matrix is checked by the one gate in ``states``, which uses
-this; the trace distance in ``certification`` is taken on differences of
-validated operators and needs no check of its own.
+both; the trace distance in ``certification`` is taken on differences of
+validated operators and needs no check of its own.  The machine constants
+are read here and nowhere else, and ``_roundoff`` is the one form of every
+round-off budget in the package.  This module imports nothing of the
+package, so every layer, ``lhv`` included, may read it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: The machine epsilon, read once.
+#: The machine epsilon and the smallest normal float, read once.
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def _roundoff(n: int, scale: float) -> float:
-    """``4 (n + 1) eps scale``: the round-off bound of the density gate's
-    Cholesky shift for an n x n matrix of trace ``scale``, and the test of
-    ``certification._candidate_distance`` for an eigenvector at unit trace.
-    With eps twice the unit round-off it is 8 ``gamma_{n+1} scale``."""
-    return 4.0 * (n + 1) * _EPS * scale
+    """``4 (n + 1) eps scale`` plus the smallest normal float: the package's
+    one round-off bound for an n x n matrix of magnitude ``scale``.  With eps
+    twice the unit round-off the first term is 8 ``gamma_{n+1} scale``.  The
+    tiny term covers underflow, and it rounds away bit for bit whenever the
+    first term is at least about 2e-292.
+
+    Its readers: the density gate's Cholesky shift (n = D, at the trace) and
+    repair floor (n + 1 = D, at unit scale), the eigenvector test of
+    ``certification._candidate_distance`` (n = D, at unit trace) and the
+    shift of the 37 x 37 normal equations of ``lhv._projected_model``
+    (n + 1 = 37, at their trace)."""
+    return 4.0 * (n + 1) * _EPS * scale + _TINY
 
 
 def hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:

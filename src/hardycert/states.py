@@ -10,8 +10,8 @@ density-matrix invariant is checked by one gate, ``_gate``: the entry checks
 (dims, shape, finite entries, Hermiticity, trace), then positivity.  One
 Cholesky factorisation of the Hermitian part, shifted down by a bound on
 round-off, proves most states positive definite without a spectrum; the
-rest take one ``eigvalsh`` and a round-off repair when that spectrum is
-negative.  ``DensityOperator`` runs the gate at ``STATE_TOL`` and
+rest take one ``eigh``, whose eigenvectors serve a round-off repair when its
+spectrum is negative.  ``DensityOperator`` runs the gate at ``STATE_TOL`` and
 ``validate_density`` at the caller's tolerance, so at one tolerance both
 store the same matrix.  Neither divides an unrepaired matrix by its trace:
 its readers do.  A state is its validated matrix and keeps no spectrum;
@@ -38,7 +38,7 @@ from .errors import (
     NotPositiveError,
     NotUnitTraceError,
 )
-from .linalg import _EPS, _roundoff, hermitian_part
+from .linalg import _roundoff, hermitian_part
 
 #: Allowed deviation from 1 of a state's trace: a state vector's squared norm
 #: and a ``DensityOperator``'s trace.
@@ -50,9 +50,6 @@ STATE_TOL = 1e-9
 #: far above SVD round-off (about 1e-16) and below ``observables.PAIR_FLOOR``,
 #: so no weight that a pair may use is dropped.
 WEIGHT_FLOOR = 1e-12
-
-#: The smallest normal float, read once rather than per state.
-_TINY = float(np.finfo(float).tiny)
 
 
 def _check_subsystem_dims(d1, d2) -> None:
@@ -138,25 +135,28 @@ def _gate(matrix, d1: int, d2: int, tol: float) -> np.ndarray:
     Positivity comes next, from the cheapest proof that holds:
 
     - One Cholesky factorisation of the Hermitian part minus ``s I``, with
-      ``s = 4 (D + 1) eps tr`` (D = d1 d2, eps the machine epsilon, tr the
-      trace) plus the smallest normal float.  A floating-point Cholesky that
-      runs to completion proves the smallest eigenvalue of the unshifted
-      matrix exceeds ``s`` less the factorisation's backward error, which is
-      about ``gamma_{D+1} tr`` (S. M. Rump, BIT 46, 433-452 (2006); N. J.
-      Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 10), and
-      the tiny term covers underflow.  With eps twice the unit round-off,
+      ``s = linalg._roundoff(D, tr)``: ``4 (D + 1) eps tr`` (D = d1 d2, eps
+      the machine epsilon, tr the trace) plus the smallest normal float.  A
+      floating-point Cholesky that runs to completion proves the smallest
+      eigenvalue of the unshifted matrix exceeds ``s`` less the
+      factorisation's backward error, which is about ``gamma_{D+1} tr``
+      (S. M. Rump, BIT 46, 433-452 (2006); N. J. Higham, *Accuracy and
+      Stability of Numerical Algorithms*, ch. 10), and the tiny term covers
+      underflow.  With eps twice the unit round-off,
       ``s`` is 8 ``gamma_{D+1} tr``: room for the larger constants of complex
-      arithmetic and a margin that also exceeds ``eigvalsh``'s own error, so
-      the spectrum ``eigvalsh`` would give is nonnegative.  The Hermitian
+      arithmetic and a margin that also exceeds an eigensolver's own error,
+      so the spectrum ``eigh`` would give is nonnegative.  The Hermitian
       part is kept as it is, off-unit trace included, and no spectrum is
       solved.
     - Otherwise (a singular or nearly singular matrix, such as a pure
-      projector) one ``eigvalsh`` of the Hermitian part gives its spectrum,
+      projector) one ``eigh`` of the Hermitian part gives its spectrum,
       refused below ``-tol``.  A nonnegative spectrum keeps the Hermitian
-      part as it is.  A negative one is repaired: one ``eigh``, eigenvalues
-      clipped up to a floor of 4 D ulps, a division by the clipped trace and
-      the Hermitian part of the quotient, which validates to itself.  Only
-      the repair reads eigenvectors, so only it pays for them.
+      part as it is.  A negative one is repaired from the same solve:
+      eigenvalues clipped up to a floor of ``_roundoff(D - 1, 1)`` (4 D
+      ulps), a division by the clipped trace and the Hermitian part of the
+      quotient, which validates to itself.  Nearly every matrix the Cholesky
+      cannot prove has round-off negatives and is repaired, so its spectrum
+      and eigenvectors come from one solve rather than two.
 
     The entries were finite, but forming the Hermitian part can overflow; the
     solvers would then return NaNs or fail to converge, so it is refused
@@ -198,25 +198,23 @@ def _gate(matrix, d1: int, d2: int, tol: float) -> np.ndarray:
         raise InvalidStateError("matrix entries overflow the floating-point range")
     # sym - s I: the shift above, taken off the diagonal of a copy.
     shifted = sym.copy()
-    shifted.reshape(-1)[:: dim + 1] -= _roundoff(dim, trace) + _TINY
+    shifted.reshape(-1)[:: dim + 1] -= _roundoff(dim, trace)
     try:
         # No upper=: numpy 1.24 lacks it, and the factor is not read.
         np.linalg.cholesky(shifted)
         return sym
     except np.linalg.LinAlgError:
         pass  # not proven positive definite: solve the spectrum
-    eigenvalues = np.linalg.eigvalsh(sym)
-    if eigenvalues[0] < -tol:
-        raise NotPositiveError(f"eigenvalue {float(eigenvalues[0])!r} below -{tol}")
-    if eigenvalues[0] < 0.0:
-        values, vectors = np.linalg.eigh(sym)
-        # An eigenvalue clipped to zero comes back from eigvalsh a few ulps
-        # either side of it; clipped to 4 D ulps, it comes back positive.
-        floor = 4 * dim * _EPS
-        clipped = (vectors * np.clip(values, floor, None)) @ vectors.conj().T
-        clipped /= float(np.trace(clipped).real)
-        sym = (clipped + clipped.conj().T) / 2.0
-    return sym
+    values, vectors = np.linalg.eigh(sym)
+    if values[0] < -tol:
+        raise NotPositiveError(f"eigenvalue {float(values[0])!r} below -{tol}")
+    if values[0] >= 0.0:
+        return sym
+    # An eigenvalue clipped to zero comes back from an eigensolver a few ulps
+    # either side of it; clipped to 4 D ulps, it comes back positive.
+    clipped = (vectors * np.clip(values, _roundoff(dim - 1, 1.0), None)) @ vectors.conj().T
+    clipped /= float(np.trace(clipped).real)
+    return (clipped + clipped.conj().T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -290,7 +288,7 @@ def pure_density(psi: StateVector) -> DensityOperator:
     A validated ``StateVector``'s projector is exactly Hermitian, has unit
     trace and is positive semidefinite up to round-off, so no gate runs.
     The gate, if run on this matrix, would repair it by a few ulps, lifting
-    it off rank one: its ``eigvalsh`` minimum is nearly always below zero.
+    it off rank one: its smallest eigenvalue is nearly always below zero.
     """
     return _checked_density(psi.d1, psi.d2, psi.projector())
 

@@ -194,6 +194,24 @@ def test_certify_auto_candidate_refuses_degenerate_top_eigenvalue(tmp_path, caps
         assert json.loads(out)["report"]["candidate"] == {"source": "file"}
 
 
+def test_certify_degeneracy_gap_is_held_to_state_tol_whatever_the_tol(tmp_path, capsys):
+    # --tol validates and does nothing else: a gap of 0.5 is no degeneracy at
+    # --tol 0.6, and a gap of 2^-40 is one at --tol 0.
+    state = gen(tmp_path, "mix.json", "white-noise-mix", "--p", "0.5")
+    code, out, err = run_cli(["certify", "--state", str(state), "--tol", "0.6"], capsys)
+    assert code == 0 and err == ""
+    report = json.loads(out)["report"]
+    assert report["candidate"]["source"] == "top-eigenvector"
+    assert report["candidate"]["degeneracy_gap"] == pytest.approx(0.5, abs=1e-12)
+    code, default, _ = run_cli(["certify", "--state", str(state)], capsys)
+    assert code == 0 and json.loads(default)["report"] == report
+    # Exactly unit trace and positive definite, so it validates at --tol 0.
+    close = _mixed_file(tmp_path / "close.json", np.diag([0.5, 0.5 - 2**-40, 2**-41, 2**-41]))
+    code, out, err = run_cli(["certify", "--state", str(close), "--tol", "0"], capsys)
+    assert code == 2 and out == ""
+    assert f"<= tol {STATE_TOL:g}" in err and "--candidate" in err
+
+
 def test_certify_bell_is_not_hardy(tmp_path, capsys):
     state = gen(tmp_path, "bell.json", "bell")
     code, out, _ = run_cli(["certify", "--state", str(state)], capsys)

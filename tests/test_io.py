@@ -398,6 +398,32 @@ def test_load_rejects_invalid_json(tmp_path):
         assert str(got.value) == f"{path}: not valid JSON ({want.value})"
 
 
+def test_load_refuses_a_repeated_key(tmp_path, capsys):
+    # json keeps the last of two equal keys: here 0.6|00> + 0.8|11>, which
+    # certifies, after |00>, a product state.  A reader that kept the first
+    # key would see the product, so the file is read as neither.
+    path = tmp_path / "twice.json"
+    path.write_text(
+        '{"kind": "pure", "dims": [2, 2],'
+        ' "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]],'
+        ' "amplitudes": [[0.6, 0], [0, 0], [0, 0], [0.8, 0]]}'
+    )
+    with pytest.raises(StateFileError) as refused:
+        load_state_file(path)
+    assert str(refused.value) == f"{path}: duplicate key 'amplitudes'"
+    assert main(["certify", "--state", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: duplicate key 'amplitudes'\n"
+    # Each key once, the second amplitudes alone: that state certifies.
+    path.write_text(
+        '{"kind": "pure", "dims": [2, 2],'
+        ' "amplitudes": [[0.6, 0], [0, 0], [0, 0], [0.8, 0]]}'
+    )
+    assert main(["certify", "--state", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["verdict"] == "NonlocalCertified"
+
+
 # ------------------------------------------------------- writer and digest
 
 

@@ -17,18 +17,19 @@ def test_hermitian_eig_rejects_non_hermitian(monkeypatch):
     nearly = np.eye(2) / 2.0 + np.array([[0.0, 1e-12], [0.0, 0.0]])
     assert hermitian_part(nearly)[1] == pytest.approx(1e-12, rel=1e-9)
     solved = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a) or eigvalsh(a))
+    eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append("eigvalsh") or eigvalsh(a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append("eigh") or eigh(a))
     sym = _gate(nearly, 1, 2, STATE_TOL)
     assert solved == []
     assert np.array_equal(sym, sym.conj().T)
     assert np.max(np.abs(sym - nearly)) <= 1e-12
     assert np.trace(sym).real == 1.0
-    # A singular state takes the eigvalsh path and is kept as it is: its
-    # spectrum is nonnegative.
+    # A singular state takes the spectral path, one eigh, and is kept as it
+    # is: its spectrum is nonnegative.
     singular = np.diag([1.0, 0.0])
     sym = _gate(singular, 1, 2, STATE_TOL)
-    assert len(solved) == 1
+    assert solved == ["eigh"]
     assert np.array_equal(sym, singular)
     assert np.array_equal(eigvalsh(sym), [0.0, 1.0])
 

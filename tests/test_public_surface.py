@@ -121,8 +121,11 @@ def test_module_imports_go_one_way():
         for name in ready:
             del pending[name]
     assert imports["states"] <= {"errors", "linalg"}
-    # The local-model oracle must not see states, measurements or the criterion.
-    assert imports["lhv"] <= {"errors", "simplex"}
+    # The local-model oracle must not see states, measurements or the
+    # criterion; linalg, which it reads for the round-off bound, holds only
+    # numerics and imports nothing of the package.
+    assert imports["lhv"] <= {"errors", "simplex", "linalg"}
+    assert imports["linalg"] == set()
     assert imports["observables"] <= {"errors", "states", "lhv"}
 
 
@@ -137,3 +140,17 @@ def test_no_module_defers_an_import_to_type_checking():
             or (isinstance(node, ast.alias) and node.name == "TYPE_CHECKING")
         ]
         assert not used, f"hardycert.{name} uses TYPE_CHECKING"
+
+
+def test_only_linalg_reads_the_machine_constants():
+    # eps and the smallest normal float are read once, in linalg, so every
+    # round-off budget takes the one form of linalg._roundoff.
+    readers = {
+        name
+        for name, (_, tree) in _package_imports().items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "finfo")
+        or (isinstance(node, ast.Name) and node.id == "finfo")
+        or (isinstance(node, ast.alias) and node.name == "finfo")
+    }
+    assert readers == {"linalg"}

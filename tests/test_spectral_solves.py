@@ -1,9 +1,10 @@
 """Solves per command: a positive-definite state is proved a state by one
-Cholesky factorisation and no eigensolve, a repair pays for the eigensolves
-it reads, white noise and a pure state's projector pay for none,
-eigenvectors are computed only where they are read, the distance to a
-candidate that is an eigenvector of the state needs no spectrum, and the
-candidate's Schmidt form is one SVD.
+Cholesky factorisation and no eigensolve, a state the Cholesky cannot prove
+pays one ``eigh`` whose eigenvectors serve its repair, white noise and a
+pure state's projector pay for none, outside the gate eigenvectors are
+computed only where they are read, the distance to a candidate that is an
+eigenvector of the state needs no spectrum, and the candidate's Schmidt
+form is one SVD.
 
 ``numpy.linalg.cholesky``, ``eigh`` (eigenvalues and eigenvectors),
 ``eigvalsh`` (eigenvalues only) and ``svd`` are wrapped to record the shape
@@ -123,10 +124,29 @@ def test_validate_density_computes_eigenvectors_only_to_repair(gate, solves):
     assert solves["eigh"] == solves["eigvalsh"] == []
     solves["cholesky"].clear()
     repaired = gate(np.diag([-5e-10, 0.3, 0.3, 0.4 + 5e-10]))
-    # The Cholesky fails, one eigvalsh finds the negative and one eigh
-    # repairs it.
-    assert solves == {"cholesky": [(4, 4)], "eigh": [(4, 4)], "eigvalsh": [(4, 4)], "svd": []}
+    # The Cholesky fails, and one eigh both finds the negative and repairs
+    # it: no second spectrum.
+    assert solves == {"cholesky": [(4, 4)], "eigh": [(4, 4)], "eigvalsh": [], "svd": []}
     assert np.linalg.eigvalsh(repaired.matrix)[0] >= 0.0
+
+
+@pytest.mark.parametrize("entry", ["DensityOperator", "validate_density"])
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_rank_deficient_state_costs_one_cholesky_and_one_eigh(d, rank, entry, solves):
+    # A rank-1 or rank-2 state at d x d: the Cholesky cannot prove it, and
+    # one eigh gives the spectrum that keeps or repairs it.
+    dim = d * d
+    rng = np.random.default_rng([29, d, rank])
+    vectors, _ = np.linalg.qr(rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank)))
+    matrix = (vectors * [[1.0], [0.7, 0.3]][rank - 1]) @ vectors.conj().T
+    if entry == "DensityOperator":
+        rho = DensityOperator(d1=d, d2=d, matrix=matrix)
+    else:
+        rho = validate_density(matrix, d, d)
+    assert solves == {"cholesky": [(dim, dim)], "eigh": [(dim, dim)], "eigvalsh": [], "svd": []}
+    # Nonnegative as the gate's one solver reads it.
+    assert np.linalg.eigh(rho.matrix)[0][0] >= 0.0
 
 
 @pytest.mark.parametrize("gate", list(GATES.values()), ids=list(GATES))

@@ -345,16 +345,16 @@ def test_gate_raises_alike_for_constructor_and_validate(case):
 
 def spectrum_only_gate(matrix: np.ndarray, tol: float) -> np.ndarray:
     """Reference for the gate's positivity step on an input that passes its
-    entry checks, from one ``eigvalsh`` and no Cholesky proof: the matrix
+    entry checks, from one ``eigh`` and no Cholesky proof: the matrix
     stored, or the error raised.  A spectrum below ``-tol`` is refused, a
-    negative one repaired, and a nonnegative one keeps the Hermitian part."""
+    negative one repaired from the same solve, and a nonnegative one keeps
+    the Hermitian part."""
     sym = (matrix + matrix.conj().T) / 2.0
-    eigenvalues = np.linalg.eigvalsh(sym)
-    if eigenvalues[0] < -tol:
-        raise NotPositiveError(f"eigenvalue {float(eigenvalues[0])!r} below -{tol}")
-    if eigenvalues[0] >= 0.0:
-        return sym
     values, vectors = np.linalg.eigh(sym)
+    if values[0] < -tol:
+        raise NotPositiveError(f"eigenvalue {float(values[0])!r} below -{tol}")
+    if values[0] >= 0.0:
+        return sym
     floor = 4 * sym.shape[0] * np.finfo(float).eps
     clipped = (vectors * np.clip(values, floor, None)) @ vectors.conj().T
     clipped /= float(np.trace(clipped).real)
@@ -397,9 +397,11 @@ def test_gate_matches_the_spectrum_only_reference_at_the_cholesky_boundary(tol, 
     # kept the matrix unrepaired; wherever it fails, the gate is that
     # reference.  Both store the same matrix bit for bit or raise the same
     # error, and the stored matrix's spectrum is nonnegative.  A build that
-    # solves no spectrum is one the Cholesky proved.
-    eigvalsh, solved = np.linalg.eigvalsh, []
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(a) or eigvalsh(a))
+    # solves no spectrum is one the Cholesky proved; any other solves one
+    # eigh and no eigvalsh.
+    eigvalsh, eigh, solved = np.linalg.eigvalsh, np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append("eigvalsh") or eigvalsh(a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append("eigh") or eigh(a))
     rng = np.random.default_rng(41)
     for (d1, d2), _ in itertools.product(
         [(1, 2), (2, 2), (2, 3), (3, 3), (4, 4), (4, 8), (8, 8)], range(3)
@@ -421,12 +423,15 @@ def test_gate_matches_the_spectrum_only_reference_at_the_cholesky_boundary(tol, 
                 solved.clear()
                 rho = build()
                 assert np.array_equal(rho.matrix, expected), kind
+                assert solved in ([], ["eigh"]), kind
                 proved = not solved
                 if kind in ("+2s", "+4s"):
                     assert proved, kind
                 if kind in ("-0.5s", "+0s", "+0.25s", "pure", "repair"):
                     assert not proved, kind
-                assert eigvalsh(rho.matrix)[0] >= 0.0
+                # Nonnegative as the gate's solver, eigh, reads it: eigvalsh
+                # may read an exact zero eigenvalue a few ulps below zero.
+                assert eigh(rho.matrix)[0][0] >= 0.0
 
 
 # ---------------------------------------------------- schmidt decomposition
