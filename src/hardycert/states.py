@@ -109,10 +109,6 @@ class StateVector:
         outer = amps[:, None] * amps.conj()
         return (outer + outer.conj().T) / (2.0 * np.vdot(amps, amps).real)
 
-    def coefficient_matrix(self) -> np.ndarray:
-        """Amplitudes reshaped to d1 x d2, row index running over subsystem 1."""
-        return self.amplitudes.reshape(self.d1, self.d2)
-
 
 def _check_tolerance(name: str, value: float) -> None:
     """Refuse a tolerance that is not a finite number >= 0, naming it.
@@ -238,10 +234,6 @@ class DensityOperator:
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 
-    @property
-    def dim(self) -> int:
-        return self.d1 * self.d2
-
 
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` over fields already known
@@ -302,12 +294,28 @@ def maximally_mixed(d1: int, d2: int) -> DensityOperator:
 
 @dataclass(frozen=True)
 class SchmidtForm:
-    """Schmidt data of a bipartite pure state.
+    """Schmidt data of a bipartite pure state, held as three checked,
+    read-only arrays.
 
     ``weights`` are the positive singular values of the coefficient matrix,
-    sorted in descending order (ties allowed for degenerate spectra).  Column
-    k of ``left_basis`` / ``right_basis`` holds the subsystem-1 / subsystem-2
-    unit vector carrying ``weights[k]``.
+    sorted in descending order (ties allowed for degenerate spectra), whose
+    squares sum to 1 within ``STATE_TOL``.  ``left_basis`` / ``right_basis``
+    are 2-D complex arrays with one column per weight: column k holds the
+    subsystem-1 / subsystem-2 unit vector carrying ``weights[k]``, and each
+    basis's columns are orthonormal, every entry of its Gram matrix ``B^H B``
+    within ``STATE_TOL`` of the identity's.  The constructor converts the
+    three fields (lists are accepted), checks them and stores them
+    read-only, so a measurement built from a form cannot be changed through
+    it afterwards.
+
+    Raises
+    ------
+    InvalidStateError
+        The weights are not a non-empty 1-D array of positive, descending
+        numbers whose squares sum to 1, or a basis's columns are not
+        orthonormal.
+    DimensionMismatchError
+        A basis is not 2-D or its column count is not the weight count.
     """
 
     weights: np.ndarray
@@ -324,26 +332,29 @@ class SchmidtForm:
             raise InvalidStateError("Schmidt weights must be sorted in descending order")
         if abs(float(np.sum(weights**2)) - 1.0) > STATE_TOL:
             raise InvalidStateError("squared Schmidt weights must sum to 1")
-        if self.left_basis.shape[1] != weights.size or self.right_basis.shape[1] != weights.size:
-            raise DimensionMismatchError("basis column count must match the weight count")
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def rank(self) -> int:
-        return int(self.weights.size)
-
-    def reconstruct(self) -> np.ndarray:
-        """Flat amplitude array of sum_k weights[k] |left_k>|right_k>."""
-        coeff = (self.left_basis * self.weights) @ self.right_basis.T
-        return coeff.reshape(-1)
+        bases = [np.array(basis, dtype=complex) for basis in (self.left_basis, self.right_basis)]
+        if any(basis.ndim != 2 or basis.shape[1] != weights.size for basis in bases):
+            raise DimensionMismatchError(
+                "bases must be 2-D, and basis column count must match the weight count"
+            )
+        for basis in bases:
+            defect = np.abs(basis.conj().T @ basis - np.eye(weights.size)).max()
+            if not defect <= STATE_TOL:  # NaN fails it too
+                raise InvalidStateError(f"basis columns not orthonormal: Gram defect {defect:.3e}")
+        for name, array in zip(("weights", "left_basis", "right_basis"), (weights, *bases)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
 
 def _schmidt_svd(psi: StateVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``schmidt_decompose`` up to its gauge: the columns of ``U``, the kept,
     normalised, read-only weights and the rows of ``V^H``, in the solver's
-    phases.  A verdict reads only the weights."""
-    left, weights, right_h = np.linalg.svd(psi.coefficient_matrix(), full_matrices=False)
+    phases, from one SVD of the amplitudes reshaped to the d1 x d2
+    coefficient matrix (row index over subsystem 1).  The bases are left
+    writable: ``_fix_gauge`` reads them into fresh arrays.  A verdict reads
+    only the weights."""
+    coefficients = psi.amplitudes.reshape(psi.d1, psi.d2)
+    left, weights, right_h = np.linalg.svd(coefficients, full_matrices=False)
     rank = np.count_nonzero(weights > WEIGHT_FLOOR)
     kept = weights[:rank]
     kept = kept / math.sqrt(kept.dot(kept))
@@ -353,15 +364,14 @@ def _schmidt_svd(psi: StateVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _fix_gauge(left: np.ndarray, weights: np.ndarray, right_h: np.ndarray) -> SchmidtForm:
     """The Schmidt form of one ``_schmidt_svd`` triple, in
-    ``schmidt_decompose``'s gauge."""
+    ``schmidt_decompose``'s gauge, over the two fresh rephased bases, made
+    read-only as the constructor makes them."""
     pivots = left[np.argmax(np.abs(left), axis=0), np.arange(weights.size)]
     phases = pivots.conj() / np.abs(pivots)
-    return _unchecked(
-        SchmidtForm,
-        weights=weights,
-        left_basis=left * phases,
-        right_basis=right_h.T * phases.conj(),
-    )
+    left_basis, right_basis = left * phases, right_h.T * phases.conj()
+    left_basis.setflags(write=False)
+    right_basis.setflags(write=False)
+    return _unchecked(SchmidtForm, weights=weights, left_basis=left_basis, right_basis=right_basis)
 
 
 def schmidt_decompose(psi: StateVector) -> SchmidtForm:
@@ -384,8 +394,9 @@ def schmidt_decompose(psi: StateVector) -> SchmidtForm:
 
     The form is built without ``SchmidtForm``'s checks: a validated state's
     largest weight is near 1, the SVD sorts the weights in descending order,
-    and the kept ones are positive and normalised.  Its weights are
-    read-only, as the constructor makes them.
+    the kept ones are positive and normalised, and the SVD's singular
+    vectors, rephased, are orthonormal.  Its weights and its complex 2-D
+    bases are read-only, as the constructor makes them.
     """
     return _fix_gauge(*_schmidt_svd(psi))
 

@@ -29,6 +29,7 @@ from hardycert.errors import (
     NotUnitTraceError,
 )
 from hardycert.io import parse_state_dict, state_to_dict
+from hardycert.lhv import Behavior, facet_table, strategy_constraint_matrix
 from hardycert.observables import PAIR_FLOOR, HardyPair
 from hardycert.states import STATE_TOL, WEIGHT_FLOOR, SchmidtForm
 from support import (
@@ -73,7 +74,7 @@ def test_state_vector_is_immutable():
 def test_density_operator_accepts_white_noise():
     rho = maximally_mixed(2, 2)
     assert np.allclose(rho.matrix, np.eye(4) / 4.0)
-    assert rho.dim == 4
+    assert rho.matrix.shape == (4, 4)
 
 
 def test_density_operator_rejects_bad_matrices():
@@ -177,7 +178,7 @@ def test_numpy_integer_dims_are_accepted():
     d = np.int64(2)
     assert StateVector(d1=d, d2=d, amplitudes=np.full(4, 0.5)).d1 == 2
     assert validate_density(np.eye(4) / 4.0, d, d).d2 == 2
-    assert maximally_mixed(d, np.int32(2)).dim == 4
+    assert maximally_mixed(d, np.int32(2)).matrix.shape == (4, 4)
 
 
 BAD_TOLERANCES = [
@@ -219,7 +220,7 @@ def test_state_vector_checks_the_squared_norm():
 
 def test_accepted_state_vector_is_accepted_downstream():
     psi = StateVector(d1=2, d2=2, amplitudes=norm_edge_amplitudes(1.0 + 4.5e-10))
-    assert schmidt_decompose(psi).rank == 2
+    assert schmidt_decompose(psi).weights.size == 2
     report = certify(maximally_mixed(2, 2), psi)
     assert report.epsilon == pytest.approx(0.75, abs=1e-8)
     threshold = noise_threshold(psi, maximally_mixed(2, 2))
@@ -441,7 +442,7 @@ def test_schmidt_product_state():
     amps = np.zeros(4, dtype=complex)
     amps[1] = 1.0  # |0>|1>
     sf = schmidt_decompose(StateVector(d1=2, d2=2, amplitudes=amps))
-    assert sf.rank == 1
+    assert sf.weights.size == 1
     assert np.allclose(sf.weights, [1.0], atol=1e-12)
 
 
@@ -474,7 +475,7 @@ def test_schmidt_weights_match_reduced_spectra():
         for keep, dim in ((1, d1), (2, d2)):
             spectrum = np.linalg.eigvalsh(reduced[keep])[::-1]
             padded = np.zeros(dim)
-            padded[: sf.rank] = sf.weights**2
+            padded[: sf.weights.size] = sf.weights**2
             assert np.max(np.abs(np.sort(padded)[::-1] - np.clip(spectrum, 0.0, None))) < 1e-9
 
 
@@ -485,7 +486,8 @@ def test_schmidt_reconstruction_fidelity():
         d2 = int(rng.integers(2, 6))
         psi = random_state_vector(d1, d2, rng)
         sf = schmidt_decompose(psi)
-        overlap = abs(np.vdot(sf.reconstruct(), psi.amplitudes)) ** 2
+        coeff = (sf.left_basis * sf.weights) @ sf.right_basis.T
+        overlap = abs(np.vdot(coeff.reshape(-1), psi.amplitudes)) ** 2
         assert overlap > 1.0 - 1e-9
 
 
@@ -496,7 +498,7 @@ def test_schmidt_bases_orthonormal():
         sf = schmidt_decompose(psi)
         for basis in (sf.left_basis, sf.right_basis):
             gram = basis.conj().T @ basis
-            assert np.max(np.abs(gram - np.eye(sf.rank))) < 1e-10
+            assert np.max(np.abs(gram - np.eye(sf.weights.size))) < 1e-10
 
 
 def _eigen_reference_schmidt(psi: StateVector) -> SchmidtForm:
@@ -507,7 +509,7 @@ def _eigen_reference_schmidt(psi: StateVector) -> SchmidtForm:
     as C^T conj(alpha) / weight.  Squared weights at or below 1e-11 are
     dropped, as this route cannot resolve them.
     """
-    coeff = psi.coefficient_matrix()
+    coeff = psi.amplitudes.reshape(psi.d1, psi.d2)
     values, vectors = np.linalg.eigh(coeff @ coeff.conj().T)
     weights, left, right = [], [], []
     for idx in np.argsort(values, kind="stable")[::-1]:
@@ -544,7 +546,7 @@ def test_schmidt_gauge_matches_eigen_reference(d1, d2):
     )
     sf = schmidt_decompose(psi)
     ref = _eigen_reference_schmidt(psi)
-    assert sf.rank == ref.rank == rank
+    assert sf.weights.size == ref.weights.size == rank
     assert np.max(np.abs(sf.weights - ref.weights)) <= 1e-10
     assert np.max(np.abs(sf.left_basis - ref.left_basis)) <= 1e-10
     assert np.max(np.abs(sf.right_basis - ref.right_basis)) <= 1e-10
@@ -573,7 +575,7 @@ def test_schmidt_keeps_small_weights(p1):
     for _ in range(10):
         psi = assemble_pure_state(weights, haar_unitary(4, rng), haar_unitary(4, rng), 4, 4)
         sf = schmidt_decompose(psi)
-        assert sf.rank == 4
+        assert sf.weights.size == 4
         assert abs(sf.weights[-1] - p1) <= 1e-9 * p1
 
 
@@ -637,6 +639,91 @@ def test_schmidt_form_rejects_malformed_data():
         SchmidtForm(weights=np.full(2, 0.5), left_basis=np.eye(2), right_basis=np.eye(2))
     with pytest.raises(DimensionMismatchError, match="column count"):
         SchmidtForm(weights=np.array([0.8, 0.6]), left_basis=np.eye(2), right_basis=np.eye(3))
+
+
+def test_schmidt_form_converts_list_bases_and_refuses_1d_ones():
+    form = SchmidtForm(
+        weights=[0.8, 0.6],
+        left_basis=[[1, 0], [0, 1]],
+        right_basis=[[0, 1], [1, 0]],
+    )
+    for basis in (form.left_basis, form.right_basis):
+        assert basis.dtype == complex and basis.shape == (2, 2)
+    assert np.array_equal(form.right_basis, np.eye(2)[:, ::-1])
+    for left, right in (([1, 0], np.eye(2)[:, :1]), (np.eye(2)[:, :1], np.array([1.0, 0.0]))):
+        with pytest.raises(DimensionMismatchError, match="column count"):
+            SchmidtForm(weights=[1.0], left_basis=left, right_basis=right)
+
+
+def test_schmidt_form_refuses_bases_that_are_not_orthonormal():
+    # Columns (1, 0) and (s, s) are unit vectors 45 degrees apart: the stacks
+    # built from them would be no projectors, and the verdict on them would
+    # speak about a measurement no one makes.
+    s = np.sqrt(0.5)
+    skewed = np.array([[1.0, s], [0.0, s]])
+    for left, right in ((skewed, np.eye(2)), (np.eye(2), skewed), (2.0 * np.eye(2), np.eye(2))):
+        with pytest.raises(InvalidStateError, match="orthonormal"):
+            SchmidtForm(weights=np.array([0.8, 0.6]), left_basis=left, right_basis=right)
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(InvalidStateError, match="orthonormal"):
+        SchmidtForm(weights=np.array([0.8, 0.6]), left_basis=nan, right_basis=np.eye(2))
+    # A 3x2 isometry is a basis of its span; round-off within STATE_TOL is
+    # accepted, and every Gram entry beyond it refused.
+    isometry = np.eye(3)[:, :2]
+    SchmidtForm(weights=np.array([0.8, 0.6]), left_basis=isometry, right_basis=np.eye(2))
+    # A diagonal entry moved by t moves its Gram entry by about 2t, an
+    # off-diagonal one by t.
+    for entry in ((0, 0), (1, 0)):
+        for step, accepted in ((0.25 * STATE_TOL, True), (2.0 * STATE_TOL, False)):
+            basis = np.eye(2, dtype=complex)
+            basis[entry] += step
+            if accepted:
+                SchmidtForm(weights=[0.8, 0.6], left_basis=basis, right_basis=np.eye(2))
+                continue
+            with pytest.raises(InvalidStateError, match="orthonormal"):
+                SchmidtForm(weights=[0.8, 0.6], left_basis=basis, right_basis=np.eye(2))
+
+
+def test_every_record_array_is_read_only():
+    # A record holds its checked fields in read-only arrays, and nothing
+    # else: an in-place write through any route that builds one fails, and
+    # so no measurement or verdict can change after it is checked.
+    psi = fixture_state()
+    sf = schmidt_decompose(psi)
+    obs = hardy_observables(psi)
+    sigma = validate_density(0.9 * psi.projector() + 0.1 * np.eye(4) / 4.0, 2, 2)
+    cells = behavior_from_state(sigma, obs).tables
+    records = {
+        "StateVector": psi,
+        "DensityOperator": DensityOperator(d1=2, d2=2, matrix=sigma.matrix),
+        "validate_density": sigma,
+        "pure_density": pure_density(psi),
+        "maximally_mixed": maximally_mixed(2, 2),
+        "SchmidtForm": SchmidtForm(
+            weights=sf.weights, left_basis=sf.left_basis, right_basis=sf.right_basis
+        ),
+        "schmidt_decompose": sf,
+        "Behavior": Behavior(cells),
+        "behavior_from_state": behavior_from_state(sigma, obs),
+        "HardyObservables": obs,
+        "facet_table": facet_table(),
+    }
+    arrays = {"strategy_constraint_matrix": strategy_constraint_matrix()}
+    for route, record in records.items():
+        if dataclasses.is_dataclass(record):
+            fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+            members = {name for name in dir(record) if not name.startswith("_")}
+            assert members - set(fields) <= {"projector"}, route
+        else:
+            fields = record._asdict()
+        held = {name: value for name, value in fields.items() if name not in ("d1", "d2")}
+        assert all(isinstance(value, np.ndarray) for value in held.values()), route
+        arrays.update({f"{route}.{name}": value for name, value in held.items()})
+    assert len(arrays) == 19
+    for name, array in arrays.items():
+        first = (0,) * array.ndim
+        with pytest.raises(ValueError, match="read-only"):
+            array[first] = array[first]
 
 
 # ------------------------------------------------------------ pair selection
