@@ -177,10 +177,10 @@ def certify(sigma: DensityOperator, candidate: StateVector) -> CertificationRepo
     """
     _check_dims("state", sigma, "candidate", candidate)
     svd = _schmidt_svd(candidate)
-    return _criterion(sigma, candidate, svd, _best_pair(svd[1]))
+    return _report(sigma, candidate, svd, _best_pair(svd[1]))
 
 
-def _criterion(
+def _report(
     sigma: DensityOperator, candidate: StateVector, svd: tuple, pair: HardyPair | None
 ) -> CertificationReport:
     """``certify``'s report, given the candidate's ``_schmidt_svd`` triple
@@ -267,7 +267,7 @@ def noise_threshold(psi: StateVector, noise: DensityOperator) -> NoiseThresholdR
     pair = _best_pair(svd[1])
     if pair is None:
         raise NotHardyError("candidate state has no admissible pair of distinct Schmidt weights")
-    report = _criterion(noise, psi, svd, pair)
+    report = _report(noise, psi, svd, pair)
     p_star = 0.0 if report.margin >= 0.0 else 1.0 - report.a / (6.0 * report.epsilon)
     return NoiseThresholdReport(p_star=p_star, d_noise=report.epsilon, a=report.a)
 

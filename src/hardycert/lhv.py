@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidStateError, MalformedBehaviorError
-from .linalg import _roundoff
+from .linalg import _roundoff, _sealed
 from .simplex import FEASIBILITY_TOL, solve_feasibility_lp
 
 #: Canonical outcome order for the three-outcome observables.  Lexicographic
@@ -73,8 +73,7 @@ class Behavior:
             raise InvalidStateError("behavior entries must be real")
         tables = np.array(raw.real, dtype=float)
         _check_tables(tables)
-        tables.setflags(write=False)
-        object.__setattr__(self, "tables", tables)
+        _sealed(self, tables=tables)
 
 
 def _check_tables(tables: np.ndarray) -> None:
@@ -88,23 +87,6 @@ def _check_tables(tables: np.ndarray) -> None:
         raise InvalidStateError("behavior entries must be finite")
     if low < -PROBABILITY_CLIP or high > 1.0 + PROBABILITY_CLIP:
         raise InvalidStateError("behavior entries must lie in [0, 1]")
-
-
-def _checked_behavior(tables: np.ndarray) -> Behavior:
-    """A ``Behavior`` over a fresh real float array that no one else holds,
-    such as ``observables.behavior_from_state`` computes.
-
-    The constructor's shape, finiteness and range checks run, with its
-    messages; the realness check and the copy do not, as the array is real
-    and owned.  Entries within PROBABILITY_CLIP outside [0, 1] are then
-    clipped to the boundary, in place, and the array is made read-only.
-    """
-    _check_tables(tables)
-    np.clip(tables, 0.0, 1.0, out=tables)
-    tables.setflags(write=False)
-    behavior = object.__new__(Behavior)
-    object.__setattr__(behavior, "tables", tables)
-    return behavior
 
 
 def enumerate_strategies() -> list[tuple[int, int, int, int]]:

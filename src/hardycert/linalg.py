@@ -1,12 +1,19 @@
 """The package's numerics: the Hermitian part of a dense complex matrix, with
-its Hermiticity defect, and the one bound on round-off in an n x n matrix.
+its Hermiticity defect, and the one bound on round-off in an n x n matrix;
+and the one seal of a checked record.
 
 Every density matrix is checked by the one gate in ``states``, which uses
-both; the trace distance in ``certification`` is taken on differences of
-validated operators and needs no check of its own.  The machine constants
-are read here and nowhere else, and ``_roundoff`` is the one form of every
-round-off budget in the package.  This module imports nothing of the
-package, so every layer, ``lhv`` included, may read it.
+the first two; the trace distance in ``certification`` is taken on
+differences of validated operators and needs no check of its own.  The
+machine constants are read here and nowhere else, and ``_roundoff`` is the
+one form of every round-off budget in the package.  This module imports
+nothing of the package, so every layer, ``lhv`` included, may read it.
+
+``_sealed`` is the one place a frozen record's fields are stored.  Each
+checking constructor ends with it, after its checks; the package's own
+builders call it on ``object.__new__(cls)`` over arrays they have just
+computed, which hold the record's invariants by construction, so no check
+runs twice.
 """
 
 from __future__ import annotations
@@ -31,6 +38,16 @@ def _roundoff(n: int, scale: float) -> float:
     shift of the 37 x 37 normal equations of ``lhv._projected_model``
     (n + 1 = 37, at their trace)."""
     return 4.0 * (n + 1) * _EPS * scale + _TINY
+
+
+def _sealed(record, **fields):
+    """``record``, an instance of a frozen dataclass, with each of ``fields``
+    stored on it and each array among them made read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(record, name, value)
+    return record
 
 
 def hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:

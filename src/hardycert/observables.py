@@ -15,8 +15,9 @@ This module is the whole Hardy measurement, in three steps:
 ``find_hardy_pair`` picks the Schmidt pair that maximises ``a``,
 ``build_bases`` and ``build_observables`` turn it into projector stacks, and
 ``behavior_from_state`` reads a state's 36 cells on them.  It imports
-``states`` for the state types and ``lhv`` for the ``Behavior`` type and
-its checked constructor; neither of them imports it back.
+``states`` for the state types and ``lhv`` for the ``Behavior`` type and its
+table checks, and takes ``linalg._sealed`` through ``lhv``; neither of them
+imports it back.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, NonPositiveWeightError
-from .lhv import Behavior, _checked_behavior
+from .lhv import Behavior, _check_tables, _sealed
 from .states import STATE_TOL, DensityOperator, SchmidtForm
 
 #: A weight pair is admissible when its smaller weight and its gap both exceed
@@ -156,12 +157,28 @@ def build_bases(sf: SchmidtForm, pair: HardyPair) -> tuple[np.ndarray, np.ndarra
     of those slots and the y vectors the (v u)-images, separately on each
     subsystem.  The slot assignment is pinned by the vanishing of the five
     designated joint probabilities, which the test suite checks directly.
+
+    Raises
+    ------
+    DimensionMismatchError
+        The pair's indices are not two distinct columns of the form, or its
+        ``p1, p2`` are not exactly the form's weights at them, as every pair
+        ``find_hardy_pair`` returns for the form is.
     """
+    slots = [pair.index_small, pair.index_large]
+    weights = dict(enumerate(sf.weights.tolist()))
+    if (
+        np.array(slots).dtype.kind not in "iu"
+        or slots[0] == slots[1]
+        or [weights.get(k) for k in slots] != [pair.p1, pair.p2]
+    ):
+        raise DimensionMismatchError(
+            f"pair {tuple(pair)} is not two distinct columns of the form with their weights"
+        )
     u, v = build_rotations(pair.p1, pair.p2)
     rotations = np.empty((2, 2, 2), dtype=complex)
     rotations[0] = u
     np.matmul(v, u, out=rotations[1])
-    slots = [pair.index_small, pair.index_large]
     # Row k of a rotation holds the coefficients of the k-th new vector in
     # the Schmidt-pair basis, so the image vectors are the rows of R @ basis.T.
     alice = rotations @ sf.left_basis[:, slots].T
@@ -216,9 +233,10 @@ def behavior_from_state(sigma: DensityOperator, obs: HardyObservables) -> Behavi
     all 36 cells at once.  A state's trace may miss 1 by up to ``STATE_TOL``,
     and the facets and the LP read tables that sum to 1, so the cells are
     divided by it.  Values within PROBABILITY_CLIP outside [0, 1] are clipped
-    to the boundary against round-off overshoot.  The behavior is built once,
-    on the one fresh array the division writes: ``Behavior``'s shape,
-    finiteness and range checks run on it, and no copy is made.
+    to the boundary against round-off overshoot, in place.  The behavior is
+    sealed once, over the one fresh array the division writes:
+    ``Behavior``'s shape, finiteness and range checks run on it, its realness
+    check and its copy do not, as the array is real and owned.
 
     Raises
     ------
@@ -243,7 +261,9 @@ def behavior_from_state(sigma: DensityOperator, obs: HardyObservables) -> Behavi
     # behavior keeps.
     tables = np.empty(values.shape)
     np.divide(values, np.trace(sigma.matrix).real, out=tables)
-    return _checked_behavior(tables)
+    _check_tables(tables)
+    np.clip(tables, 0.0, 1.0, out=tables)
+    return _sealed(object.__new__(Behavior), tables=tables)
 
 
 #: (alice setting, bob setting, alice outcome, bob outcome) indices into the

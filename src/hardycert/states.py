@@ -15,7 +15,10 @@ spectrum is negative.  ``DensityOperator`` runs the gate at ``STATE_TOL`` and
 ``validate_density`` at the caller's tolerance, so at one tolerance both
 store the same matrix.  Neither divides an unrepaired matrix by its trace:
 its readers do.  A state is its validated matrix and keeps no spectrum;
-``pure_density`` and ``maximally_mixed`` are states by construction.
+``pure_density`` and ``maximally_mixed`` are states by construction.  Those
+two, ``validate_density`` and ``schmidt_decompose`` seal their records with
+``linalg._sealed`` over the arrays they have just computed, as the
+constructors seal theirs after the checks, so no check runs twice.
 
 The Schmidt decomposition is one SVD of the amplitude coefficient matrix, in
 a fixed phase gauge: each pair of Schmidt vectors is only defined up to
@@ -38,7 +41,7 @@ from .errors import (
     NotPositiveError,
     NotUnitTraceError,
 )
-from .linalg import _roundoff, hermitian_part
+from .linalg import _roundoff, _sealed, hermitian_part
 
 #: Allowed deviation from 1 of a state's trace: a state vector's squared norm
 #: and a ``DensityOperator``'s trace.
@@ -93,8 +96,7 @@ class StateVector:
             raise InvalidStateError(
                 f"state vector squared norm {norm_sq!r} is not 1 within {STATE_TOL}"
             )
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        _sealed(self, amplitudes=amps)
 
     def projector(self) -> np.ndarray:
         """Rank-one density matrix |psi><psi| / <psi|psi>, made exactly
@@ -230,25 +232,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        matrix = _gate(self.matrix, self.d1, self.d2, STATE_TOL)
-        matrix.setflags(write=False)
-        object.__setattr__(self, "matrix", matrix)
-
-
-def _unchecked(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` over fields already known
-    to pass its checks, built without running its ``__post_init__``."""
-    instance = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(instance, name, value)
-    return instance
-
-
-def _checked_density(d1: int, d2: int, matrix: np.ndarray) -> DensityOperator:
-    """A ``DensityOperator`` over a matrix already known to be a state, made
-    read-only as the constructor makes it, without running the gate."""
-    matrix.setflags(write=False)
-    return _unchecked(DensityOperator, d1=d1, d2=d2, matrix=matrix)
+        _sealed(self, matrix=_gate(self.matrix, self.d1, self.d2, STATE_TOL))
 
 
 def validate_density(matrix, d1: int, d2: int, tol: float = STATE_TOL) -> DensityOperator:
@@ -271,7 +255,7 @@ def validate_density(matrix, d1: int, d2: int, tol: float = STATE_TOL) -> Densit
         As the gate, ``_gate``.
     """
     _check_tolerance("tol", tol)
-    return _checked_density(d1, d2, _gate(matrix, d1, d2, tol))
+    return _sealed(object.__new__(DensityOperator), d1=d1, d2=d2, matrix=_gate(matrix, d1, d2, tol))
 
 
 def pure_density(psi: StateVector) -> DensityOperator:
@@ -282,14 +266,15 @@ def pure_density(psi: StateVector) -> DensityOperator:
     The gate, if run on this matrix, would repair it by a few ulps, lifting
     it off rank one: its smallest eigenvalue is nearly always below zero.
     """
-    return _checked_density(psi.d1, psi.d2, psi.projector())
+    return _sealed(object.__new__(DensityOperator), d1=psi.d1, d2=psi.d2, matrix=psi.projector())
 
 
 def maximally_mixed(d1: int, d2: int) -> DensityOperator:
     """The white-noise state I / (d1 d2)."""
     _check_subsystem_dims(d1, d2)
     dim = d1 * d2
-    return _checked_density(d1, d2, np.eye(dim, dtype=complex) / dim)
+    matrix = np.eye(dim, dtype=complex) / dim
+    return _sealed(object.__new__(DensityOperator), d1=d1, d2=d2, matrix=matrix)
 
 
 @dataclass(frozen=True)
@@ -341,9 +326,7 @@ class SchmidtForm:
             defect = np.abs(basis.conj().T @ basis - np.eye(weights.size)).max()
             if not defect <= STATE_TOL:  # NaN fails it too
                 raise InvalidStateError(f"basis columns not orthonormal: Gram defect {defect:.3e}")
-        for name, array in zip(("weights", "left_basis", "right_basis"), (weights, *bases)):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        _sealed(self, weights=weights, left_basis=bases[0], right_basis=bases[1])
 
 
 def _schmidt_svd(psi: StateVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -364,14 +347,13 @@ def _schmidt_svd(psi: StateVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _fix_gauge(left: np.ndarray, weights: np.ndarray, right_h: np.ndarray) -> SchmidtForm:
     """The Schmidt form of one ``_schmidt_svd`` triple, in
-    ``schmidt_decompose``'s gauge, over the two fresh rephased bases, made
-    read-only as the constructor makes them."""
+    ``schmidt_decompose``'s gauge, sealed over the two fresh rephased bases."""
     pivots = left[np.argmax(np.abs(left), axis=0), np.arange(weights.size)]
     phases = pivots.conj() / np.abs(pivots)
     left_basis, right_basis = left * phases, right_h.T * phases.conj()
-    left_basis.setflags(write=False)
-    right_basis.setflags(write=False)
-    return _unchecked(SchmidtForm, weights=weights, left_basis=left_basis, right_basis=right_basis)
+    return _sealed(
+        object.__new__(SchmidtForm), weights=weights, left_basis=left_basis, right_basis=right_basis
+    )
 
 
 def schmidt_decompose(psi: StateVector) -> SchmidtForm:
@@ -392,11 +374,11 @@ def schmidt_decompose(psi: StateVector) -> SchmidtForm:
     ``certify`` and ``noise_threshold`` run the SVD alone, and ``certify``
     fixes the gauge only when a behavior is read.
 
-    The form is built without ``SchmidtForm``'s checks: a validated state's
-    largest weight is near 1, the SVD sorts the weights in descending order,
-    the kept ones are positive and normalised, and the SVD's singular
-    vectors, rephased, are orthonormal.  Its weights and its complex 2-D
-    bases are read-only, as the constructor makes them.
+    The form is sealed without re-running ``SchmidtForm``'s checks: a
+    validated state's largest weight is near 1, the SVD sorts the weights in
+    descending order, the kept ones are positive and normalised, and the
+    SVD's singular vectors, rephased, are orthonormal.  Its weights and its
+    complex 2-D bases are read-only, as the constructor leaves them.
     """
     return _fix_gauge(*_schmidt_svd(psi))
 

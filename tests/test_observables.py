@@ -204,6 +204,29 @@ def test_build_bases_rotates_by_build_rotations():
                     assert np.all(np.abs(part(got) - part(want)) <= np.spacing(np.abs(part(want))))
 
 
+def test_build_bases_refuses_a_pair_that_is_not_the_forms():
+    # A rank-3 form: a pair must name two distinct columns of it and carry
+    # its weights there exactly.  Out of range, a negative index (which
+    # numpy would wrap to the last column) and weights from elsewhere, which
+    # would build a measurement whose designated cells do not vanish, are
+    # all refused, naming the pair.
+    weights = np.array([0.8, 0.5, 0.3]) / math.sqrt(0.98)
+    sf = SchmidtForm(weights=weights, left_basis=np.eye(3), right_basis=np.eye(3))
+    pair = find_hardy_pair(sf)
+    build_bases(sf, pair)
+    other = [w for k, w in enumerate(weights.tolist()) if k != pair.index_small]
+    for bad in (
+        pair._replace(index_small=5),
+        pair._replace(index_small=-1),
+        pair._replace(index_small=pair.index_large),
+        pair._replace(index_small=float(pair.index_small)),
+        pair._replace(p1=other[0], p2=other[1]),
+        pair._replace(p1=math.nextafter(pair.p1, 1.0)),
+    ):
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"pair {tuple(bad)}")):
+            build_bases(sf, bad)
+
+
 # ------------------------------------------------------------- observables
 
 

@@ -154,3 +154,34 @@ def test_only_linalg_reads_the_machine_constants():
         or (isinstance(node, ast.alias) and node.name == "finfo")
     }
     assert readers == {"linalg"}
+
+
+def test_only_the_seal_sets_a_frozen_field():
+    # A frozen record's fields are stored by linalg._sealed and nowhere else,
+    # and a record made without its constructor is made only to be sealed:
+    # every object.__new__(...) is the first argument of a _sealed(...) call.
+    # So no bypass builder can grow back unseen.
+    offenders = []
+    for name, (_, tree) in _package_imports().items():
+        allowed = set()  # (node id, attribute) of the uses the seal accounts for
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (name, node.name) == ("linalg", "_sealed"):
+                allowed.update((id(inner), "__setattr__") for inner in ast.walk(node))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "_sealed"
+                and node.args
+                and isinstance(node.args[0], ast.Call)
+            ):
+                allowed.add((id(node.args[0].func), "__new__"))
+        offenders += [
+            f"hardycert.{name} line {node.lineno}: object.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("__new__", "__setattr__")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+            and (id(node), node.attr) not in allowed
+        ]
+    assert not offenders, f"frozen records built around linalg._sealed: {offenders}"

@@ -637,6 +637,8 @@ def test_schmidt_form_rejects_malformed_data():
         SchmidtForm(weights=np.array([]), left_basis=np.eye(1), right_basis=np.eye(1))
     with pytest.raises(InvalidStateError, match="sum to 1"):
         SchmidtForm(weights=np.full(2, 0.5), left_basis=np.eye(2), right_basis=np.eye(2))
+    with pytest.raises(InvalidStateError, match="strictly positive"):
+        SchmidtForm(weights=[1.0, 0.0], left_basis=np.eye(2), right_basis=np.eye(2))
     with pytest.raises(DimensionMismatchError, match="column count"):
         SchmidtForm(weights=np.array([0.8, 0.6]), left_basis=np.eye(2), right_basis=np.eye(3))
 
