@@ -136,25 +136,18 @@ def _hardy_amplitudes(p1_sq: float, d1: int, d2: int) -> np.ndarray:
 def cmd_gen_state(args: argparse.Namespace) -> dict:
     if args.kind in ("hardy", "white-noise-mix") and not 0.0 < args.p1_sq < 1.0:
         raise ValueError(f"--p1-sq must lie strictly between 0 and 1, got {args.p1_sq}")
-    if args.kind == "hardy":
-        if args.d1 < 2 or args.d2 < 2:
-            raise ValueError(f"hardy states need d1, d2 >= 2, got ({args.d1}, {args.d2})")
-        state: StateVector | DensityOperator = StateVector(
-            d1=args.d1, d2=args.d2, amplitudes=_hardy_amplitudes(args.p1_sq, args.d1, args.d2)
-        )
-    elif args.kind == "bell":
-        state = StateVector(d1=2, d2=2, amplitudes=_hardy_amplitudes(0.5, 2, 2))
-    elif args.kind == "product":
-        amps = np.zeros(4, dtype=complex)
-        amps[0] = 1.0
-        state = StateVector(d1=2, d2=2, amplitudes=amps)
-    else:  # white-noise-mix
-        if not 0.0 <= args.p <= 1.0:
-            raise ValueError(f"--p must lie in [0, 1], got {args.p}")
-        psi = StateVector(d1=2, d2=2, amplitudes=_hardy_amplitudes(args.p1_sq, 2, 2))
-        matrix = args.p * psi.projector() + (1.0 - args.p) * np.eye(4) / 4.0
-        state = DensityOperator(d1=2, d2=2, matrix=matrix)
-    return state_to_dict(state)
+    if args.kind == "hardy" and (args.d1 < 2 or args.d2 < 2):
+        raise ValueError(f"hardy states need d1, d2 >= 2, got ({args.d1}, {args.d2})")
+    if args.kind == "white-noise-mix" and not 0.0 <= args.p <= 1.0:
+        raise ValueError(f"--p must lie in [0, 1], got {args.p}")
+    # Every family is the Hardy closed form; bell and product fix p1^2.
+    p1_sq = {"bell": 0.5, "product": 1.0}.get(args.kind, args.p1_sq)
+    d1, d2 = (args.d1, args.d2) if args.kind == "hardy" else (2, 2)
+    psi = StateVector(d1=d1, d2=d2, amplitudes=_hardy_amplitudes(p1_sq, d1, d2))
+    if args.kind != "white-noise-mix":
+        return state_to_dict(psi)
+    matrix = args.p * psi.projector() + (1.0 - args.p) * np.eye(4) / 4.0
+    return state_to_dict(DensityOperator(d1=2, d2=2, matrix=matrix))
 
 
 def _load_density(args: argparse.Namespace, name: str, inputs: dict) -> DensityOperator:

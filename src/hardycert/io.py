@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import StateFileError
+from .errors import HardycertError, StateFileError
 from .states import STATE_TOL, DensityOperator, StateVector, validate_density
 
 
@@ -103,18 +103,12 @@ def _pairs(values: np.ndarray) -> list:
 def state_to_dict(state: StateVector | DensityOperator) -> dict:
     """Serialize a state to the JSON object layout."""
     if isinstance(state, StateVector):
-        return {
-            "kind": "pure",
-            "dims": [state.d1, state.d2],
-            "amplitudes": _pairs(state.amplitudes),
-        }
-    if isinstance(state, DensityOperator):
-        return {
-            "kind": "mixed",
-            "dims": [state.d1, state.d2],
-            "matrix": _pairs(state.matrix),
-        }
-    raise TypeError(f"cannot serialize {type(state).__name__} as a state")
+        kind, key, values = "pure", "amplitudes", state.amplitudes
+    elif isinstance(state, DensityOperator):
+        kind, key, values = "mixed", "matrix", state.matrix
+    else:
+        raise TypeError(f"cannot serialize {type(state).__name__} as a state")
+    return {"kind": kind, "dims": [state.d1, state.d2], key: _pairs(values)}
 
 
 def parse_state_dict(data, tol: float = STATE_TOL) -> StateVector | DensityOperator:
@@ -157,22 +151,25 @@ def load_state_file(
     path: Path | str, tol: float = STATE_TOL
 ) -> tuple[StateVector | DensityOperator, str]:
     """Read one state file once: its parsed state and the hex SHA-256 of the
-    bytes parsed, so a report's digest describes the state it certified."""
+    bytes parsed, so a report's digest describes the state it certified.
+    Every package error the file causes keeps its type and starts with
+    ``path``, so a caller that reads two files can tell which is bad."""
     raw = Path(path).read_bytes()
     try:
         # UTF-8 with universal newlines, as text-mode reading gives, so JSON
         # error positions count a CRLF file's line ends as one character.
         text = TextIOWrapper(BytesIO(raw), encoding="utf-8").read()
         data = json.loads(text, object_pairs_hook=_unique_keys)
-    except StateFileError as exc:
-        raise StateFileError(f"{path}: {exc}") from None
+        state = parse_state_dict(data, tol=tol)
+    except HardycertError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise StateFileError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise StateFileError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError:
         raise StateFileError(f"{path}: JSON nested too deeply") from None
-    return parse_state_dict(data, tol=tol), hashlib.sha256(raw).hexdigest()
+    return state, hashlib.sha256(raw).hexdigest()
 
 
 def dump_json(data: dict) -> str:

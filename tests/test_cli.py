@@ -67,29 +67,59 @@ def test_gen_bell_and_product(capsys):
     assert amps[0] == 1 and np.count_nonzero(amps) == 1
 
 
+def _hardy_closed_form(p1_sq, d1, d2):
+    """sqrt(p1_sq) |00> + sqrt(1 - p1_sq) |11>, in plain Python arithmetic."""
+    amps = [0j] * (d1 * d2)
+    amps[0] = complex(math.sqrt(p1_sq))
+    amps[d2 + 1] = complex(math.sqrt(1.0 - p1_sq))
+    return amps
+
+
+@pytest.mark.parametrize(
+    "argv, p1_sq, dims",
+    [
+        (["bell"], 0.5, (2, 2)),
+        (["product"], 1.0, (2, 2)),
+        (["hardy"], 0.2, (2, 2)),
+        (["hardy", "--d1", "3", "--d2", "4", "--p1-sq", "0.37"], 0.37, (3, 4)),
+    ],
+)
+def test_gen_pure_families_are_the_hardy_closed_form_byte_for_byte(argv, p1_sq, dims, capsys):
+    # bell and product are the 2x2 Hardy state at p1^2 = 1/2 and at p1^2 = 1.
+    code, out, err = run_cli(["gen-state", *argv], capsys)
+    assert (code, err) == (0, "")
+    pairs = [[z.real, z.imag] for z in _hardy_closed_form(p1_sq, *dims)]
+    want = {"kind": "pure", "dims": list(dims), "amplitudes": pairs}
+    assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
 def test_gen_white_noise_mix(capsys):
-    code, out, _ = run_cli(["gen-state", "white-noise-mix", "--p", "0.9"], capsys)
-    assert code == 0
-    data = json.loads(out)
-    assert data["kind"] == "mixed"
-    matrix = np.array([[complex(re, im) for re, im in row] for row in data["matrix"]])
-    assert matrix[0, 0] == pytest.approx(0.9 * 0.2 + 0.025)
-    assert matrix[1, 1] == pytest.approx(0.025)
-    assert matrix[0, 3] == pytest.approx(0.9 * np.sqrt(0.2 * 0.8))
-    assert np.trace(matrix).real == pytest.approx(1.0, abs=1e-12)
+    # The matrix goes through numpy's complex products and the density gate,
+    # whose last bits depend on the build, so it is pinned as the bench pins it.
+    amps = _hardy_closed_form(0.2, 2, 2)
+    for p in ("0.99", "0.9", "0", "1"):
+        code, out, err = run_cli(["gen-state", "white-noise-mix", "--p", p], capsys)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data.keys() == {"kind", "dims", "matrix"}
+        assert (data["kind"], data["dims"]) == ("mixed", [2, 2])
+        for j, row in enumerate(data["matrix"]):
+            for k, (re, im) in enumerate(row):
+                want = float(p) * amps[j] * amps[k].conjugate() + (1.0 - float(p)) * (j == k) / 4.0
+                assert abs(complex(re, im) - want) <= 1e-15
 
 
 def test_gen_rejects_bad_parameters(capsys):
-    for argv in (
-        ["gen-state", "hardy", "--p1-sq", "0.0"],
-        ["gen-state", "hardy", "--p1-sq", "1.0"],
-        ["gen-state", "hardy", "--d1", "1"],
-        ["gen-state", "white-noise-mix", "--p", "1.5"],
+    for argv, line in (
+        (["hardy", "--p1-sq", "0.0"], "--p1-sq must lie strictly between 0 and 1, got 0.0"),
+        (["hardy", "--p1-sq", "1.0"], "--p1-sq must lie strictly between 0 and 1, got 1.0"),
+        (["hardy", "--d1", "1"], "hardy states need d1, d2 >= 2, got (1, 2)"),
+        (["white-noise-mix", "--p", "1.5"], "--p must lie in [0, 1], got 1.5"),
     ):
-        code, out, err = run_cli(argv, capsys)
+        code, out, err = run_cli(["gen-state", *argv], capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith("error:")
+        assert err == f"error: {line}\n"
 
 
 @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 14.6 TiB"), MemoryError()])
@@ -278,6 +308,41 @@ def test_file_that_is_not_utf8_is_named(role, tmp_path, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {bad}: not UTF-8 text (") and err.count("\n") == 1
+
+
+def _skewed_white_noise() -> dict:
+    data = state_to_dict(hardycert.maximally_mixed(2, 2))
+    data["matrix"][0][1] = [0.5, 0.0]
+    return data
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (
+            {"kind": "pure", "dims": [2, 2], "amplitudes": [[1.0, 0.0]] * 2 + [[0.0, 0.0]] * 2},
+            "state vector squared norm 2.0 is not 1 within 1e-09",
+        ),
+        (_skewed_white_noise(), "hermiticity defect 5.000e-01 exceeds 1e-09"),
+        (
+            {**state_to_dict(fixture_state()), "kind": "puer"},
+            "\"kind\" must be \"pure\" or \"mixed\", got 'puer'",
+        ),
+    ],
+    ids=["norm", "hermiticity", "kind"],
+)
+@pytest.mark.parametrize("role", ["state", "candidate"])
+def test_an_invalid_state_file_is_named(role, content, message, tmp_path, capsys):
+    # Only unreadable files used to be named: an invalid state was reported
+    # without its path, so lhv-check could not say which file is bad.
+    good = gen(tmp_path, "good.json", "hardy")
+    bad = tmp_path / "bad.json"
+    bad.write_text(dump_json(content))
+    files = {"state": good, "candidate": good, role: bad}
+    argv = ["lhv-check", "--state", str(files["state"]), "--candidate", str(files["candidate"])]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: {message}\n"
 
 
 def test_certify_rejects_json_booleans(tmp_path, capsys):

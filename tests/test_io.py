@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -323,8 +324,8 @@ def test_the_one_bad_pair_in_the_last_row_of_a_3x3_file_is_named(tmp_path, colum
     assert_same_outcome(data)
     path = tmp_path / "mixed-3x3.json"
     path.write_text(dump_json(data))
-    want = rf"^matrix\[8\]\[{column}\]: expected a \[re, im\] pair, got \[0\.0, '0'\]$"
-    with pytest.raises(StateFileError, match=want):
+    bad = rf"matrix\[8\]\[{column}\]: expected a \[re, im\] pair, got \[0\.0, '0'\]"
+    with pytest.raises(StateFileError, match=rf"^{re.escape(str(path))}: {bad}$"):
         load_state_file(path)
 
 
