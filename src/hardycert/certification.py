@@ -122,6 +122,13 @@ def _unit(state: DensityOperator) -> np.ndarray:
     return state.matrix / state.matrix.trace().real
 
 
+#: The smallest D = d1 d2 at which ``_candidate_distance`` refines the one
+#: negative eigenvalue of ``unit - v v^H`` rather than taking its spectrum:
+#: below it one ``eigvalsh`` costs less than the refinement.
+#: ``tools/distance_crossover.py`` re-measures it.
+_REFINE_MIN_DIM = 25
+
+
 def _candidate_distance(unit: np.ndarray, psi: StateVector) -> float:
     """Trace distance from a unit-trace state to a candidate's unit vector.
 
@@ -131,12 +138,17 @@ def _candidate_distance(unit: np.ndarray, psi: StateVector) -> float:
     upper end holds because ``unit - r v^H - v r^H`` has v as an exact
     eigenvector, and that perturbation has trace norm ``2 |r|``.  When
     ``|r|`` is at most the density gate's shift at unit trace,
-    ``4 (D + 1) eps``, v is an eigenvector up to round-off and the upper end
-    is returned, clipped to [0, 1], from this one matrix-vector product: the
-    top eigenvector, white noise and a white-noise mixture against its own
-    candidate take no eigensolve.  Any other candidate pays one ``eigvalsh``
-    of ``unit - v v^H``; it reads only the lower triangle, so the outer
-    product needs no symmetrising.
+    ``delta = 4 (D + 1) eps``, v is an eigenvector up to round-off and the
+    upper end is returned, clipped to [0, 1], from this one matrix-vector
+    product: the top eigenvector, white noise and a white-noise mixture
+    against its own candidate take no eigensolve.
+
+    Any other candidate needs ``X = unit - v v^H``, formed once.  At D of
+    ``_REFINE_MIN_DIM`` or more, ``_refined_distance`` brackets X's one
+    negative eigenvalue from one linear solve; when its bracket is not
+    certified, and at smaller D, the distance is one ``eigvalsh`` of X.  It
+    reads only the lower triangle, so the outer product needs no
+    symmetrising.
     """
     amps = psi.amplitudes
     v = amps / math.sqrt(np.vdot(amps, amps).real)
@@ -144,9 +156,65 @@ def _candidate_distance(unit: np.ndarray, psi: StateVector) -> float:
     f = float(np.vdot(v, w).real)
     r = w - f * v
     r_norm = math.sqrt(np.vdot(r, r).real)
-    if r_norm <= _roundoff(v.size, 1.0):
+    delta = _roundoff(v.size, 1.0)
+    if r_norm <= delta:
         return min(max(1.0 - f + r_norm, 0.0), 1.0)
-    return _trace_distance(unit - v[:, None] * v.conj())
+    difference = unit - v[:, None] * v.conj()
+    if v.size >= _REFINE_MIN_DIM:
+        epsilon = _refined_distance(difference, v, f, r / r_norm, r_norm, delta)
+        if epsilon is not None:
+            return epsilon
+    return _trace_distance(difference)
+
+
+def _refined_distance(
+    difference: np.ndarray, v: np.ndarray, f: float, q: np.ndarray, r_norm: float, delta: float
+) -> float | None:
+    """The upper end of a certified bracket on the trace norm of
+    ``X = unit - v v^H``, halved and clipped to [0, 1], or None when the
+    bracket cannot be certified.
+
+    The density gate proved ``unit`` positive semidefinite up to ``delta``,
+    so by Cauchy interlacing under the rank-one update every eigenvalue of X
+    but the least, ``lambda_1 <= f - 1 < 0``, is at least ``-delta``, and the
+    distance is ``-lambda_1 + tr X / 2``.  The Ritz pair (mu, x) of the span
+    of v and ``q = r / |r|`` (X's matrix there is ``[[f - 1, |r|], [|r|,
+    q^H X q]]``, since r is orthogonal to v) starts one Rayleigh-quotient
+    step: y solves ``(X - mu I) y = x``, and then ``x = y / |y|``,
+    ``mu = x^H X x`` and ``s = X x - mu x``.  With ``g = -mu - delta``,
+    Temple's inequality (G. Temple, Proc. R. Soc. Lond. A 119, 276 (1928);
+    B. N. Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998, ch. 10)
+    gives ``lambda_1`` in ``[mu - |s|^2 / g, mu]`` when ``g > 0``.  The bracket is accepted when
+    ``g > delta``, so that mu lies clear of the eigenvalues at round-off
+    zero, and its width ``|s|^2 / g`` is at most delta.  An exactly singular
+    shift, or a step that overflows, gives None.
+    """
+    lowest = f - 1.0
+    highest = float(np.vdot(q, difference @ q).real)
+    half = 0.5 * (highest - lowest)
+    root = math.hypot(half, r_norm)
+    mu = 0.5 * (lowest + highest) - root
+    # The Ritz vector's coefficients on (v, q) are (highest - mu, -|r|), and
+    # highest - mu = half + root, taken without cancellation.
+    spread = half + root if half >= 0.0 else r_norm * r_norm / (root - half)
+    shifted = difference.copy()
+    shifted.reshape(-1)[:: v.size + 1] -= mu
+    try:
+        y = np.linalg.solve(shifted, spread * v - r_norm * q)
+    except np.linalg.LinAlgError:
+        return None
+    y_norm = math.sqrt(np.vdot(y, y).real)
+    if not 0.0 < y_norm < math.inf:  # NaN fails it too
+        return None
+    x = y / y_norm
+    xx = difference @ x
+    mu = float(np.vdot(x, xx).real)
+    s = xx - mu * x
+    s_squared = float(np.vdot(s, s).real)
+    g = -mu - delta
+    if not (g > delta and s_squared <= g * delta):
+        return None
+    return min(max(-mu + s_squared / g + 0.5 * float(difference.trace().real), 0.0), 1.0)
 
 
 def trace_distance(s1: DensityOperator, s2: DensityOperator) -> float:
@@ -173,7 +241,9 @@ def certify(sigma: DensityOperator, candidate: StateVector) -> CertificationRepo
     evaluated once, on first read of ``report.behavior`` or ``report.table``,
     from the same SVD.  A candidate that is an eigenvector of ``sigma``, such
     as ``top_eigenvector``'s, gets epsilon from one matrix-vector product
-    (``_candidate_distance``); any other pays one ``eigvalsh``.
+    (``_candidate_distance``); any other pays one ``eigvalsh`` below D = 25,
+    and from there on one linear solve whose bracket, when it is not
+    certified, falls back to the ``eigvalsh``.
     """
     _check_dims("state", sigma, "candidate", candidate)
     svd = _schmidt_svd(candidate)
@@ -254,7 +324,8 @@ def noise_threshold(psi: StateVector, noise: DensityOperator) -> NoiseThresholdR
     (including noise = |psi><psi| itself).  ``d_noise`` and ``a`` are
     ``certify``'s own, so against noise that has psi as an eigenvector,
     white noise and psi's own projector among them, d_noise takes no
-    eigensolve.
+    eigensolve, and against any other noise it takes what ``certify``
+    takes: one ``eigvalsh`` below D = 25, one linear solve from there on.
 
     Raises
     ------

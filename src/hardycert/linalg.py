@@ -34,8 +34,9 @@ def _roundoff(n: int, scale: float) -> float:
 
     Its readers: the density gate's Cholesky shift (n = D, at the trace) and
     repair floor (n + 1 = D, at unit scale), the eigenvector test of
-    ``certification._candidate_distance`` (n = D, at unit trace) and the
-    shift of the 37 x 37 normal equations of ``lhv._projected_model``
+    ``certification._candidate_distance`` and the spectral margin and
+    bracket width of its ``_refined_distance`` (n = D, at unit trace), and
+    the shift of the 37 x 37 normal equations of ``lhv._projected_model``
     (n + 1 = 37, at their trace)."""
     return 4.0 * (n + 1) * _EPS * scale + _TINY
 

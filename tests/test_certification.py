@@ -35,6 +35,7 @@ from support import (
     random_density,
     random_hardy_state,
     random_projector,
+    random_separable,
     random_state_vector,
 )
 
@@ -214,6 +215,140 @@ def test_candidate_distance_stays_in_the_unit_interval():
         assert 0.0 <= certify(pure_density(psi), psi).epsilon <= pad
         assert 1.0 - pad <= certify(pure_density(phi), psi).epsilon <= 1.0
         assert 0.0 <= certify(random_density(d1, d2, rng), psi).epsilon <= 1.0
+
+
+#: Subsystem dimensions at which a candidate that is no eigenvector of its
+#: state gets epsilon from the refinement, D = 25 to 64.
+REFINE_DIMS = [(5, 5), (4, 8), (6, 6), (8, 8)]
+
+
+def spectral_distance(sigma: DensityOperator, psi: StateVector) -> float:
+    """The eigvalsh distance from the unit state to the unit candidate,
+    formed as ``certify`` forms it."""
+    unit = sigma.matrix / sigma.matrix.trace().real
+    v = psi.amplitudes / math.sqrt(np.vdot(psi.amplitudes, psi.amplitudes).real)
+    return min(0.5 * float(np.abs(np.linalg.eigvalsh(unit - v[:, None] * v.conj())).sum()), 1.0)
+
+
+def refinement_cases(rng: np.random.Generator, d1: int, d2: int, near: float = 1e-12) -> list:
+    """Seeded (state, candidate) pairs at d1 x d2: certified mixtures,
+    product mixtures against a Hardy candidate, rank 1-3 states against a
+    random vector, a candidate within ``near`` of a non-top eigenvector, and
+    a pure state's projector against a vector 1e-8 to 1 away from it."""
+    dim = d1 * d2
+    cases = []
+    for rank in (1, 2, 3):
+        sigma = random_density(d1, d2, rng)
+        vectors = np.linalg.eigh(sigma.matrix)[1]
+        moved = vectors[:, rng.integers(dim - 1)] + near * random_state_vector(d1, d2, rng).amplitudes
+        cases += [
+            certified_mixture(rng, d1, d2),
+            (random_separable(d1, d2, rng), random_hardy_state(rng, d1=d1, d2=d2)),
+            (random_density(d1, d2, rng, rank=rank), random_state_vector(d1, d2, rng)),
+            (sigma, StateVector(d1, d2, moved / np.linalg.norm(moved))),
+        ]
+    for step in (1e-8, 1e-6, 1e-4, 1e-2, 1.0):
+        psi = random_state_vector(d1, d2, rng)
+        moved = psi.amplitudes + step * random_state_vector(d1, d2, rng).amplitudes
+        cases.append((pure_density(psi), StateVector(d1, d2, moved / np.linalg.norm(moved))))
+    # A vector 1e-9 from orthogonal to the projected one: epsilon rounds to 1.
+    for _ in range(3):
+        basis = haar_unitary(dim, rng)
+        moved = basis[:, 1] + 1e-9 * basis[:, 0]
+        cases.append((pure_density(StateVector(d1, d2, basis[:, 0])), StateVector(d1, d2, moved)))
+    return cases
+
+
+def rotated_candidate(psi: StateVector, angle: float, rng: np.random.Generator) -> StateVector:
+    """``cos(angle) psi + sin(angle) phi`` for a random unit phi orthogonal
+    to the unit psi: its projector is ``sin(angle)`` from psi's."""
+    u = psi.amplitudes / np.linalg.norm(psi.amplitudes)
+    phi = random_state_vector(psi.d1, psi.d2, rng).amplitudes
+    phi = phi - np.vdot(u, phi) * u
+    phi = phi / np.linalg.norm(phi)
+    return StateVector(psi.d1, psi.d2, math.cos(angle) * u + math.sin(angle) * phi)
+
+
+@pytest.mark.parametrize("d1, d2", REFINE_DIMS)
+def test_refined_distance_is_the_spectral_one(d1, d2):
+    # Temple's bracket on the one negative eigenvalue of unit - v v^H: its
+    # upper end is within the gate's shift of the eigvalsh distance, and no
+    # verdict moves.  A projector's difference with a nearby vector has one
+    # negative eigenvalue of -1e-8 or less and D - 2 at round-off zero: a
+    # Rayleigh quotient at one of those is no bracket on the first.
+    rng = np.random.default_rng([63, d1, d2])
+    pad = distance_pad(d1 * d2)
+    cases = refinement_cases(rng, d1, d2) + refinement_cases(rng, d1, d2, near=1e-9)
+    for sigma, psi in cases:
+        report = certify(sigma, psi)
+        spectral = spectral_distance(sigma, psi)
+        assert 0.0 <= report.epsilon <= 1.0
+        assert abs(report.epsilon - spectral) <= pad
+        if report.pair is not None:
+            margin = report.pair.a - 6.0 * spectral
+            assert report.verdict is (
+                Verdict.NONLOCAL_CERTIFIED if margin > CERTIFICATION_TOL else Verdict.INCONCLUSIVE
+            )
+
+
+@pytest.mark.parametrize("d1, d2", REFINE_DIMS)
+def test_refinement_certifies_mixtures_with_one_solve(d1, d2, monkeypatch):
+    # A certified mixture, a product mixture and a pure state's projector
+    # against a nearby vector: one linear solve, and no spectrum.
+    rng = np.random.default_rng([64, d1, d2])
+    psi = random_state_vector(d1, d2, rng)
+    moved = psi.amplitudes + 1e-3 * random_state_vector(d1, d2, rng).amplitudes
+    cases = [
+        certified_mixture(rng, d1, d2),
+        (random_separable(d1, d2, rng), random_hardy_state(rng, d1=d1, d2=d2)),
+        (pure_density(psi), StateVector(d1, d2, moved / np.linalg.norm(moved))),
+    ]
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or solve(a, b))
+    spectra = count_spectra(monkeypatch)
+    for sigma, psi in cases:
+        certify(sigma, psi)
+    assert spectra == []
+    assert solves == [(d1 * d2, d1 * d2)] * len(cases)
+
+
+@pytest.mark.parametrize("d1, d2", REFINE_DIMS)
+def test_a_rayleigh_quotient_near_round_off_zero_is_refused(d1, d2, monkeypatch):
+    # A pure state's projector against a candidate 1.5 delta from it, delta
+    # = distance_pad(D): v is no eigenvector, and the negative eigenvalue,
+    # -1.5 delta, lies within 2 delta of the D - 2 eigenvalues at round-off
+    # zero.  A Rayleigh quotient that close to zero brackets nothing: the
+    # refinement refuses it and the distance is one eigvalsh, bit for bit.
+    # At 3 delta the bracket is certified and no spectrum is taken.
+    rng = np.random.default_rng([66, d1, d2])
+    delta = distance_pad(d1 * d2)
+    psi = random_state_vector(d1, d2, rng)
+    near, clear = (rotated_candidate(psi, angle, rng) for angle in (1.5 * delta, 3.0 * delta))
+    sigma = pure_density(psi)
+    expected = spectral_distance(sigma, near)
+    spectra = count_spectra(monkeypatch)
+    assert certify(sigma, near).epsilon == expected
+    assert spectra == [(d1 * d2, d1 * d2)]
+    assert abs(certify(sigma, clear).epsilon - 3.0 * delta) <= delta
+    assert spectra == [(d1 * d2, d1 * d2)]
+
+
+@pytest.mark.parametrize("d1, d2", REFINE_DIMS)
+def test_singular_shift_falls_back_to_the_spectrum_bit_for_bit(d1, d2, monkeypatch):
+    # A shift the solver finds exactly singular leaves the bracket
+    # unproven, and epsilon is the eigvalsh distance of the same matrix.  A
+    # candidate 1e-12 from an eigenvector takes the eigenvector test's
+    # bracket instead, so the near candidates here are 1e-9 away.
+    rng = np.random.default_rng([65, d1, d2])
+    cases = refinement_cases(rng, d1, d2, near=1e-9)
+    spectral = [spectral_distance(sigma, psi) for sigma, psi in cases]
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert [certify(sigma, psi).epsilon for sigma, psi in cases] == spectral
 
 
 # ----------------------------------------------------------------- certify
@@ -418,8 +553,11 @@ def test_lazy_behavior_is_the_eager_one_bit_for_bit(d1, d2):
     # The verdict's numbers and the lazy behavior are those of the eager
     # chain schmidt_decompose, find_hardy_pair, build_bases,
     # build_observables, behavior_from_state, for a certified, a noisy and
-    # an equal-weight (NotHardy) candidate.
+    # an equal-weight (NotHardy) candidate.  Below D = 25 epsilon is the
+    # eigvalsh distance bit for bit; at 8x8 it comes from the refinement,
+    # within the gate's shift of it, and the margin is read off it.
     rng = np.random.default_rng([50, d1, d2])
+    refined = d1 * d2 >= certification._REFINE_MIN_DIM
     certified = certified_mixture(rng, d1=d1, d2=d2)
     noisy = (random_density(d1, d2, rng), random_hardy_state(rng, d1=d1, d2=d2))
     not_hardy = (random_density(d1, d2, rng), equal_weight_state(rng, d1, d2))
@@ -428,12 +566,14 @@ def test_lazy_behavior_is_the_eager_one_bit_for_bit(d1, d2):
         sf = schmidt_decompose(psi)
         pair = find_hardy_pair(sf)
         # None of these candidates is an eigenvector of its state, so
-        # epsilon is the eigvalsh distance to the unit candidate's v v^H.
-        unit = sigma.matrix / np.trace(sigma.matrix).real
-        v = psi.amplitudes / np.sqrt(np.vdot(psi.amplitudes, psi.amplitudes).real)
-        difference = unit - np.outer(v, v.conj())
-        epsilon = min(0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(difference)))), 1.0)
-        assert report.epsilon == epsilon
+        # epsilon is held to the eigvalsh distance to the unit candidate's
+        # v v^H.
+        spectral = spectral_distance(sigma, psi)
+        epsilon = report.epsilon
+        if refined:
+            assert abs(epsilon - spectral) <= distance_pad(d1 * d2)
+        else:
+            assert epsilon == spectral
         assert report.pair == pair
         if pair is None:
             assert report.verdict is Verdict.NOT_HARDY

@@ -3,12 +3,13 @@ Cholesky factorisation and no eigensolve, a state the Cholesky cannot prove
 pays one ``eigh`` whose eigenvectors serve its repair, white noise and a
 pure state's projector pay for none, outside the gate eigenvectors are
 computed only where they are read, the distance to a candidate that is an
-eigenvector of the state needs no spectrum, and the candidate's Schmidt
-form is one SVD.
+eigenvector of the state needs no spectrum, the distance to any other
+candidate is one ``eigvalsh`` below D = 25 and one linear solve from there
+on, and the candidate's Schmidt form is one SVD.
 
 ``numpy.linalg.cholesky``, ``eigh`` (eigenvalues and eigenvectors),
-``eigvalsh`` (eigenvalues only) and ``svd`` are wrapped to record the shape
-of every matrix they see.
+``eigvalsh`` (eigenvalues only), ``solve`` and ``svd`` are wrapped to record
+the shape of every matrix they see.
 """
 
 import json
@@ -28,7 +29,7 @@ DIM = D1 * D2
 @pytest.fixture
 def solves(monkeypatch):
     """Matrix shapes seen by each solver, keyed by its name."""
-    seen = {"cholesky": [], "eigh": [], "eigvalsh": [], "svd": []}
+    seen = {"cholesky": [], "eigh": [], "eigvalsh": [], "solve": [], "svd": []}
     for name in seen:
         original = getattr(np.linalg, name)
 
@@ -71,6 +72,27 @@ def test_explicit_candidate_needs_no_eigenvectors_of_sigma(files, solves, capsys
     assert solves["eigh"].count((DIM, DIM)) == 0
 
 
+@pytest.mark.parametrize("d", [4, 8])
+def test_file_candidate_distance_is_one_spectrum_or_one_solve(d, tmp_path, solves, capsys):
+    # A file candidate that is no eigenvector of its state: at 4x4 its
+    # distance is one eigvalsh; at 8x8 one linear solve brackets the one
+    # negative eigenvalue of sigma - |psi><psi|, and no spectrum is taken.
+    dim = d * d
+    sigma, psi = certified_mixture(np.random.default_rng([5, d]), d1=d, d2=d)
+    paths = [tmp_path / "state.json", tmp_path / "candidate.json"]
+    for path, state in zip(paths, (sigma, psi)):
+        path.write_text(json.dumps(state_to_dict(state)))
+    for shapes in solves.values():
+        shapes.clear()  # the files' own construction
+    run(["certify", "--state", paths[0], "--candidate", paths[1]], capsys)
+    assert solves["cholesky"] == [(dim, dim)]
+    assert solves["eigh"] == []
+    if d == 4:
+        assert (solves["eigvalsh"], solves["solve"]) == ([(dim, dim)], [])
+    else:
+        assert (solves["eigvalsh"], solves["solve"]) == ([], [(dim, dim)])
+
+
 @pytest.mark.parametrize(
     "argv, spectra, eigenvectors",
     [
@@ -101,7 +123,7 @@ def test_pure_noise_file_runs_no_gate(files, solves, capsys):
     # A pure file loaded as a density is its projector, stored with no
     # gate: the only spectrum is the trace distance's.
     run(["noise-threshold", "--state", files["candidate"], "--noise", files["product"]], capsys)
-    assert solves == {"cholesky": [], "eigh": [], "eigvalsh": [(DIM, DIM)], "svd": [(D1, D2)]}
+    assert solves == {"cholesky": [], "eigh": [], "eigvalsh": [(DIM, DIM)], "solve": [], "svd": [(D1, D2)]}
 
 
 @pytest.mark.parametrize("command", ["certify", "lhv-check"])
@@ -126,7 +148,7 @@ def test_validate_density_computes_eigenvectors_only_to_repair(gate, solves):
     repaired = gate(np.diag([-5e-10, 0.3, 0.3, 0.4 + 5e-10]))
     # The Cholesky fails, and one eigh both finds the negative and repairs
     # it: no second spectrum.
-    assert solves == {"cholesky": [(4, 4)], "eigh": [(4, 4)], "eigvalsh": [], "svd": []}
+    assert solves == {"cholesky": [(4, 4)], "eigh": [(4, 4)], "eigvalsh": [], "solve": [], "svd": []}
     assert np.linalg.eigvalsh(repaired.matrix)[0] >= 0.0
 
 
@@ -144,7 +166,7 @@ def test_rank_deficient_state_costs_one_cholesky_and_one_eigh(d, rank, entry, so
         rho = DensityOperator(d1=d, d2=d, matrix=matrix)
     else:
         rho = validate_density(matrix, d, d)
-    assert solves == {"cholesky": [(dim, dim)], "eigh": [(dim, dim)], "eigvalsh": [], "svd": []}
+    assert solves == {"cholesky": [(dim, dim)], "eigh": [(dim, dim)], "eigvalsh": [], "solve": [], "svd": []}
     # Nonnegative as the gate's one solver reads it.
     assert np.linalg.eigh(rho.matrix)[0][0] >= 0.0
 
@@ -153,14 +175,14 @@ def test_rank_deficient_state_costs_one_cholesky_and_one_eigh(d, rank, entry, so
 def test_validate_density_solves_once_without_repair(gate, solves):
     rho = gate(np.diag([0.1, 0.2, 0.3, 0.4 + 2e-10]))
     # A positive-definite state: one Cholesky and no spectrum.
-    assert solves == {"cholesky": [(4, 4)], "eigh": [], "eigvalsh": [], "svd": []}
+    assert solves == {"cholesky": [(4, 4)], "eigh": [], "eigvalsh": [], "solve": [], "svd": []}
     assert not rho.matrix.flags.writeable
 
 
 @pytest.mark.parametrize("d1, d2", [(2, 2), (3, 5), (8, 8)])
 def test_maximally_mixed_needs_no_eigensolve(d1, d2, solves):
     rho = maximally_mixed(d1, d2)
-    assert solves == {"cholesky": [], "eigh": [], "eigvalsh": [], "svd": []}
+    assert solves == {"cholesky": [], "eigh": [], "eigvalsh": [], "solve": [], "svd": []}
     # The state the constructor would build, bit for bit.
     dim = d1 * d2
     built = DensityOperator(d1=d1, d2=d2, matrix=np.eye(dim) / dim)
