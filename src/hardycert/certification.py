@@ -145,7 +145,7 @@ def _candidate_distance(unit: np.ndarray, psi: StateVector) -> float:
 
     Any other candidate needs ``X = unit - v v^H``, formed once.  At D of
     ``_REFINE_MIN_DIM`` or more, ``_refined_distance`` brackets X's one
-    negative eigenvalue from one linear solve; when its bracket is not
+    negative eigenvalue from up to two linear solves; when its bracket is not
     certified, and at smaller D, the distance is one ``eigvalsh`` of X.  It
     reads only the lower triangle, so the outer product needs no
     symmetrising.
@@ -179,15 +179,18 @@ def _refined_distance(
     but the least, ``lambda_1 <= f - 1 < 0``, is at least ``-delta``, and the
     distance is ``-lambda_1 + tr X / 2``.  The Ritz pair (mu, x) of the span
     of v and ``q = r / |r|`` (X's matrix there is ``[[f - 1, |r|], [|r|,
-    q^H X q]]``, since r is orthogonal to v) starts one Rayleigh-quotient
-    step: y solves ``(X - mu I) y = x``, and then ``x = y / |y|``,
-    ``mu = x^H X x`` and ``s = X x - mu x``.  With ``g = -mu - delta``,
-    Temple's inequality (G. Temple, Proc. R. Soc. Lond. A 119, 276 (1928);
-    B. N. Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998, ch. 10)
-    gives ``lambda_1`` in ``[mu - |s|^2 / g, mu]`` when ``g > 0``.  The bracket is accepted when
-    ``g > delta``, so that mu lies clear of the eigenvalues at round-off
-    zero, and its width ``|s|^2 / g`` is at most delta.  An exactly singular
-    shift, or a step that overflows, gives None.
+    q^H X q]]``, since r is orthogonal to v) starts up to two
+    Rayleigh-quotient steps: y solves ``(X - mu I) y = x``, and then
+    ``x = y / |y|``, ``mu = x^H X x`` and ``s = X x - mu x``.  With
+    ``g = -mu - delta``, Temple's inequality (G. Temple, Proc. R. Soc. Lond.
+    A 119, 276 (1928); B. N. Parlett, *The Symmetric Eigenvalue Problem*,
+    SIAM 1998, ch. 10) gives ``lambda_1`` in ``[mu - |s|^2 / g, mu]`` when
+    ``g > 0``.  The bracket is accepted when ``g > delta``, so that mu lies
+    clear of the eigenvalues at round-off zero, and its width ``|s|^2 / g``
+    is at most delta.  A far candidate against a rank-2 or rank-3 state can
+    leave the first step's bracket too wide, and the second step, shifted
+    by the new mu, narrows it.  An exactly singular shift, a step that
+    overflows, or a bracket still wide after two steps gives None.
     """
     lowest = f - 1.0
     highest = float(np.vdot(q, difference @ q).real)
@@ -197,24 +200,28 @@ def _refined_distance(
     # The Ritz vector's coefficients on (v, q) are (highest - mu, -|r|), and
     # highest - mu = half + root, taken without cancellation.
     spread = half + root if half >= 0.0 else r_norm * r_norm / (root - half)
+    x = spread * v - r_norm * q
     shifted = difference.copy()
-    shifted.reshape(-1)[:: v.size + 1] -= mu
-    try:
-        y = np.linalg.solve(shifted, spread * v - r_norm * q)
-    except np.linalg.LinAlgError:
-        return None
-    y_norm = math.sqrt(np.vdot(y, y).real)
-    if not 0.0 < y_norm < math.inf:  # NaN fails it too
-        return None
-    x = y / y_norm
-    xx = difference @ x
-    mu = float(np.vdot(x, xx).real)
-    s = xx - mu * x
-    s_squared = float(np.vdot(s, s).real)
-    g = -mu - delta
-    if not (g > delta and s_squared <= g * delta):
-        return None
-    return min(max(-mu + s_squared / g + 0.5 * float(difference.trace().real), 0.0), 1.0)
+    for _ in range(2):
+        # X - mu I on the one copy: its diagonal is rewritten from X's, so
+        # each step's shift replaces the last one's.
+        shifted.reshape(-1)[:: v.size + 1] = difference.diagonal() - mu
+        try:
+            y = np.linalg.solve(shifted, x)
+        except np.linalg.LinAlgError:
+            return None
+        y_norm = math.sqrt(np.vdot(y, y).real)
+        if not 0.0 < y_norm < math.inf:  # NaN fails it too
+            return None
+        x = y / y_norm
+        xx = difference @ x
+        mu = float(np.vdot(x, xx).real)
+        s = xx - mu * x
+        s_squared = float(np.vdot(s, s).real)
+        g = -mu - delta
+        if g > delta and s_squared <= g * delta:
+            return min(max(-mu + s_squared / g + 0.5 * float(difference.trace().real), 0.0), 1.0)
+    return None
 
 
 def trace_distance(s1: DensityOperator, s2: DensityOperator) -> float:
@@ -242,37 +249,23 @@ def certify(sigma: DensityOperator, candidate: StateVector) -> CertificationRepo
     from the same SVD.  A candidate that is an eigenvector of ``sigma``, such
     as ``top_eigenvector``'s, gets epsilon from one matrix-vector product
     (``_candidate_distance``); any other pays one ``eigvalsh`` below D = 25,
-    and from there on one linear solve whose bracket, when it is not
-    certified, falls back to the ``eigvalsh``.
+    and from there on up to two linear solves whose bracket, when it is not
+    certified, falls back to the ``eigvalsh``.  A candidate with no
+    admissible pair has ``a`` = 0, and its margin ``0.0 - 6 epsilon`` reads
+    ``+0.0``, not ``-0.0``, at epsilon = 0.
     """
     _check_dims("state", sigma, "candidate", candidate)
     svd = _schmidt_svd(candidate)
-    return _report(sigma, candidate, svd, _best_pair(svd[1]))
-
-
-def _report(
-    sigma: DensityOperator, candidate: StateVector, svd: tuple, pair: HardyPair | None
-) -> CertificationReport:
-    """``certify``'s report, given the candidate's ``_schmidt_svd`` triple
-    and its best pair, so ``noise_threshold`` can refuse a candidate with no
-    pair before any distance is taken.  Such a candidate has ``a`` = 0, and
-    its margin ``0.0 - 6 epsilon`` reads ``+0.0``, not ``-0.0``, at
-    epsilon = 0.
-    """
+    pair = _best_pair(svd[1])
     epsilon = _candidate_distance(_unit(sigma), candidate)
-    a = 0.0 if pair is None else pair.a
-    margin = a - 6.0 * epsilon
     if pair is None:
-        verdict = Verdict.NOT_HARDY
-    else:
-        verdict = Verdict.NONLOCAL_CERTIFIED if margin > CERTIFICATION_TOL else Verdict.INCONCLUSIVE
+        return CertificationReport(
+            epsilon=epsilon, a=0.0, margin=0.0 - 6.0 * epsilon, verdict=Verdict.NOT_HARDY, pair=None
+        )
+    margin = pair.a - 6.0 * epsilon
+    verdict = Verdict.NONLOCAL_CERTIFIED if margin > CERTIFICATION_TOL else Verdict.INCONCLUSIVE
     return CertificationReport(
-        epsilon=epsilon,
-        a=a,
-        margin=margin,
-        verdict=verdict,
-        pair=pair,
-        _measured=None if pair is None else (sigma, svd),
+        epsilon=epsilon, a=pair.a, margin=margin, verdict=verdict, pair=pair, _measured=(sigma, svd)
     )
 
 
@@ -314,18 +307,21 @@ def noise_threshold(psi: StateVector, noise: DensityOperator) -> NoiseThresholdR
 
     The Hermitian difference between the mixture and the pure projector
     scales exactly linearly in (1 - p), so the distance obeys
-    D(sigma_p, psi) = (1 - p) * d_noise, with ``d_noise`` the report's
-    epsilon, and the criterion boundary sits at
+    D(sigma_p, psi) = (1 - p) * d_noise, with ``d_noise`` the distance
+    ``certify(noise, psi)`` reports as epsilon, and the criterion boundary
+    sits at
 
         p_star = max(0, 1 - a / (6 * d_noise)),
 
-    with p_star = 0 whenever the report's margin is not negative: the bare
-    noise operator already lies inside the certified neighborhood
-    (including noise = |psi><psi| itself).  ``d_noise`` and ``a`` are
-    ``certify``'s own, so against noise that has psi as an eigenvector,
-    white noise and psi's own projector among them, d_noise takes no
-    eigensolve, and against any other noise it takes what ``certify``
-    takes: one ``eigvalsh`` below D = 25, one linear solve from there on.
+    with p_star = 0 whenever the margin ``a - 6 d_noise`` is not negative:
+    the bare noise operator already lies inside the certified neighborhood
+    (including noise = |psi><psi| itself).  ``d_noise`` and ``a`` are taken
+    by the same steps as ``certify``'s, from one SVD of psi and one
+    ``_candidate_distance``, so against noise that has psi as an
+    eigenvector, white noise and psi's own projector among them, d_noise
+    takes no eigensolve, and against any other noise it takes what
+    ``certify`` takes: one ``eigvalsh`` below D = 25, up to two linear
+    solves from there on.
 
     Raises
     ------
@@ -334,13 +330,12 @@ def noise_threshold(psi: StateVector, noise: DensityOperator) -> NoiseThresholdR
         raised after its SVD, before any distance is taken.
     """
     _check_dims("candidate", psi, "noise", noise)
-    svd = _schmidt_svd(psi)
-    pair = _best_pair(svd[1])
+    pair = _best_pair(_schmidt_svd(psi)[1])
     if pair is None:
         raise NotHardyError("candidate state has no admissible pair of distinct Schmidt weights")
-    report = _report(noise, psi, svd, pair)
-    p_star = 0.0 if report.margin >= 0.0 else 1.0 - report.a / (6.0 * report.epsilon)
-    return NoiseThresholdReport(p_star=p_star, d_noise=report.epsilon, a=report.a)
+    d_noise = _candidate_distance(_unit(noise), psi)
+    p_star = 0.0 if pair.a - 6.0 * d_noise >= 0.0 else 1.0 - pair.a / (6.0 * d_noise)
+    return NoiseThresholdReport(p_star=p_star, d_noise=d_noise, a=pair.a)
 
 
 __all__ = [

@@ -3,8 +3,10 @@ its Hermiticity defect, and the one bound on round-off in an n x n matrix;
 and the one seal of a checked record.
 
 Every density matrix is checked by the one gate in ``states``, which uses
-the first two; the trace distance in ``certification`` is taken on
-differences of validated operators and needs no check of its own.  The
+the first two; ``hermitian_part`` is the one place ``(m + m^H) / 2`` is
+written, and a state vector's projector and the gate's repair call it too.
+The trace distance in ``certification`` is taken on differences of
+validated operators and needs no check of its own.  The
 machine constants are read here and nowhere else, and ``_roundoff`` is the
 one form of every round-off budget in the package.  This module imports
 nothing of the package, so every layer, ``lhv`` included, may read it.

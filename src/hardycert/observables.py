@@ -15,8 +15,8 @@ This module is the whole Hardy measurement, in three steps:
 ``find_hardy_pair`` picks the Schmidt pair that maximises ``a``,
 ``build_bases`` and ``build_observables`` turn it into projector stacks, and
 ``behavior_from_state`` reads a state's 36 cells on them.  It imports
-``states`` for the state types and ``lhv`` for the ``Behavior`` type and its
-table checks, and takes ``linalg._sealed`` through ``lhv``; neither of them
+``states`` for the state types, ``lhv`` for the ``Behavior`` type and its
+table checks, and ``linalg`` for the seal of that record; none of them
 imports it back.
 """
 
@@ -28,7 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, NonPositiveWeightError
-from .lhv import Behavior, _check_tables, _sealed
+from .lhv import Behavior, _check_tables
+from .linalg import _sealed
 from .states import STATE_TOL, DensityOperator, SchmidtForm
 
 #: A weight pair is admissible when its smaller weight and its gap both exceed
@@ -176,9 +177,7 @@ def build_bases(sf: SchmidtForm, pair: HardyPair) -> tuple[np.ndarray, np.ndarra
             f"pair {tuple(pair)} is not two distinct columns of the form with their weights"
         )
     u, v = build_rotations(pair.p1, pair.p2)
-    rotations = np.empty((2, 2, 2), dtype=complex)
-    rotations[0] = u
-    np.matmul(v, u, out=rotations[1])
+    rotations = np.array([u, v @ u])
     # Row k of a rotation holds the coefficients of the k-th new vector in
     # the Schmidt-pair basis, so the image vectors are the rows of R @ basis.T.
     alice = rotations @ sf.left_basis[:, slots].T
@@ -259,8 +258,7 @@ def behavior_from_state(sigma: DensityOperator, obs: HardyObservables) -> Behavi
     values = cells.real.reshape(alice.shape[:2] + bob.shape[:2]).transpose(0, 2, 1, 3)
     # Divided straight into a fresh array in table order: the one array the
     # behavior keeps.
-    tables = np.empty(values.shape)
-    np.divide(values, np.trace(sigma.matrix).real, out=tables)
+    tables = np.divide(values, np.trace(sigma.matrix).real, order="C")
     _check_tables(tables)
     np.clip(tables, 0.0, 1.0, out=tables)
     return _sealed(object.__new__(Behavior), tables=tables)

@@ -100,16 +100,15 @@ class StateVector:
 
     def projector(self) -> np.ndarray:
         """Rank-one density matrix |psi><psi| / <psi|psi>, made exactly
-        Hermitian (the complex products of the outer product can miss by an
-        ulp).
+        Hermitian by ``linalg.hermitian_part`` (the complex products of the
+        outer product can miss by an ulp).
 
         Dividing by the squared norm gives it unit trace: a certificate
         measured against an unnormalised projector could gain up to
         ``STATE_TOL`` of margin that the unit vector does not have.
         """
         amps = self.amplitudes
-        outer = amps[:, None] * amps.conj()
-        return (outer + outer.conj().T) / (2.0 * np.vdot(amps, amps).real)
+        return hermitian_part(amps[:, None] * amps.conj())[0] / np.vdot(amps, amps).real
 
 
 def _check_tolerance(name: str, value: float) -> None:
@@ -212,7 +211,7 @@ def _gate(matrix, d1: int, d2: int, tol: float) -> np.ndarray:
     # either side of it; clipped to 4 D ulps, it comes back positive.
     clipped = (vectors * np.clip(values, _roundoff(dim - 1, 1.0), None)) @ vectors.conj().T
     clipped /= float(np.trace(clipped).real)
-    return (clipped + clipped.conj().T) / 2.0
+    return hermitian_part(clipped)[0]
 
 
 @dataclass(frozen=True)

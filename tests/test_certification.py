@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -313,6 +314,25 @@ def test_refinement_certifies_mixtures_with_one_solve(d1, d2, monkeypatch):
     assert solves == [(d1 * d2, d1 * d2)] * len(cases)
 
 
+@pytest.mark.parametrize("d1, d2", [(5, 5), (4, 8), (6, 6)])
+def test_refinement_certifies_low_rank_states_far_from_the_candidate(d1, d2, monkeypatch):
+    # A rank-2 or rank-3 state against a random candidate: one
+    # Rayleigh-quotient step from the two-vector Ritz pair leaves a bracket
+    # too wide to certify for about a third of them, and the second step
+    # certifies every one, with no spectrum.
+    rng = np.random.default_rng([67, d1, d2])
+    cases = [
+        (random_density(d1, d2, rng, rank=rank), random_state_vector(d1, d2, rng))
+        for rank in (2, 3) * 10
+    ]
+    references = [spectral_distance(sigma, psi) for sigma, psi in cases]
+    spectra = count_spectra(monkeypatch)
+    values = [certify(sigma, psi).epsilon for sigma, psi in cases]
+    assert spectra == []
+    for value, reference in zip(values, references):
+        assert abs(value - reference) <= distance_pad(d1 * d2)
+
+
 @pytest.mark.parametrize("d1, d2", REFINE_DIMS)
 def test_a_rayleigh_quotient_near_round_off_zero_is_refused(d1, d2, monkeypatch):
     # A pure state's projector against a candidate 1.5 delta from it, delta
@@ -349,6 +369,21 @@ def test_singular_shift_falls_back_to_the_spectrum_bit_for_bit(d1, d2, monkeypat
 
     monkeypatch.setattr(np.linalg, "solve", singular)
     assert [certify(sigma, psi).epsilon for sigma, psi in cases] == spectral
+
+
+@pytest.mark.parametrize("fill", [0.0, math.nan])
+def test_a_zero_or_nan_step_falls_back_to_the_spectrum_bit_for_bit(fill, monkeypatch):
+    # A solve that returns a zero or a NaN vector leaves no Rayleigh
+    # quotient: epsilon is the eigvalsh distance of the same matrix, and no
+    # RuntimeWarning is raised on the way.
+    sigma, psi = certified_mixture(np.random.default_rng(68), d1=8, d2=8)
+    spectral = spectral_distance(sigma, psi)
+    solves = []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a.shape) or np.full_like(b, fill))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert certify(sigma, psi).epsilon == spectral
+    assert solves == [(64, 64)]
 
 
 # ----------------------------------------------------------------- certify

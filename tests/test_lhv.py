@@ -430,6 +430,26 @@ def test_projection_falls_back_to_the_lp_on_a_vertex_mixture(monkeypatch):
     assert np.flatnonzero(result.weights).tolist() == [0, 80]
 
 
+def test_a_singular_projection_falls_back_to_the_lp(monkeypatch):
+    # Normal equations the solver refuses leave the projection without a
+    # model: the LP decides, and its weights reproduce each table's cells,
+    # divided by the table's sum, within FEASIBILITY_TOL.
+    behaviors = seeded_separable_behaviors(6)
+    calls = counted_lp(monkeypatch)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    for behavior in behaviors:
+        result = lhv_feasible(behavior)
+        assert result.feasible and result.facet is None
+        cells = behavior.tables / behavior.tables.sum(axis=(2, 3), keepdims=True)
+        residual = strategy_constraint_matrix() @ result.weights - np.append(cells, 1.0)
+        assert np.abs(residual).sum() <= FEASIBILITY_TOL
+    assert calls[0] == len(behaviors)
+
+
 # ---------------------------------------------------------------- the facets
 
 

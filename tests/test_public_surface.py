@@ -126,7 +126,7 @@ def test_module_imports_go_one_way():
     # numerics and imports nothing of the package.
     assert imports["lhv"] <= {"errors", "simplex", "linalg"}
     assert imports["linalg"] == set()
-    assert imports["observables"] <= {"errors", "states", "lhv"}
+    assert imports["observables"] <= {"errors", "states", "lhv", "linalg"}
 
 
 def test_no_module_defers_an_import_to_type_checking():
@@ -154,6 +154,66 @@ def test_only_linalg_reads_the_machine_constants():
         or (isinstance(node, ast.alias) and node.name == "finfo")
     }
     assert readers == {"linalg"}
+
+
+def _adjoint_of(node: ast.AST, adjoints: dict[str, str]) -> str | None:
+    """The dump of ``m`` when ``node`` is ``m.conj().T`` or a name bound to
+    it, else None."""
+    if isinstance(node, ast.Name):
+        return adjoints.get(node.id)
+    if (
+        isinstance(node, ast.Attribute)
+        and node.attr == "T"
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Attribute)
+        and node.value.func.attr == "conj"
+    ):
+        return ast.dump(node.value.func.value)
+    return None
+
+
+def test_only_linalg_takes_the_hermitian_part():
+    # (m + m^H) / 2 is said once, in linalg.hermitian_part: no other module
+    # adds a matrix to its own .conj().T, written out or through a name bound
+    # to it, so the rule cannot be restated unseen.
+    adders = set()
+    for name, (_, tree) in _package_imports().items():
+        adjoints = {}  # name -> dump of m, for each ``name = m.conj().T``
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and (base := _adjoint_of(node.value, {})):
+                adjoints.update((t.id, base) for t in node.targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+                pairs = ((node.left, node.right), (node.right, node.left))
+                if any(_adjoint_of(b, adjoints) == ast.dump(a) for a, b in pairs):
+                    adders.add(name)
+    assert adders == {"linalg"}
+
+
+def test_private_names_are_imported_from_their_home():
+    # A private name is imported from the module that defines it, not out of
+    # another module's namespace that imported it in turn, so each private
+    # helper has one home a reader can find.
+    modules = _package_imports()
+    defined = {}
+    for name, (_, tree) in modules.items():
+        names = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(t.id for t in targets if isinstance(t, ast.Name))
+        defined[name] = names
+    borrowed = [
+        f"hardycert.{name} imports {alias.name} from {node.module}"
+        for name, (_, tree) in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in defined
+        for alias in node.names
+        if alias.name.startswith("_") and alias.name not in defined[node.module]
+    ]
+    assert not borrowed, f"private names imported from a module that does not define them: {borrowed}"
 
 
 def test_only_the_seal_sets_a_frozen_field():

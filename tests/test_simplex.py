@@ -240,6 +240,15 @@ def test_no_pivot_once_the_artificial_mass_is_gone(monkeypatch):
     assert min(masses) > PIVOT_EPS
 
 
+def test_pivot_guard_stops_a_walk_that_needs_more_pivots(monkeypatch):
+    # A separable behavior's LP takes several pivots, so a guard of one
+    # pivot is exceeded and the walk stops with an error, not a result.
+    rhs = next(rhs for rhs, feasible in _strategy_systems((2, 2)) if feasible)
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
+    with pytest.raises(NumericalBreakdownError, match="pivot guard of 1 iterations"):
+        solve_feasibility_lp(strategy_constraint_matrix(), rhs)
+
+
 # ------------------------------------------------- awkward columns and data
 
 

@@ -52,10 +52,13 @@ def code_lines(path: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    """Print the counts of the package directory in ``argv``; a file, a
+    missing path or a directory with no ``.py`` file below it is refused
+    with status 2, so a mistyped path never reads as an empty package."""
+    paths = sorted(Path(argv[0]).rglob("*.py")) if len(argv) == 1 and Path(argv[0]).is_dir() else []
+    if not paths:
         print("usage: count_code_lines.py PACKAGE_DIR", file=sys.stderr)
         return 2
-    paths = sorted(Path(argv[0]).rglob("*.py"))
     total = 0
     for path in paths:
         count = code_lines(path)

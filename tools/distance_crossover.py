@@ -10,16 +10,17 @@ full-rank state, w uniform in [0.05, 0.5]), forms ``X = unit - v v^H`` for
 the candidate psi, and times, on the same X:
 
 - ``_trace_distance(X)``, one ``eigvalsh`` of X;
-- ``_refined_distance``, one Ritz pair, one linear solve and two
-  matrix-vector products.
+- ``_refined_distance``, one Ritz pair and up to two Rayleigh-quotient
+  steps, each one linear solve and one matrix-vector product.
 
 A cost is the best of N single calls (default 200) timed with
 ``time.process_time_ns``, with BLAS pinned to one thread, as the benchmark
 pins it; the table gives the median over the mixtures of each best.  The
 printed crossover is the smallest D from which the refinement is cheaper at
 every larger D in the table; ``certification._REFINE_MIN_DIM`` should sit
-there.  Timings move with the host and the BLAS, so the probe is run by
-hand, not by pytest or CI.  Only numpy and the standard library are used.
+there.  Timings move with the host and the BLAS, so the figures are read
+by hand: pytest does not run the probe, and CI runs it only for its exit
+status.  Only numpy and the standard library are used.
 """
 
 from __future__ import annotations
