@@ -50,12 +50,10 @@ GEN_KINDS = ("hardy", "bell", "product", "white-noise-mix")
 
 def _tolerance(text: str) -> float:
     """argparse type of --tol: a finite number >= 0, by the rule
-    ``validate_density`` applies to its own."""
+    ``validate_density`` applies to its own.  Text that is no number breaks
+    that one rule too, and gets its one message."""
     try:
         value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    try:
         _check_tolerance("tolerance", value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from None

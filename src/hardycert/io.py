@@ -54,31 +54,20 @@ def _is_number_type(kind: type) -> bool:
     return issubclass(kind, (int, float)) and not issubclass(kind, bool)
 
 
-def _parse_complex(value, where: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(_is_number_type(type(part)) for part in value)
-    ):
-        raise StateFileError(f"{where}: expected a [re, im] pair, got {value!r}")
-    try:
-        return complex(float(value[0]), float(value[1]))
-    except OverflowError:
-        raise StateFileError(f"{where}: integer too large for a float") from None
-
-
 def _complex_array(raw: list, shape: tuple[int, ...], name: str) -> np.ndarray:
     """``raw``, a list of ``[re, im]`` pairs (a list of rows of them when
     ``shape`` has two axes), as a complex array of ``shape``.
 
-    The pairs are flattened once, in file order, and so are their parts.
-    Set checks on the pairs' types and lengths and on the parts' types admit
-    only lists or tuples of two ints or floats, never bools.  One float
-    array of the parts is then viewed as complex, which holds exactly the
-    values ``complex(float(re), float(im))`` would, ``-0.0`` included, with
-    no arithmetic.  When that fails, the same flat pairs are walked in file
-    order so the error names the first bad one, as ``name[i][j]`` or
-    ``name[k]``.
+    The pair rule: a pair is a list or tuple of two ints or floats, never
+    bools, and each part must fit a float.  The pairs are flattened once, in
+    file order, and so are their parts.  Set checks on the pairs' types and
+    lengths and on the parts' types apply the rule's type half to all of
+    them at once.  One float array of the parts is then viewed as complex,
+    which holds exactly the values ``complex(float(re), float(im))`` would,
+    ``-0.0`` included, with no arithmetic; only an int too large for a float
+    makes it fail.  When anything fails, the same flat pairs are walked in
+    file order against the rule, so the error names the first bad one, as
+    ``name[i][j]`` or ``name[k]``.
     """
     pairs = list(chain.from_iterable(raw)) if len(shape) == 2 else raw
     pair_kinds = set(map(type, pairs))
@@ -87,28 +76,36 @@ def _complex_array(raw: list, shape: tuple[int, ...], name: str) -> np.ndarray:
         try:
             if all(map(_is_number_type, set(map(type, parts)))):
                 return np.array(parts, dtype=float).view(complex).reshape(shape)
-        except (ValueError, OverflowError):
+        except OverflowError:
             pass
     for k, pair in enumerate(pairs):
-        where = f"[{k // shape[-1]}][{k % shape[-1]}]" if len(shape) == 2 else f"[{k}]"
-        _parse_complex(pair, name + where)
+        where = name + (f"[{k // shape[-1]}][{k % shape[-1]}]" if len(shape) == 2 else f"[{k}]")
+        if (
+            not isinstance(pair, (list, tuple))
+            or len(pair) != 2
+            or not all(_is_number_type(type(part)) for part in pair)
+        ):
+            raise StateFileError(f"{where}: expected a [re, im] pair, got {pair!r}")
+        try:
+            complex(float(pair[0]), float(pair[1]))
+        except OverflowError:
+            raise StateFileError(f"{where}: integer too large for a float") from None
     raise StateFileError(f'"{name}" must be nested [re, im] pairs of shape {shape}')
 
 
-def _pairs(values: np.ndarray) -> list:
-    """Nested ``[re, im]`` lists of Python floats, one per entry of ``values``."""
-    return np.stack((values.real, values.imag), axis=-1).tolist()
-
-
 def state_to_dict(state: StateVector | DensityOperator) -> dict:
-    """Serialize a state to the JSON object layout."""
+    """Serialize a state to the JSON object layout: its dims as Python ints,
+    whatever integer type the state holds, and its amplitudes or matrix as
+    nested ``[re, im]`` lists of Python floats, stacked into one ``(..., 2)``
+    float array and converted by one ``tolist``."""
     if isinstance(state, StateVector):
         kind, key, values = "pure", "amplitudes", state.amplitudes
     elif isinstance(state, DensityOperator):
         kind, key, values = "mixed", "matrix", state.matrix
     else:
         raise TypeError(f"cannot serialize {type(state).__name__} as a state")
-    return {"kind": kind, "dims": [state.d1, state.d2], key: _pairs(values)}
+    pairs = np.stack((values.real, values.imag), axis=-1).tolist()
+    return {"kind": kind, "dims": [int(state.d1), int(state.d2)], key: pairs}
 
 
 def parse_state_dict(data, tol: float = STATE_TOL) -> StateVector | DensityOperator:
@@ -159,14 +156,18 @@ def load_state_file(
         # UTF-8 with universal newlines, as text-mode reading gives, so JSON
         # error positions count a CRLF file's line ends as one character.
         text = TextIOWrapper(BytesIO(raw), encoding="utf-8").read()
-        data = json.loads(text, object_pairs_hook=_unique_keys)
+        try:
+            data = json.loads(text, object_pairs_hook=_unique_keys)
+        except ValueError as exc:
+            # Malformed JSON, or an integer literal longer than Python's
+            # int-string limit, which json reports as a plain ValueError.
+            # Caught here only: a bad ``tol`` raises its own ValueError below.
+            raise StateFileError(f"not valid JSON ({exc})") from exc
         state = parse_state_dict(data, tol=tol)
     except HardycertError as exc:
         raise type(exc)(f"{path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise StateFileError(f"{path}: not UTF-8 text ({exc})") from exc
-    except json.JSONDecodeError as exc:
-        raise StateFileError(f"{path}: not valid JSON ({exc})") from exc
     except RecursionError:
         raise StateFileError(f"{path}: JSON nested too deeply") from None
     return state, hashlib.sha256(raw).hexdigest()

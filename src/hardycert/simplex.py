@@ -80,18 +80,16 @@ def solve_feasibility_lp(constraint_matrix, rhs) -> FeasibilityResult:
         raise ValueError("constraint data must be finite")
 
     m, n = a.shape
-    tableau = np.zeros((m + 1, n + m + 1))
+    # The rows [A | I | b], each sign-flipped where b is negative, over the
+    # phase-one reduced costs z_j - c_j with every basic variable artificial:
+    # the column sums of [A | 0 | b], so the artificial columns' sums are
+    # zeroed.  Pivots keep that row current; its last entry is the
+    # artificial mass.
+    sign = np.where(b < 0.0, -1.0, 1.0)[:, None]
+    rows = np.hstack([sign * a, np.eye(m), sign * b[:, None]])
+    tableau = np.vstack([rows, rows.sum(axis=0)])
+    tableau[-1, n:-1] = 0.0
     body, values = tableau[:-1], tableau[:-1, -1]
-    body[:, :n] = a
-    values[:] = b
-    flip = b < 0.0
-    body[flip, :n] *= -1.0
-    values[flip] *= -1.0
-    # Phase-one reduced costs z_j - c_j with every basic variable artificial:
-    # the column sums of [A | 0 | b], taken before the identity is written.
-    # Pivots keep the row current; its last entry is the artificial mass.
-    body.sum(axis=0, out=tableau[-1])
-    body[:, n:-1].flat[:: m + 1] = 1.0
     improving = tableau[-1, :-1]
     basis = np.arange(n, n + m)
 

@@ -2,6 +2,7 @@ import builtins
 import hashlib
 import json
 import math
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -310,6 +311,25 @@ def test_file_that_is_not_utf8_is_named(role, tmp_path, capsys):
     assert err.startswith(f"error: {bad}: not UTF-8 text (") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("role", ["state", "candidate"])
+def test_integer_past_the_int_string_limit_is_named(role, tmp_path, capsys):
+    # json refuses an integer literal longer than Python's int-string limit
+    # with a plain ValueError, which used to exit 2 with its message alone,
+    # naming neither file.  With the limit off (or before Python 3.10.7),
+    # the literal overflows a float instead, and that error names the file.
+    digits = (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) + 1
+    good = gen(tmp_path, "good.json", "hardy")
+    huge = tmp_path / "huge.json"
+    huge.write_text(
+        '{"kind": "pure", "dims": [2, 2], "amplitudes": [[' + "1" * digits + ", 0], [0, 0], [0, 0], [0, 0]]}"
+    )
+    files = {"state": good, "candidate": good, role: huge}
+    argv = ["certify", "--state", str(files["state"]), "--candidate", str(files["candidate"])]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {huge}: ") and err.count("\n") == 1
+
+
 def _skewed_white_noise() -> dict:
     data = state_to_dict(hardycert.maximally_mixed(2, 2))
     data["matrix"][0][1] = [0.5, 0.0]
@@ -376,15 +396,12 @@ def test_tolerance_flags_must_be_finite_and_nonnegative(tmp_path, capsys):
         ["lhv-check", "--state", str(bad), "--candidate", str(state)],
     )
     for argv in commands:
-        for value in ("nan", "inf", "-1"):
+        # Text that is no number breaks the same rule, with the same message.
+        for value in ("nan", "inf", "-1", "abc"):
             with pytest.raises(SystemExit) as exc:
                 main([*argv, "--tol", value])
             assert exc.value.code == 2
-            assert "must be a finite number >= 0" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--tol", "abc"])
-        assert exc.value.code == 2
-        assert "expected a number, got 'abc'" in capsys.readouterr().err
+            assert f"must be a finite number >= 0, got {value!r}" in capsys.readouterr().err
     code, out, _ = run_cli(["certify", "--state", str(state), "--tol", "0"], capsys)
     assert code == 0
     assert json.loads(out)["report"]["verdict"] == "NonlocalCertified"

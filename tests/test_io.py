@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -399,6 +400,28 @@ def test_load_rejects_invalid_json(tmp_path):
         assert str(got.value) == f"{path}: not valid JSON ({want.value})"
 
 
+def test_load_catches_only_the_json_step_value_errors(tmp_path):
+    # An integer literal past Python's int-string limit makes json raise a
+    # plain ValueError, which used to escape without the file's path.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("no int-string limit")
+    huge = tmp_path / "huge.json"
+    literal = "1" * (limit + 1)
+    huge.write_text('{"kind": "pure", "dims": [1, 2], "amplitudes": [[' + literal + ", 0], [0, 0]]}")
+    with pytest.raises(ValueError) as want:
+        json.loads(huge.read_text())
+    with pytest.raises(StateFileError) as got:
+        load_state_file(huge)
+    assert str(got.value) == f"{huge}: not valid JSON ({want.value})"
+    # A tolerance that is no finite number >= 0 is the caller's error, not
+    # the file's: it keeps its own ValueError.
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(dump_json(state_to_dict(maximally_mixed(2, 2))))
+    with pytest.raises(ValueError, match="^tol must be a finite number >= 0"):
+        load_state_file(mixed, tol=float("nan"))
+
+
 def test_load_refuses_a_repeated_key(tmp_path, capsys):
     # json keeps the last of two equal keys: here 0.6|00> + 0.8|11>, which
     # certifies, after |00>, a product state.  A reader that kept the first
@@ -426,6 +449,20 @@ def test_load_refuses_a_repeated_key(tmp_path, capsys):
 
 
 # ------------------------------------------------------- writer and digest
+
+
+@pytest.mark.parametrize("pure", [True, False], ids=["pure", "mixed"])
+def test_numpy_integer_dims_are_written_as_python_ints(pure):
+    # The states admit numpy integer dims; the writer used to copy them into
+    # the dict as they were, and json cannot serialize a numpy integer.
+    def make(d1, d2):
+        if pure:
+            return StateVector(d1=d1, d2=d2, amplitudes=[1, 0, 0, 0])
+        return maximally_mixed(d1, d2)
+
+    want = dump_json(state_to_dict(make(2, 2)))
+    for kind in (np.int64, np.int32, np.uint8):
+        assert dump_json(state_to_dict(make(kind(2), kind(2)))) == want
 
 
 def test_dump_json_is_deterministic():

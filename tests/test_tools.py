@@ -57,3 +57,26 @@ def test_count_code_lines_refuses_a_path_that_is_no_package(target, tmp_path, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage: count_code_lines.py PACKAGE_DIR")
+
+
+@pytest.mark.parametrize(
+    "module, name", load_tool("tolerance_probe").TARGETS, ids=lambda part: part
+)
+def test_tolerance_probe_finds_and_scales_each_target(module, name):
+    # The probe is run by hand, so a target renamed or moved out of reach
+    # would otherwise go unseen until then.  Each target must name one float
+    # literal in today's source, and scaling it must rewrite that literal's
+    # text and nothing else.
+    tool = load_tool("tolerance_probe")
+    source = (TOOLS.parent / "src" / "hardycert" / f"{module}.py").read_text()
+    node = tool._literal(source, name)
+    edited, old = tool._scaled(source, name, "1e3")
+    assert type(node.value) is float and float(old) == node.value
+    lines, edited_lines = source.splitlines(keepends=True), edited.splitlines(keepends=True)
+    row = node.lineno - 1
+    assert edited_lines[:row] == lines[:row] and edited_lines[row + 1 :] == lines[row + 1 :]
+    line = lines[row]
+    assert line[node.col_offset : node.end_col_offset] == old
+    assert edited_lines[row].startswith(line[: node.col_offset])
+    assert edited_lines[row].endswith(line[node.end_col_offset :])
+    assert tool._literal(edited, name).value == pytest.approx(node.value * 1e3, rel=1e-15)
