@@ -81,19 +81,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-state", help="write a state file for a built-in family")
     gen.add_argument("kind", choices=GEN_KINDS)
+    # No defaults here: cmd_gen_state tells a given option from an absent one.
     gen.add_argument(
         "--p1-sq",
         type=float,
-        default=0.2,
-        help="squared smaller Schmidt weight for hardy / white-noise-mix (default %(default)g)",
+        help="squared smaller Schmidt weight for hardy / white-noise-mix (default 0.2)",
     )
-    gen.add_argument("--d1", type=int, default=2, help="first subsystem dimension (hardy only)")
-    gen.add_argument("--d2", type=int, default=2, help="second subsystem dimension (hardy only)")
+    gen.add_argument("--d1", type=int, help="first subsystem dimension (hardy only)")
+    gen.add_argument("--d2", type=int, help="second subsystem dimension (hardy only)")
     gen.add_argument(
-        "--p",
-        type=float,
-        default=0.99,
-        help="pure-state weight of the white-noise mixture (default %(default)g)",
+        "--p", type=float, help="pure-state weight of the white-noise mixture (default 0.99)"
     )
     gen.add_argument("--output", type=Path, default=None, help="state file path (default stdout)")
 
@@ -132,19 +129,36 @@ def _hardy_amplitudes(p1_sq: float, d1: int, d2: int) -> np.ndarray:
 
 
 def cmd_gen_state(args: argparse.Namespace) -> dict:
-    if args.kind in ("hardy", "white-noise-mix") and not 0.0 < args.p1_sq < 1.0:
-        raise ValueError(f"--p1-sq must lie strictly between 0 and 1, got {args.p1_sq}")
-    if args.kind == "hardy" and (args.d1 < 2 or args.d2 < 2):
-        raise ValueError(f"hardy states need d1, d2 >= 2, got ({args.d1}, {args.d2})")
-    if args.kind == "white-noise-mix" and not 0.0 <= args.p <= 1.0:
-        raise ValueError(f"--p must lie in [0, 1], got {args.p}")
+    # Each option's default and the families that read it.  An option given
+    # to another family is refused: it would change nothing in the state.
+    options = {
+        "p1_sq": (0.2, ("hardy", "white-noise-mix")),
+        "d1": (2, ("hardy",)),
+        "d2": (2, ("hardy",)),
+        "p": (0.99, ("white-noise-mix",)),
+    }
+    values = []
+    for name, (default, readers) in options.items():
+        given = getattr(args, name)
+        if given is not None and args.kind not in readers:
+            option, families = "--" + name.replace("_", "-"), " and ".join(readers)
+            raise ValueError(f"{option} is read only by {families}, not by {args.kind}")
+        values.append(default if given is None else given)
+    # Only a family that reads an option can hold a value other than its
+    # default, and every default passes, so the checks need no family.
+    p1_sq, d1, d2, p = values
+    if not 0.0 < p1_sq < 1.0:
+        raise ValueError(f"--p1-sq must lie strictly between 0 and 1, got {p1_sq}")
+    if d1 < 2 or d2 < 2:
+        raise ValueError(f"hardy states need d1, d2 >= 2, got ({d1}, {d2})")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"--p must lie in [0, 1], got {p}")
     # Every family is the Hardy closed form; bell and product fix p1^2.
-    p1_sq = {"bell": 0.5, "product": 1.0}.get(args.kind, args.p1_sq)
-    d1, d2 = (args.d1, args.d2) if args.kind == "hardy" else (2, 2)
+    p1_sq = {"bell": 0.5, "product": 1.0}.get(args.kind, p1_sq)
     psi = StateVector(d1=d1, d2=d2, amplitudes=_hardy_amplitudes(p1_sq, d1, d2))
     if args.kind != "white-noise-mix":
         return state_to_dict(psi)
-    matrix = args.p * psi.projector() + (1.0 - args.p) * np.eye(4) / 4.0
+    matrix = p * psi.projector() + (1.0 - p) * np.eye(4) / 4.0
     return state_to_dict(DensityOperator(d1=2, d2=2, matrix=matrix))
 
 

@@ -1,7 +1,7 @@
 """The JSON state-file format that the command-line tools read and write.
 The reports built from these files are laid out in ``cli``.
 
-A state file is a single JSON object:
+A state file is a single JSON object with exactly three keys:
 
     {"kind": "pure",  "dims": [d1, d2], "amplitudes": [[re, im], ...]}
     {"kind": "mixed", "dims": [d1, d2], "matrix": [[[re, im], ...], ...]}
@@ -111,15 +111,22 @@ def state_to_dict(state: StateVector | DensityOperator) -> dict:
 def parse_state_dict(data, tol: float = STATE_TOL) -> StateVector | DensityOperator:
     """Parse a state-file JSON object back into a validated state.
 
-    Structural problems raise StateFileError; physical-invariant violations
-    (norm, hermiticity, trace, positivity) surface as the state modules'
-    own errors.
+    The object holds ``"kind"``, ``"dims"`` and that kind's payload key,
+    ``"amplitudes"`` or ``"matrix"``, and nothing else: any other key is
+    refused, the first in sorted order named.  Structural problems raise
+    StateFileError; physical-invariant violations (norm, hermiticity, trace,
+    positivity) surface as the state modules' own errors.
     """
     if not isinstance(data, dict):
         raise StateFileError(f"state file must hold a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
     if kind not in ("pure", "mixed"):
         raise StateFileError(f'"kind" must be "pure" or "mixed", got {kind!r}')
+    payload = "amplitudes" if kind == "pure" else "matrix"
+    stray = sorted(data.keys() - {"kind", "dims", payload}, key=str)
+    if stray:
+        # A second payload, or a mis-cased key, would name another state.
+        raise StateFileError(f"unexpected key {stray[0]!r} in a {kind} state file")
     dims = data.get("dims")
     if (
         not isinstance(dims, (list, tuple))
@@ -128,13 +135,12 @@ def parse_state_dict(data, tol: float = STATE_TOL) -> StateVector | DensityOpera
     ):
         raise StateFileError(f'"dims" must be two positive integers, got {dims!r}')
     d1, d2 = int(dims[0]), int(dims[1])
+    raw = data.get(payload)
     if kind == "pure":
-        raw = data.get("amplitudes")
         if not isinstance(raw, list):
             raise StateFileError('"amplitudes" must be a list of [re, im] pairs')
         amps = _complex_array(raw, (len(raw),), "amplitudes")
         return StateVector(d1=d1, d2=d2, amplitudes=amps)
-    raw = data.get("matrix")
     dim = d1 * d2
     if not isinstance(raw, list) or len(raw) != dim or not all(
         isinstance(row, list) and len(row) == dim for row in raw

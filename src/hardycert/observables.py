@@ -118,32 +118,6 @@ def _best_pair(weights: np.ndarray) -> HardyPair | None:
     return HardyPair(index_small=i, index_large=j, p1=values[i], p2=values[j], a=best_a)
 
 
-def build_rotations(p1: float, p2: float) -> tuple[np.ndarray, np.ndarray]:
-    """The weight-dependent 2x2 unitaries ``(u, v)`` for a pair p1 != p2:
-    ``u`` maps the Schmidt pair to the x basis, ``v @ u`` to the y basis.
-
-    With r = sqrt(p1 p2) and q = p2 - p1:
-
-        u = (p1 + p2)^(-1/2)          [[sqrt(p2), -i sqrt(p1)],
-                                       [-i sqrt(p1), sqrt(p2)]]
-        v = (p1^2 + p2^2 - p1 p2)^(-1/2) [[-i q, r],
-                                          [r, -i q]]
-    """
-    _check_weights(p1, p2)
-    su = 1.0 / math.sqrt(p1 + p2)
-    u = su * np.array(
-        [
-            [math.sqrt(p2), -1j * math.sqrt(p1)],
-            [-1j * math.sqrt(p1), math.sqrt(p2)],
-        ]
-    )
-    r = math.sqrt(p1 * p2)
-    q = p2 - p1
-    sv = 1.0 / math.sqrt(p1 * p1 + p2 * p2 - p1 * p2)
-    v = sv * np.array([[-1j * q, r], [r, -1j * q]])
-    return u, v
-
-
 def build_bases(sf: SchmidtForm, pair: HardyPair) -> tuple[np.ndarray, np.ndarray]:
     """Rotate the selected Schmidt pair into the measurement bases.
 
@@ -159,12 +133,29 @@ def build_bases(sf: SchmidtForm, pair: HardyPair) -> tuple[np.ndarray, np.ndarra
     subsystem.  The slot assignment is pinned by the vanishing of the five
     designated joint probabilities, which the test suite checks directly.
 
+    With su = (p1 + p2)^(-1/2) and sv = (p1^2 + p2^2 - p1 p2)^(-1/2), the
+    paper's weight-dependent unitaries are
+
+        u = su [[sqrt(p2), -i sqrt(p1)],      v = sv [[-i (p2 - p1), sqrt(p1 p2)],
+                [-i sqrt(p1), sqrt(p2)]]              [sqrt(p1 p2), -i (p2 - p1)]]
+
+    and their product has the closed form
+
+        v u = su sv [[-i p2^(3/2), p1^(3/2)],
+                     [p1^(3/2), -i p2^(3/2)]],
+
+    from which the y rotation is written; it agrees with ``v @ u`` up to
+    round-off in the last bit.
+
     Raises
     ------
     DimensionMismatchError
         The pair's indices are not two distinct columns of the form, or its
         ``p1, p2`` are not exactly the form's weights at them, as every pair
         ``find_hardy_pair`` returns for the form is.
+    NonPositiveWeightError
+        The pair's weights are too small for the closed forms, as
+        ``hardy_parameter_a`` would refuse them.
     """
     slots = [pair.index_small, pair.index_large]
     weights = dict(enumerate(sf.weights.tolist()))
@@ -176,8 +167,13 @@ def build_bases(sf: SchmidtForm, pair: HardyPair) -> tuple[np.ndarray, np.ndarra
         raise DimensionMismatchError(
             f"pair {tuple(pair)} is not two distinct columns of the form with their weights"
         )
-    u, v = build_rotations(pair.p1, pair.p2)
-    rotations = np.array([u, v @ u])
+    p1, p2 = pair.p1, pair.p2
+    _check_weights(p1, p2)
+    su = 1.0 / math.sqrt(p1 + p2)
+    sv = 1.0 / math.sqrt(p1 * p1 + p2 * p2 - p1 * p2)
+    r1, r2 = math.sqrt(p1), math.sqrt(p2)
+    y1, y2 = p1 * r1 * sv, p2 * r2 * sv  # p1^(3/2) sv and p2^(3/2) sv
+    rotations = su * np.array([[[r2, -1j * r1], [-1j * r1, r2]], [[-1j * y2, y1], [y1, -1j * y2]]])
     # Row k of a rotation holds the coefficients of the k-th new vector in
     # the Schmidt-pair basis, so the image vectors are the rows of R @ basis.T.
     alice = rotations @ sf.left_basis[:, slots].T
@@ -298,7 +294,6 @@ __all__ = [
     "behavior_from_state",
     "build_bases",
     "build_observables",
-    "build_rotations",
     "find_hardy_pair",
     "hardy_parameter_a",
 ]

@@ -97,9 +97,10 @@ def test_gen_pure_families_are_the_hardy_closed_form_byte_for_byte(argv, p1_sq, 
 def test_gen_white_noise_mix(capsys):
     # The matrix goes through numpy's complex products and the density gate,
     # whose last bits depend on the build, so it is pinned as the bench pins it.
-    amps = _hardy_closed_form(0.2, 2, 2)
-    for p in ("0.99", "0.9", "0", "1"):
-        code, out, err = run_cli(["gen-state", "white-noise-mix", "--p", p], capsys)
+    cases = [([], 0.2, p) for p in ("0.99", "0.9", "0", "1")] + [(["--p1-sq", "0.3"], 0.3, "0.5")]
+    for extra, p1_sq, p in cases:
+        amps = _hardy_closed_form(p1_sq, 2, 2)
+        code, out, err = run_cli(["gen-state", "white-noise-mix", "--p", p, *extra], capsys)
         assert (code, err) == (0, "")
         data = json.loads(out)
         assert data.keys() == {"kind", "dims", "matrix"}
@@ -121,6 +122,34 @@ def test_gen_rejects_bad_parameters(capsys):
         assert code == 2
         assert out == ""
         assert err == f"error: {line}\n"
+
+
+#: Each gen-state option, a value its families would accept, and the
+#: families that read it.
+GEN_OPTIONS = {
+    "--p1-sq": ("0.3", ("hardy", "white-noise-mix")),
+    "--d1": ("3", ("hardy",)),
+    "--d2": ("3", ("hardy",)),
+    "--p": ("0.5", ("white-noise-mix",)),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, option",
+    [
+        (kind, option)
+        for kind in ("hardy", "bell", "product", "white-noise-mix")
+        for option, (_, readers) in GEN_OPTIONS.items()
+        if kind not in readers
+    ],
+)
+def test_gen_refuses_an_option_its_family_does_not_read(kind, option, capsys):
+    # Such an option used to be dropped without a word: bell --d1 3 wrote
+    # the 2x2 Bell state and product --p1-sq 0.3 the product state.
+    value, readers = GEN_OPTIONS[option]
+    code, out, err = run_cli(["gen-state", kind, option, value], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {option} is read only by {' and '.join(readers)}, not by {kind}\n"
 
 
 @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 14.6 TiB"), MemoryError()])
@@ -328,6 +357,24 @@ def test_integer_past_the_int_string_limit_is_named(role, tmp_path, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith(f"error: {huge}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("role", ["state", "candidate"])
+@pytest.mark.parametrize("stray", ["matrix", "Dims"])
+def test_a_key_outside_the_files_layout_is_named(stray, role, tmp_path, capsys):
+    # A pure file that also carries a matrix, or a mis-cased "Dims", names
+    # two states; it used to be read as the pure state alone.
+    good = gen(tmp_path, "good.json", "hardy")
+    data = json.loads(good.read_text())
+    mixed = state_to_dict(hardycert.maximally_mixed(2, 2))["matrix"]
+    data[stray] = mixed if stray == "matrix" else [3, 3]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    files = {"state": good, "candidate": good, role: bad}
+    argv = ["certify", "--state", str(files["state"]), "--candidate", str(files["candidate"])]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: unexpected key {stray!r} in a pure state file\n"
 
 
 def _skewed_white_noise() -> dict:

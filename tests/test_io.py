@@ -348,6 +348,23 @@ def test_parse_rejects_unknown_kind():
         parse_state_dict({"kind": "thermal", "dims": [2, 2], "matrix": []})
 
 
+def test_parse_refuses_keys_outside_the_kinds_layout():
+    # Each kind holds "kind", "dims" and its own payload key, and nothing
+    # else; the first other key in sorted order is named.
+    pure = state_to_dict(fixture_state())
+    mixed = state_to_dict(maximally_mixed(2, 2))
+    for good, extra, named in (
+        (pure, {"matrix": mixed["matrix"]}, "matrix"),
+        (pure, {"zeta": 1, "Dims": [3, 3], "comment": ""}, "Dims"),
+        (mixed, {"amplitudes": pure["amplitudes"]}, "amplitudes"),
+        (mixed, {"kinds": "pure"}, "kinds"),
+    ):
+        message = f"unexpected key {named!r} in a {good['kind']} state file"
+        with pytest.raises(StateFileError, match=f"^{re.escape(message)}$"):
+            parse_state_dict({**good, **extra})
+        parse_state_dict(good)
+
+
 def test_parse_rejects_bad_dims():
     good = state_to_dict(fixture_state())
     for dims in ([2], [2, 0], [2.0, 2.0], "2x2", None, [True, 2]):

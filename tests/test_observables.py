@@ -19,12 +19,13 @@ from hardycert import (
 )
 from hardycert.errors import DimensionMismatchError, InvalidStateError, NonPositiveWeightError
 from hardycert.lhv import OUTCOMES, PROBABILITY_CLIP, Behavior
-from hardycert.observables import HardyObservables, HardyProbabilityTable, build_rotations
+from hardycert.observables import HardyObservables, HardyPair, HardyProbabilityTable
 from hardycert.states import STATE_TOL, SchmidtForm
 from support import (
     A_FIXTURE,
     certified_mixture,
     fixture_state,
+    haar_unitary,
     hardy_observables,
     random_density,
     random_hardy_state,
@@ -86,37 +87,83 @@ def test_hardy_parameter_rejects_bad_weights():
 # --------------------------------------------------------------- rotations
 
 
-def test_build_rotations_equal_weights():
+def _paper_rotations(p1, p2):
+    """The paper's unitaries ``(u, v)`` for the pair p1, p2, written here
+    from its formulas, independently of the package:
+
+        u = (p1 + p2)^(-1/2) [[sqrt(p2), -i sqrt(p1)], [-i sqrt(p1), sqrt(p2)]]
+        v = (p1^2 + p2^2 - p1 p2)^(-1/2) [[-i q, r], [r, -i q]]
+
+    with r = sqrt(p1 p2) and q = p2 - p1.  ``u`` maps the Schmidt pair to
+    the x basis and ``v @ u`` to the y basis."""
+    u = np.array([[math.sqrt(p2), -1j * math.sqrt(p1)], [-1j * math.sqrt(p1), math.sqrt(p2)]])
+    r, q = math.sqrt(p1 * p2), p2 - p1
+    v = np.array([[-1j * q, r], [r, -1j * q]])
+    return u / math.sqrt(p1 + p2), v / math.sqrt(p1 * p1 + p2 * p2 - p1 * p2)
+
+
+def _unit_form_rotations(p1, p2):
+    """``build_bases`` on a 2x2 form of weights ``p2 >= p1`` (squares summing
+    to 1) whose Schmidt vectors put the pair on the unit vectors: each side
+    is then the ``(2, 2, 2)`` rotation stack itself.  The pair is built by
+    hand, so equal weights, which ``find_hardy_pair`` skips, are taken too."""
+    swap = np.eye(2)[:, ::-1]
+    sf = SchmidtForm(weights=[p2, p1], left_basis=swap, right_basis=swap)
+    pair = HardyPair(index_small=1, index_large=0, p1=p1, p2=p2, a=0.0)
+    alice, bob = build_bases(sf, pair)
+    assert np.array_equal(alice, bob)
+    return alice
+
+
+def test_build_bases_equal_weights():
+    # Equal weights make v the swap, so the y rotation is u with its rows swapped.
     p = 1.0 / math.sqrt(2.0)
-    u, v = build_rotations(p, p)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    assert np.allclose(u, inv_sqrt2 * np.array([[1.0, -1.0j], [-1.0j, 1.0]]), atol=1e-12)
-    assert np.allclose(v, np.array([[0.0, 1.0], [1.0, 0.0]]), atol=1e-12)
+    x, y = _unit_form_rotations(p, p)
+    u = p * np.array([[1.0, -1.0j], [-1.0j, 1.0]])
+    assert np.abs(x - u).max() <= 1e-15
+    assert np.abs(y - u[::-1]).max() <= 1e-15
 
 
-def test_build_rotations_fixture_entries():
-    u, v = build_rotations(math.sqrt(0.2), math.sqrt(0.8))
-    # sqrt(0.8) - sqrt(0.2) = sqrt(0.2), so the diagonal is -i sqrt(0.2)/sqrt(0.6).
-    expected_diag = -1.0j * math.sqrt(0.2) / math.sqrt(0.6)
-    assert v[0, 0] == pytest.approx(expected_diag, abs=1e-12)
-    assert v[1, 1] == pytest.approx(expected_diag, abs=1e-12)
-    expected_u00 = math.sqrt(math.sqrt(0.8)) / math.sqrt(math.sqrt(0.2) + math.sqrt(0.8))
-    assert u[0, 0] == pytest.approx(expected_u00, abs=1e-12)
+def test_build_bases_fixture_entries():
+    # Weights sqrt(0.2) and sqrt(0.8): su = (sqrt(0.2) + sqrt(0.8))^(-1/2), and
+    # p1^2 + p2^2 - p1 p2 = 0.6, so sv = 0.6^(-1/2).
+    x, y = _unit_form_rotations(math.sqrt(0.2), math.sqrt(0.8))
+    su = 1.0 / math.sqrt(math.sqrt(0.2) + math.sqrt(0.8))
+    sv = 1.0 / math.sqrt(0.6)
+    assert x[0, 0] == pytest.approx(su * 0.8**0.25, abs=1e-12)
+    assert x[0, 1] == pytest.approx(-1j * su * 0.2**0.25, abs=1e-12)
+    for k in range(2):
+        assert y[k, k] == pytest.approx(-1j * su * sv * 0.8**0.75, abs=1e-12)
+        assert y[k, 1 - k] == pytest.approx(su * sv * 0.2**0.75, abs=1e-12)
 
 
-def test_build_rotations_unitary():
+def test_build_bases_rotations_are_unitary():
     rng = np.random.default_rng(31)
     for _ in range(1000):
-        p1, p2 = rng.uniform(0.05, 1.0, size=2)
-        u, v = build_rotations(float(p1), float(p2))
-        for mat in (u, v):
-            assert np.max(np.abs(mat @ mat.conj().T - np.eye(2))) < 1e-12
+        p1, p2 = sorted(rng.uniform(0.05, 1.0, size=2))
+        norm = math.hypot(p1, p2)
+        for rotation in _unit_form_rotations(p1 / norm, p2 / norm):
+            assert np.max(np.abs(rotation @ rotation.conj().T - np.eye(2))) < 1e-12
 
 
 def test_build_rotations_rejects_bad_weights():
-    for weights in BAD_WEIGHTS:
+    # The rotations are built inside build_bases.  Of the weights that
+    # hardy_parameter_a refuses, a 3x3 form can carry only the two pairs
+    # whose squared denominator underflows; build_bases refuses those with
+    # NonPositiveWeightError, and the form refuses every other pair.
+    reached = []
+    for p1, p2 in BAD_WEIGHTS:
+        rest = math.sqrt(max(0.0, 1.0 - p1 * p1 - p2 * p2))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sf = SchmidtForm(weights=[rest, p2, p1], left_basis=np.eye(3), right_basis=np.eye(3))
+        except InvalidStateError:
+            continue
+        pair = HardyPair(index_small=2, index_large=1, p1=p1, p2=p2, a=0.0)
         with pytest.raises(NonPositiveWeightError):
-            build_rotations(*weights)
+            build_bases(sf, pair)
+        reached.append((p1, p2))
+    assert reached == [(1e-100, 2e-100), (1e-200, 1e-200)]
 
 
 #: Weights from the smallest subnormal to 2e304: one and two times every
@@ -127,9 +174,13 @@ WEIGHT_GRID = [5e-324, 1.0 + STATE_TOL, math.nextafter(1.0 + STATE_TOL, math.inf
 
 
 def test_closed_forms_give_finite_values_or_refuse_the_weights():
-    # Every pair either gives finite values, without a warning, from both
-    # closed forms, or is refused by both with NonPositiveWeightError; no
+    # Every pair either gives a finite value, without a warning, from
+    # hardy_parameter_a, or is refused by it with NonPositiveWeightError; no
     # other exception escapes.  Pairs that a state can carry are admitted.
+    # Every pair of grid weights up to 1/2, which a 3x3 form can carry in
+    # columns 2 and 1 beside a third weight that holds the rest of the norm,
+    # gives finite bases from build_bases exactly when hardy_parameter_a
+    # admits it, and is refused the same way otherwise.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for p1 in WEIGHT_GRID:
@@ -138,12 +189,24 @@ def test_closed_forms_give_finite_values_or_refuse_the_weights():
                     a = hardy_parameter_a(p1, p2)
                 except NonPositiveWeightError:
                     assert not (1e-80 <= p1 <= 1.0 and 1e-80 <= p2 <= 1.0), (p1, p2)
-                    with pytest.raises(NonPositiveWeightError):
-                        build_rotations(p1, p2)
+                    admitted = False
+                else:
+                    assert 0.0 <= a < math.inf, (p1, p2)
+                    admitted = True
+                if not p1 <= p2 <= 0.5:
                     continue
-                u, v = build_rotations(p1, p2)
-                assert 0.0 <= a < math.inf, (p1, p2)
-                assert np.isfinite(u).all() and np.isfinite(v).all(), (p1, p2)
+                sf = SchmidtForm(
+                    weights=[math.sqrt(1.0 - p1 * p1 - p2 * p2), p2, p1],
+                    left_basis=np.eye(3),
+                    right_basis=np.eye(3),
+                )
+                pair = HardyPair(index_small=2, index_large=1, p1=p1, p2=p2, a=0.0)
+                if not admitted:
+                    with pytest.raises(NonPositiveWeightError):
+                        build_bases(sf, pair)
+                    continue
+                alice, bob = build_bases(sf, pair)
+                assert np.isfinite(alice).all() and np.isfinite(bob).all(), (p1, p2)
 
 
 # ------------------------------------------------------------------- bases
@@ -178,7 +241,7 @@ def test_build_bases_y_vectors_compose_rotations():
     sf = schmidt_decompose(psi)
     pair = find_hardy_pair(sf)
     alice, _ = build_bases(sf, pair)
-    u, v = build_rotations(pair.p1, pair.p2)
+    u, v = _paper_rotations(pair.p1, pair.p2)
     w = v @ u
     alpha1 = sf.left_basis[:, pair.index_small]
     alpha2 = sf.left_basis[:, pair.index_large]
@@ -186,22 +249,40 @@ def test_build_bases_y_vectors_compose_rotations():
     assert np.max(np.abs(alice[1, 0] - expected)) < 1e-12
 
 
-def test_build_bases_rotates_by_build_rotations():
-    # Schmidt vectors that put the selected pair on the unit vectors make the
-    # bases the rotations themselves: u for x and v @ u for y, on each side,
-    # within an ulp of each real and imaginary part.
+def _random_form(d1, d2, rng):
+    """A seeded Schmidt form of rank min(d1, d2) with random bases whose
+    two smallest weights are equal, so it offers both distinct and equal
+    weight pairs."""
+    rank = min(d1, d2)
+    weights = np.sort(rng.uniform(0.1, 1.0, size=rank))[::-1]
+    weights[-1] = weights[-2]
+    return SchmidtForm(
+        weights=weights / np.linalg.norm(weights),
+        left_basis=haar_unitary(d1, rng)[:, :rank],
+        right_basis=haar_unitary(d2, rng)[:, :rank],
+    )
+
+
+def test_build_bases_matches_the_papers_rotations():
+    # On seeded forms from 2x2 to 8x8, for every pair of distinct columns,
+    # equal weights included, the bases are the paper's rotations u and
+    # v @ u applied to the selected Schmidt vectors, within 1e-15: the y
+    # rotation comes from the closed form of v u, which differs from the
+    # product in the last bit.
     rng = np.random.default_rng(33)
-    swap = np.eye(2)[:, ::-1]
-    for _ in range(20):
-        p1, p2 = sorted(rng.uniform(0.05, 1.0, size=2))
-        norm = math.hypot(p1, p2)
-        sf = SchmidtForm(weights=[p2 / norm, p1 / norm], left_basis=swap, right_basis=swap)
-        pair = find_hardy_pair(sf)
-        u, v = build_rotations(pair.p1, pair.p2)
-        for side in build_bases(sf, pair):
-            for got, want in zip(side, (u, v @ u)):
-                for part in (np.real, np.imag):
-                    assert np.all(np.abs(part(got) - part(want)) <= np.spacing(np.abs(part(want))))
+    for _ in range(40):
+        d1, d2 = rng.integers(2, 9, size=2)
+        sf = _random_form(int(d1), int(d2), rng)
+        values = sf.weights.tolist()
+        for j in range(len(values)):
+            for i in range(j + 1, len(values)):
+                p1, p2 = values[i], values[j]
+                pair = HardyPair(index_small=i, index_large=j, p1=p1, p2=p2, a=0.0)
+                u, v = _paper_rotations(p1, p2)
+                rotations = np.array([u, v @ u])
+                alice, bob = build_bases(sf, pair)
+                assert np.abs(alice - rotations @ sf.left_basis[:, [i, j]].T).max() <= 1e-15
+                assert np.abs(bob - rotations @ sf.right_basis[:, [i, j]].T).max() <= 1e-15
 
 
 def test_build_bases_refuses_a_pair_that_is_not_the_forms():

@@ -282,6 +282,16 @@ def test_column_without_admissible_row_never_enters():
     assert np.array_equal(result.solution, [0.0, 1.0])
 
 
+def test_improving_column_with_no_admissible_row_breaks_down():
+    # The one column's reduced cost, 5e-12, exceeds PIVOT_EPS while none of
+    # its entries does: no row bounds its step, and no other column can
+    # enter, so the solver reports a breakdown rather than an answer.
+    matrix = np.full((5, 1), 1e-12)
+    assert matrix.sum() > PIVOT_EPS >= matrix.max()
+    with pytest.raises(NumericalBreakdownError, match="no admissible pivot row"):
+        solve_feasibility_lp(matrix, np.ones(5))
+
+
 def test_data_that_is_not_finite_is_refused():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="must be finite"):
