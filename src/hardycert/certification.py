@@ -10,6 +10,12 @@ no local realistic model can reproduce sigma's predictions for the four
 constructed observables, so a strictly positive margin a - 6 epsilon is a
 nonlocality (and hence nonseparability) certificate.  The bound is sufficient
 only: a non-positive margin decides nothing.
+
+The default candidate is the state's top eigenvector.  Its epsilon is at
+least ``1 - lambda_1 / tr sigma`` and ``a`` is at most 0.0902, so a state
+it certifies has ``lambda_1 > 0.98 tr sigma``; from D = 25 on such a
+dominant eigenvector is taken from power steps whose residual proves it,
+with no eigensolve, and every other state pays one ``eigh``.
 """
 
 from __future__ import annotations
@@ -123,9 +129,11 @@ def _unit(state: DensityOperator) -> np.ndarray:
 
 
 #: The smallest D = d1 d2 at which ``_candidate_distance`` refines the one
-#: negative eigenvalue of ``unit - v v^H`` rather than taking its spectrum:
-#: below it one ``eigvalsh`` costs less than the refinement.
-#: ``tools/distance_crossover.py`` re-measures it.
+#: negative eigenvalue of ``unit - v v^H`` rather than taking its spectrum,
+#: and at which ``_dominant_eigenvector`` seeks the top eigenvector by power
+#: steps rather than by ``eigh``: below it one ``eigvalsh`` costs less than
+#: the refinement, and one ``eigh`` less than the power steps.
+#: ``tools/distance_crossover.py`` re-measures both crossovers.
 _REFINE_MIN_DIM = 25
 
 
@@ -224,6 +232,58 @@ def _refined_distance(
     return None
 
 
+#: The most power steps ``_dominant_eigenvector`` takes before it declines.
+_POWER_STEPS = 16
+
+
+def _dominant_eigenvector(matrix: np.ndarray) -> np.ndarray | None:
+    """The top eigenvector of a validated state's matrix from power steps,
+    proved so, or None, at D of ``_REFINE_MIN_DIM`` or more; below it, None.
+
+    Each step is one matrix-vector product ``w = sigma v`` on the unit
+    iterate v, the first started from sigma's column with the largest
+    diagonal entry, and gives the Rayleigh quotient ``mu = v^H w`` and the
+    residual ``r = w - mu v``.  With t the trace, ``mu > t / 2`` puts the top
+    eigenvalue, which is at least mu, above t / 2, and, sigma being positive
+    semidefinite, every other eigenvalue at or below ``t - mu``.  So once
+    ``|r| <= _roundoff(D, t)`` as well, the Davis-Kahan theorem (C. Davis
+    and W. M. Kahan, SIAM J. Numer. Anal. 7, 1 (1970)) bounds the angle from
+    v to the top eigenvector by ``|r| / (2 mu - t)``, and ``w / |w|``, one
+    more power step closer, is returned: ``_candidate_distance`` then finds
+    it an eigenvector up to round-off, from one matrix-vector product.
+
+    No step is taken when ``tr sigma^2 <= t^2 / 4``, since then no
+    eigenvalue exceeds t / 2.  None is returned when the residual is within
+    the bound but mu is not above t / 2 (an eigenvector that power steps
+    do not leave, not the top one), when the residual, shrinking at its
+    last step's rate, could not reach the bound within ``_POWER_STEPS``
+    steps, and after the last of them.
+    """
+    dim = matrix.shape[0]
+    if dim < _REFINE_MIN_DIM:
+        return None
+    trace = float(matrix.trace().real)
+    if 4.0 * float(np.vdot(matrix, matrix).real) <= trace * trace:
+        return None
+    bound = _roundoff(dim, trace)
+    w = matrix[:, int(np.argmax(matrix.diagonal().real))]
+    last = math.inf
+    for remaining in reversed(range(_POWER_STEPS)):
+        v = w / math.sqrt(np.vdot(w, w).real)
+        w = matrix @ v
+        mu = float(np.vdot(v, w).real)
+        r = w - mu * v
+        r_norm = math.sqrt(np.vdot(r, r).real)
+        if r_norm <= bound:
+            return w / math.sqrt(np.vdot(w, w).real) if 2.0 * mu > trace else None
+        # Shrinking at this step's rate, the residual cannot reach the bound
+        # in the steps left; after the last step, none are left.
+        if r_norm * (r_norm / last) ** remaining > bound:
+            break
+        last = r_norm
+    return None
+
+
 def trace_distance(s1: DensityOperator, s2: DensityOperator) -> float:
     """Half the trace norm of s1 - s2, each divided by its trace.
 
@@ -247,7 +307,8 @@ def certify(sigma: DensityOperator, candidate: StateVector) -> CertificationRepo
     observables, for inspection and for the local-model search, are
     evaluated once, on first read of ``report.behavior`` or ``report.table``,
     from the same SVD.  A candidate that is an eigenvector of ``sigma``, such
-    as ``top_eigenvector``'s, gets epsilon from one matrix-vector product
+    as ``top_eigenvector``'s, whether ``eigh`` or power steps found it, gets
+    epsilon from one matrix-vector product
     (``_candidate_distance``); any other pays one ``eigvalsh`` below D = 25,
     and from there on up to two linear solves whose bracket, when it is not
     certified, falls back to the ``eigvalsh``.  A candidate with no
@@ -271,22 +332,40 @@ def certify(sigma: DensityOperator, candidate: StateVector) -> CertificationRepo
 
 def top_eigenvector(sigma: DensityOperator) -> tuple[StateVector, float | None]:
     """Top eigenvector of a state, the default certification candidate, and
-    the gap between its two largest eigenvalues (None for a 1x1 state), both
-    from one ``eigh``.
+    the gap between its two largest eigenvalues (None for a 1x1 state).
 
-    The eigenvector's global phase is the eigensolver's: it changes no
-    projector, and ``schmidt_decompose``'s gauge absorbs it, so the report
-    does not depend on it.  When the top eigenvalue is degenerate the
-    eigensolver's last column is returned as-is, and the gap shows it.
+    The vector is ``candidate_from_state``'s.  When it is ``eigh``'s column
+    the gap comes from the same solve; when power steps proved it, from one
+    ``eigvalsh``, so the gap is exact either way.  The eigenvector's global
+    phase is the one its method left: it changes no projector, and
+    ``schmidt_decompose``'s gauge absorbs it, so the report does not depend
+    on it.  When the top eigenvalue is degenerate the eigensolver's last
+    column is returned as-is, and the gap shows it.
     """
-    values, vectors = np.linalg.eigh(sigma.matrix)
+    vector = _dominant_eigenvector(sigma.matrix)
+    if vector is None:
+        values, vectors = np.linalg.eigh(sigma.matrix)
+        vector = vectors[:, -1]
+    else:
+        values = np.linalg.eigvalsh(sigma.matrix)
     gap = float(values[-1] - values[-2]) if values.size > 1 else None
-    return StateVector(d1=sigma.d1, d2=sigma.d2, amplitudes=vectors[:, -1]), gap
+    return StateVector(d1=sigma.d1, d2=sigma.d2, amplitudes=vector), gap
 
 
 def candidate_from_state(sigma: DensityOperator) -> StateVector:
-    """Top eigenvector of a state, as ``top_eigenvector`` gives it."""
-    return top_eigenvector(sigma)[0]
+    """Top eigenvector of a state, as ``top_eigenvector`` gives it, with no
+    gap computed.
+
+    From D = d1 d2 = 25 on, a top eigenvalue above half the trace is found
+    by power steps, proved by their residual (``_dominant_eigenvector``),
+    and takes no eigensolve; its vector may differ from ``eigh``'s in phase
+    and in the last bits.  Every other state, and every state below D = 25,
+    gets ``eigh``'s last column, bit for bit.
+    """
+    vector = _dominant_eigenvector(sigma.matrix)
+    if vector is None:
+        vector = np.linalg.eigh(sigma.matrix)[1][:, -1]
+    return StateVector(d1=sigma.d1, d2=sigma.d2, amplitudes=vector)
 
 
 class NoiseThresholdReport(NamedTuple):

@@ -157,3 +157,17 @@ def certified_mixture(
         (1.0 - w) * psi.projector() + w * tau.matrix, psi.d1, psi.d2
     )
     return sigma, psi
+
+
+def dominant_states(rng: np.random.Generator, d1: int, d2: int) -> list[DensityOperator]:
+    """States whose top eigenvalue exceeds half the trace: two certified
+    mixtures, two white-noise mixtures ``p |psi><psi| + (1 - p) I / D`` with
+    p in [0.5, 1), and a pure state's projector."""
+    dim = d1 * d2
+    states = []
+    for _ in range(2):
+        states.append(certified_mixture(rng, d1, d2)[0])
+        psi = random_hardy_state(rng, d1=d1, d2=d2)
+        p = float(rng.uniform(0.5, 1.0))
+        states.append(validate_density(p * psi.projector() + (1.0 - p) * np.eye(dim) / dim, d1, d2))
+    return states + [pure_density(random_state_vector(d1, d2, rng))]

@@ -31,6 +31,7 @@ from support import (
     A_FIXTURE,
     assemble_pure_state,
     certified_mixture,
+    dominant_states,
     fixture_state,
     haar_unitary,
     random_density,
@@ -640,6 +641,114 @@ def test_candidate_from_state_runs_on_degenerate_input():
     assert np.linalg.norm(candidate.amplitudes) == pytest.approx(1.0, abs=1e-9)
     report = certify(maximally_mixed(2, 2), candidate)
     assert report.verdict in (Verdict.NOT_HARDY, Verdict.INCONCLUSIVE)
+
+
+#: Subsystem dimensions at which the top eigenvector is first sought by
+#: power steps, D = 25, 32 and 64.
+POWER_DIMS = [(5, 5), (4, 8), (8, 8)]
+
+
+class CountedProducts(np.ndarray):
+    """A matrix view that counts the matrix-vector products taken on it."""
+
+    def __matmul__(self, other):
+        self.products += 1
+        return np.ndarray.__matmul__(np.asarray(self), other)
+
+
+def power_steps(matrix: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """``_dominant_eigenvector``'s result on ``matrix`` and the power steps
+    it took."""
+    counted = matrix.view(CountedProducts)
+    counted.products = 0
+    vector = certification._dominant_eigenvector(counted)
+    return (None if vector is None else np.asarray(vector)), counted.products
+
+
+@pytest.mark.parametrize("d1, d2", POWER_DIMS)
+def test_power_steps_find_a_dominant_top_eigenvector(d1, d2):
+    # The vector matches eigh's top column up to phase, the gap is eigh's,
+    # and the criterion against it is the criterion against eigh's column.
+    rng = np.random.default_rng([69, d1, d2])
+    pad = distance_pad(d1 * d2)
+    for sigma in dominant_states(rng, d1, d2):
+        values, vectors = np.linalg.eigh(sigma.matrix)
+        candidate, gap = certification.top_eigenvector(sigma)
+        assert np.array_equal(candidate.amplitudes, candidate_from_state(sigma).amplitudes)
+        assert abs(np.vdot(vectors[:, -1], candidate.amplitudes)) ** 2 >= 1.0 - 1e-13
+        assert abs(gap - (values[-1] - values[-2])) <= 1e-14
+        report = certify(sigma, candidate)
+        expected = certify(sigma, StateVector(d1, d2, vectors[:, -1]))
+        assert report.verdict is expected.verdict
+        assert abs(report.epsilon - expected.epsilon) <= pad
+        assert abs(report.a - expected.a) <= pad
+
+
+def declined_state(name: str, d1: int, d2: int) -> DensityOperator:
+    """A state whose top eigenvector power steps leave to eigh."""
+    dim = d1 * d2
+    rng = np.random.default_rng([70, d1, d2])
+    if name == "separable":  # top eigenvalue below half the trace
+        return random_separable(d1, d2, rng)
+    if name == "maximally-mixed":
+        return maximally_mixed(d1, d2)
+    if name == "purity-a-quarter":  # tr sigma^2 = 1/4 exactly
+        return DensityOperator(d1, d2, np.diag([0.25] * 4 + [0.0] * (dim - 4)))
+    if name == "orthogonal-start":
+        # 0.55 on (|1> + |2>) / sqrt 2 and 0.45 on |0>: the steps start and
+        # stay on |0>, an eigenvector with zero residual, not the top one.
+        phi = np.zeros(dim, dtype=complex)
+        phi[1:3] = math.sqrt(0.5)
+        matrix = 0.55 * np.outer(phi, phi.conj())
+        matrix[0, 0] = 0.45
+        return DensityOperator(d1, d2, matrix)
+    if name == "degenerate-pair":
+        # 0.5 on |0> and on |D - 1>: 2 mu = t exactly on |0>, and eigh's top
+        # column is |D - 1>.
+        return DensityOperator(d1, d2, np.diag([0.5] + [0.0] * (dim - 2) + [0.5]))
+    # "slow": top eigenvalues 0.51 and 0.48, in a Haar-random basis.
+    values = np.full(dim, 0.01 / (dim - 2))
+    values[:2] = 0.51, 0.48
+    basis = haar_unitary(dim, rng)
+    return DensityOperator(d1, d2, (basis * values) @ basis.conj().T)
+
+
+#: The power steps each declined state may take before eigh runs: none when
+#: tr sigma^2 <= t^2 / 4 proves no eigenvalue exceeds t / 2, one for a zero
+#: residual at mu <= t / 2, and for the slow state the two whose residuals
+#: show it cannot converge within the step cap, with one step to spare.
+DECLINED_STEPS = {
+    "separable": 0,
+    "maximally-mixed": 0,
+    "purity-a-quarter": 0,
+    "orthogonal-start": 1,
+    "degenerate-pair": 1,
+    "slow": 3,
+}
+
+
+@pytest.mark.parametrize("name", list(DECLINED_STEPS))
+@pytest.mark.parametrize("d1, d2", POWER_DIMS)
+def test_declined_states_get_eighs_column_bit_for_bit(d1, d2, name):
+    sigma = declined_state(name, d1, d2)
+    values, vectors = np.linalg.eigh(sigma.matrix)
+    vector, steps = power_steps(sigma.matrix)
+    assert vector is None
+    assert steps <= DECLINED_STEPS[name]
+    assert np.array_equal(candidate_from_state(sigma).amplitudes, vectors[:, -1])
+    candidate, gap = certification.top_eigenvector(sigma)
+    assert np.array_equal(candidate.amplitudes, vectors[:, -1])
+    assert gap == values[-1] - values[-2]
+
+
+def test_power_steps_are_taken_from_d_25_on():
+    # Below D = 25 the top eigenvector is eigh's column, dominant or not.
+    rng = np.random.default_rng(71)
+    for d1, d2 in [(2, 2), (3, 3), (4, 4), (3, 8)]:
+        for sigma in dominant_states(rng, d1, d2):
+            assert power_steps(sigma.matrix) == (None, 0)
+            vector = np.linalg.eigh(sigma.matrix)[1][:, -1]
+            assert np.array_equal(candidate_from_state(sigma).amplitudes, vector)
 
 
 def test_certified_pair_generator_behaves():

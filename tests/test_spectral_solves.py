@@ -5,7 +5,11 @@ pure state's projector pay for none, outside the gate eigenvectors are
 computed only where they are read, the distance to a candidate that is an
 eigenvector of the state needs no spectrum, the distance to any other
 candidate is one ``eigvalsh`` below D = 25 and one linear solve from there
-on, and the candidate's Schmidt form is one SVD.
+on, and the candidate's Schmidt form is one SVD.  The top eigenvector is one
+``eigh`` below D = 25; from there on, a top eigenvalue above half the trace
+gives it from power steps, with no ``eigh``, and the gap ``certify`` reports
+without a candidate is one ``eigvalsh``.  The 4x4 pins below hold the
+``eigh`` path.
 
 ``numpy.linalg.cholesky``, ``eigh`` (eigenvalues and eigenvectors),
 ``eigvalsh`` (eigenvalues only), ``solve`` and ``svd`` are wrapped to record
@@ -17,10 +21,11 @@ import json
 import numpy as np
 import pytest
 
+from hardycert.certification import candidate_from_state, certify, top_eigenvector
 from hardycert.cli import main
 from hardycert.io import state_to_dict
 from hardycert.states import DensityOperator, StateVector, maximally_mixed, validate_density
-from support import certified_mixture
+from support import certified_mixture, dominant_states
 
 D1 = D2 = 4
 DIM = D1 * D2
@@ -131,6 +136,34 @@ def test_explicit_candidate_schmidt_form_is_one_svd(command, files, solves, caps
     run([command, "--state", files["state"], "--candidate", files["candidate"]], capsys)
     assert solves["eigh"] == []
     assert solves["svd"] == [(D1, D2)]
+
+
+@pytest.mark.parametrize("d1, d2", [(5, 5), (4, 8), (8, 8)])
+def test_dominant_top_eigenvector_takes_no_eigh(d1, d2, solves):
+    # A top eigenvalue above half the trace, from D = 25 on: power steps
+    # give the vector, one eigvalsh gives top_eigenvector's gap, and the
+    # candidate's epsilon is one matrix-vector product.
+    dim = d1 * d2
+    for sigma in dominant_states(np.random.default_rng([72, d1, d2]), d1, d2):
+        for shapes in solves.values():
+            shapes.clear()  # the state's own construction
+        candidate = candidate_from_state(sigma)
+        assert solves["eigh"] == solves["eigvalsh"] == []
+        top_eigenvector(sigma)
+        assert (solves["eigh"], solves["eigvalsh"]) == ([], [(dim, dim)])
+        solves["eigvalsh"].clear()
+        certify(sigma, candidate)
+        assert solves["eigvalsh"] == solves["solve"] == []
+
+
+def test_certify_dominant_5x5_file_takes_one_eigvalsh(tmp_path, solves, capsys):
+    sigma, _ = certified_mixture(np.random.default_rng(73), d1=5, d2=5)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state_to_dict(sigma)))
+    for shapes in solves.values():
+        shapes.clear()
+    run(["certify", "--state", path], capsys)
+    assert solves == {"cholesky": [(25, 25)], "eigh": [], "eigvalsh": [(25, 25)], "solve": [], "svd": [(5, 5)]}
 
 
 #: The two entry points of the density gate, on 2x2 inputs.

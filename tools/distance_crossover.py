@@ -1,6 +1,7 @@
 """Time the two ways ``certification._candidate_distance`` can take the trace
-distance to a candidate that is no eigenvector of its state, and print the
-dimension from which the refinement is the cheaper one.
+distance to a candidate that is no eigenvector of its state, and the two
+ways the top eigenvector can be found, and print the dimension from which
+the refinement, and from which the power steps, are the cheaper ones.
 
     python tools/distance_crossover.py [--repeats N]
 
@@ -11,16 +12,24 @@ the candidate psi, and times, on the same X:
 
 - ``_trace_distance(X)``, one ``eigvalsh`` of X;
 - ``_refined_distance``, one Ritz pair and up to two Rayleigh-quotient
-  steps, each one linear solve and one matrix-vector product.
+  steps, each one linear solve and one matrix-vector product;
+
+and, on the same unit-trace mixture, whose top eigenvalue exceeds half its
+trace:
+
+- ``eigh``, the top eigenvector's solve below the constant;
+- ``_dominant_eigenvector``, power steps until the residual proves the
+  vector, timed with the constant lowered to 1 so that it runs at every D.
 
 A cost is the best of N single calls (default 200) timed with
 ``time.process_time_ns``, with BLAS pinned to one thread, as the benchmark
-pins it; the table gives the median over the mixtures of each best.  The
-printed crossover is the smallest D from which the refinement is cheaper at
-every larger D in the table; ``certification._REFINE_MIN_DIM`` should sit
-there.  Timings move with the host and the BLAS, so the figures are read
-by hand: pytest does not run the probe, and CI runs it only for its exit
-status.  Only numpy and the standard library are used.
+pins it; the table gives the median over the mixtures of each best.  Each
+printed crossover is the smallest D from which the faster method is the
+cheaper one at every larger D in the table.  Both crossovers are read
+against the one constant ``certification._REFINE_MIN_DIM``, which should
+sit at or above each.  Timings move with the host and the BLAS, so the
+figures are read by hand: pytest does not run the probe, and CI runs it
+only for its exit status.  Only numpy and the standard library are used.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
@@ -67,13 +77,15 @@ def _best_ns(call, repeats: int) -> int:
     return best
 
 
-def measure(d1: int, d2: int, repeats: int) -> tuple[float, float, int]:
-    """Median best costs in microseconds of ``eigvalsh`` and of the
-    refinement at d1 x d2, and how many mixtures the refinement certified."""
+def measure(d1: int, d2: int, repeats: int) -> tuple[list[float], list[int]]:
+    """Median best costs in microseconds of ``eigvalsh``, the refinement,
+    ``eigh`` and the power steps at d1 x d2, and how many mixtures the
+    refinement certified and the power steps proved."""
     dim = d1 * d2
     rng = np.random.default_rng([35, d1, d2])
     delta = _roundoff(dim, 1.0)
-    spectra, refined, accepted = [], [], 0
+    costs: list[list[int]] = [[], [], [], []]
+    accepted = [0, 0]
     for _ in range(MIXTURES):
         unit, v = _mixture(dim, rng)
         w = unit @ v
@@ -82,10 +94,25 @@ def measure(d1: int, d2: int, repeats: int) -> tuple[float, float, int]:
         r_norm = math.sqrt(np.vdot(r, r).real)
         difference = unit - v[:, None] * v.conj()
         args = (difference, v, f, r / r_norm, r_norm, delta)
-        accepted += certification._refined_distance(*args) is not None
-        spectra.append(_best_ns(lambda: certification._trace_distance(difference), repeats))
-        refined.append(_best_ns(lambda: certification._refined_distance(*args), repeats))
-    return float(np.median(spectra)) / 1e3, float(np.median(refined)) / 1e3, accepted
+        accepted[0] += certification._refined_distance(*args) is not None
+        costs[0].append(_best_ns(lambda: certification._trace_distance(difference), repeats))
+        costs[1].append(_best_ns(lambda: certification._refined_distance(*args), repeats))
+        costs[2].append(_best_ns(lambda: np.linalg.eigh(unit), repeats))
+        with mock.patch.object(certification, "_REFINE_MIN_DIM", 1):
+            accepted[1] += certification._dominant_eigenvector(unit) is not None
+            costs[3].append(_best_ns(lambda: certification._dominant_eigenvector(unit), repeats))
+    return [float(np.median(c)) / 1e3 for c in costs], accepted
+
+
+def crossover(rows: list[tuple[int, float, float]]) -> str:
+    """The smallest D of ``(D, slow, fast)`` rows from which ``fast`` is
+    the cheaper at every larger D."""
+    found = None
+    for dim, slow, fast in reversed(rows):
+        if fast >= slow:
+            break
+        found = dim
+    return f"D = {found}" if found else "none in the table"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -95,19 +122,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     print(f"numpy {np.__version__}, best of {args.repeats} calls, median of {MIXTURES} mixtures")
-    print(f"{'D':>4} {'eigvalsh us':>12} {'refine us':>10} {'certified':>10}")
-    rows = []
+    print(f"{'D':>4} {'eigvalsh us':>12} {'refine us':>10} {'certified':>10}"
+          f" {'eigh us':>8} {'power us':>9} {'proved':>7}")
+    distances, vectors = [], []
     for d1, d2 in DIMS:
-        spectrum, refine, accepted = measure(d1, d2, args.repeats)
-        rows.append((d1 * d2, spectrum, refine))
-        print(f"{d1 * d2:>4} {spectrum:>12.1f} {refine:>10.1f} {accepted:>6}/{MIXTURES}")
-    crossover = None
-    for dim, spectrum, refine in reversed(rows):
-        if refine >= spectrum:
-            break
-        crossover = dim
-    print(f"crossover: D = {crossover}" if crossover else "crossover: none in the table")
-    print(f"certification._REFINE_MIN_DIM = {certification._REFINE_MIN_DIM}")
+        (spectrum, refine, full, power), (certified, proved) = measure(d1, d2, args.repeats)
+        distances.append((d1 * d2, spectrum, refine))
+        vectors.append((d1 * d2, full, power))
+        print(f"{d1 * d2:>4} {spectrum:>12.1f} {refine:>10.1f} {certified:>6}/{MIXTURES}"
+              f" {full:>8.1f} {power:>9.1f} {proved:>3}/{MIXTURES}")
+    print(f"epsilon crossover: {crossover(distances)}; "
+          f"top-eigenvector crossover: {crossover(vectors)}")
+    print(f"both read certification._REFINE_MIN_DIM = {certification._REFINE_MIN_DIM}")
     return 0
 
 
