@@ -13,9 +13,12 @@ only: a non-positive margin decides nothing.
 
 The default candidate is the state's top eigenvector.  Its epsilon is at
 least ``1 - lambda_1 / tr sigma`` and ``a`` is at most 0.0902, so a state
-it certifies has ``lambda_1 > 0.98 tr sigma``; from D = 25 on such a
-dominant eigenvector is taken from power steps whose residual proves it,
-with no eigensolve, and every other state pays one ``eigh``.
+it certifies has ``lambda_1 > 0.98 tr sigma``.  One routine,
+``_top_eigenpair``, decides that vector: from D = 25 on it takes such a
+dominant eigenvector from power steps whose residual proves it, with no
+eigensolve, and hands every other state to its one ``eigh``.  The power
+steps and the residual checks of epsilon share one Rayleigh step,
+``_rayleigh``.
 """
 
 from __future__ import annotations
@@ -130,9 +133,9 @@ def _unit(state: DensityOperator) -> np.ndarray:
 
 #: The smallest D = d1 d2 at which ``_candidate_distance`` refines the one
 #: negative eigenvalue of ``unit - v v^H`` rather than taking its spectrum,
-#: and at which ``_dominant_eigenvector`` seeks the top eigenvector by power
-#: steps rather than by ``eigh``: below it one ``eigvalsh`` costs less than
-#: the refinement, and one ``eigh`` less than the power steps.
+#: and at which ``_top_eigenpair`` tries power steps before its ``eigh``:
+#: below it one ``eigvalsh`` costs less than the refinement, and one
+#: ``eigh`` less than the power steps.
 #: ``tools/distance_crossover.py`` re-measures both crossovers.
 _REFINE_MIN_DIM = 25
 
@@ -160,10 +163,8 @@ def _candidate_distance(unit: np.ndarray, psi: StateVector) -> float:
     """
     amps = psi.amplitudes
     v = amps / math.sqrt(np.vdot(amps, amps).real)
-    w = unit @ v
-    f = float(np.vdot(v, w).real)
-    r = w - f * v
-    r_norm = math.sqrt(np.vdot(r, r).real)
+    _, f, r, r_squared = _rayleigh(unit, v)
+    r_norm = math.sqrt(r_squared)
     delta = _roundoff(v.size, 1.0)
     if r_norm <= delta:
         return min(max(1.0 - f + r_norm, 0.0), 1.0)
@@ -222,66 +223,73 @@ def _refined_distance(
         if not 0.0 < y_norm < math.inf:  # NaN fails it too
             return None
         x = y / y_norm
-        xx = difference @ x
-        mu = float(np.vdot(x, xx).real)
-        s = xx - mu * x
-        s_squared = float(np.vdot(s, s).real)
+        _, mu, _, s_squared = _rayleigh(difference, x)
         g = -mu - delta
         if g > delta and s_squared <= g * delta:
             return min(max(-mu + s_squared / g + 0.5 * float(difference.trace().real), 0.0), 1.0)
     return None
 
 
-#: The most power steps ``_dominant_eigenvector`` takes before it declines.
+#: The most power steps ``_top_eigenpair`` takes; a residual still above
+#: round-off after the last of them hands the state over to ``eigh``.
 _POWER_STEPS = 16
 
 
-def _dominant_eigenvector(matrix: np.ndarray) -> np.ndarray | None:
-    """The top eigenvector of a validated state's matrix from power steps,
-    proved so, or None, at D of ``_REFINE_MIN_DIM`` or more; below it, None.
+def _rayleigh(matrix: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, float]:
+    """One Rayleigh step on a unit vector x: ``w = matrix x``, the quotient
+    ``mu = x^H w``, the residual ``r = w - mu x`` and ``|r|^2``."""
+    w = matrix @ x
+    mu = float(np.vdot(x, w).real)
+    r = w - mu * x
+    return w, mu, r, float(np.vdot(r, r).real)
 
-    Each step is one matrix-vector product ``w = sigma v`` on the unit
-    iterate v, the first started from sigma's column with the largest
-    diagonal entry, and gives the Rayleigh quotient ``mu = v^H w`` and the
-    residual ``r = w - mu v``.  With t the trace, ``mu > t / 2`` puts the top
-    eigenvalue, which is at least mu, above t / 2, and, sigma being positive
-    semidefinite, every other eigenvalue at or below ``t - mu``.  So once
-    ``|r| <= _roundoff(D, t)`` as well, the Davis-Kahan theorem (C. Davis
-    and W. M. Kahan, SIAM J. Numer. Anal. 7, 1 (1970)) bounds the angle from
-    v to the top eigenvector by ``|r| / (2 mu - t)``, and ``w / |w|``, one
-    more power step closer, is returned: ``_candidate_distance`` then finds
-    it an eigenvector up to round-off, from one matrix-vector product.
 
-    No step is taken when ``tr sigma^2 <= t^2 / 4``, since then no
-    eigenvalue exceeds t / 2.  None is returned when the residual is within
-    the bound but mu is not above t / 2 (an eigenvector that power steps
-    do not leave, not the top one), when the residual, shrinking at its
-    last step's rate, could not reach the bound within ``_POWER_STEPS``
-    steps, and after the last of them.
+def _top_eigenpair(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The top eigenvector of a validated state's matrix, with None when
+    power steps proved it, or with the spectrum when ``eigh`` gave it.
+
+    From D of ``_REFINE_MIN_DIM`` on, power steps are taken unless
+    ``tr sigma^2 <= t^2 / 4``, t the trace, shows that no eigenvalue
+    exceeds t / 2.  Each step is one ``_rayleigh`` on the unit iterate v,
+    the first started from sigma's column with the largest diagonal entry.
+    ``mu > t / 2`` puts the top eigenvalue, which is at least mu, above
+    t / 2, and, sigma being positive semidefinite, every other eigenvalue
+    at or below ``t - mu``.  So once ``|r| <= _roundoff(D, t)`` as well,
+    the Davis-Kahan theorem (C. Davis and W. M. Kahan, SIAM J. Numer. Anal.
+    7, 1 (1970)) bounds the angle from v to the top eigenvector by
+    ``|r| / (2 mu - t)``, and ``w / |w|``, one more power step closer, is
+    returned: ``_candidate_distance`` then finds it an eigenvector up to
+    round-off, from one matrix-vector product.
+
+    The steps hand over to the one ``eigh``, whose last column and spectrum
+    are returned, when ``mu + |r| <= t / 2``, the iterate having settled at
+    or below half the trace (an iterate that is an eigenvector there, which
+    power steps would not leave, stops at once); when the residual,
+    shrinking at its last step's rate, could not reach the bound within
+    ``_POWER_STEPS`` steps; and after the last of them.  Below D =
+    ``_REFINE_MIN_DIM`` ``eigh`` runs at once.
     """
     dim = matrix.shape[0]
-    if dim < _REFINE_MIN_DIM:
-        return None
-    trace = float(matrix.trace().real)
-    if 4.0 * float(np.vdot(matrix, matrix).real) <= trace * trace:
-        return None
-    bound = _roundoff(dim, trace)
-    w = matrix[:, int(np.argmax(matrix.diagonal().real))]
-    last = math.inf
-    for remaining in reversed(range(_POWER_STEPS)):
-        v = w / math.sqrt(np.vdot(w, w).real)
-        w = matrix @ v
-        mu = float(np.vdot(v, w).real)
-        r = w - mu * v
-        r_norm = math.sqrt(np.vdot(r, r).real)
-        if r_norm <= bound:
-            return w / math.sqrt(np.vdot(w, w).real) if 2.0 * mu > trace else None
-        # Shrinking at this step's rate, the residual cannot reach the bound
-        # in the steps left; after the last step, none are left.
-        if r_norm * (r_norm / last) ** remaining > bound:
-            break
-        last = r_norm
-    return None
+    if dim >= _REFINE_MIN_DIM:
+        trace = float(matrix.trace().real)
+        # No step when tr sigma^2 <= t^2 / 4: no eigenvalue exceeds t / 2.
+        if 4.0 * float(np.vdot(matrix, matrix).real) > trace * trace:
+            bound = _roundoff(dim, trace)
+            w = matrix[:, int(np.argmax(matrix.diagonal().real))]
+            last = math.inf
+            for remaining in reversed(range(_POWER_STEPS)):
+                w, mu, _, r_squared = _rayleigh(matrix, w / math.sqrt(np.vdot(w, w).real))
+                r_norm = math.sqrt(r_squared)
+                if r_norm <= bound and 2.0 * mu > trace:
+                    return w / math.sqrt(np.vdot(w, w).real), None
+                # Settled at or below t / 2, or a residual that, shrinking at
+                # this step's rate, cannot reach the bound in the steps left
+                # (none after the last).
+                if 2.0 * (mu + r_norm) <= trace or r_norm * (r_norm / last) ** remaining > bound:
+                    break
+                last = r_norm
+    values, vectors = np.linalg.eigh(matrix)
+    return vectors[:, -1], values
 
 
 def trace_distance(s1: DensityOperator, s2: DensityOperator) -> float:
@@ -307,11 +315,12 @@ def certify(sigma: DensityOperator, candidate: StateVector) -> CertificationRepo
     observables, for inspection and for the local-model search, are
     evaluated once, on first read of ``report.behavior`` or ``report.table``,
     from the same SVD.  A candidate that is an eigenvector of ``sigma``, such
-    as ``top_eigenvector``'s, whether ``eigh`` or power steps found it, gets
-    epsilon from one matrix-vector product
-    (``_candidate_distance``); any other pays one ``eigvalsh`` below D = 25,
-    and from there on up to two linear solves whose bracket, when it is not
-    certified, falls back to the ``eigvalsh``.  A candidate with no
+    as ``top_eigenvector``'s, whether ``_top_eigenpair``'s power steps or its
+    ``eigh`` found it, gets epsilon from one Rayleigh step, one
+    matrix-vector product (``_candidate_distance``); any other pays one
+    ``eigvalsh`` below D = 25, and from there on up to two linear solves
+    whose bracket, when it is not certified, falls back to the
+    ``eigvalsh``.  A candidate with no
     admissible pair has ``a`` = 0, and its margin ``0.0 - 6 epsilon`` reads
     ``+0.0``, not ``-0.0``, at epsilon = 0.
     """
@@ -334,19 +343,16 @@ def top_eigenvector(sigma: DensityOperator) -> tuple[StateVector, float | None]:
     """Top eigenvector of a state, the default certification candidate, and
     the gap between its two largest eigenvalues (None for a 1x1 state).
 
-    The vector is ``candidate_from_state``'s.  When it is ``eigh``'s column
-    the gap comes from the same solve; when power steps proved it, from one
-    ``eigvalsh``, so the gap is exact either way.  The eigenvector's global
-    phase is the one its method left: it changes no projector, and
-    ``schmidt_decompose``'s gauge absorbs it, so the report does not depend
-    on it.  When the top eigenvalue is degenerate the eigensolver's last
+    The vector is ``candidate_from_state``'s, from ``_top_eigenpair``.  When
+    it is ``eigh``'s column the gap comes from the spectrum of the same
+    solve; when power steps proved it, from one ``eigvalsh``, so the gap is
+    exact either way.  The eigenvector's global phase is the one its method
+    left: it changes no projector, and ``schmidt_decompose``'s gauge absorbs
+    it, so the report does not depend on it.  When the top eigenvalue is degenerate the eigensolver's last
     column is returned as-is, and the gap shows it.
     """
-    vector = _dominant_eigenvector(sigma.matrix)
-    if vector is None:
-        values, vectors = np.linalg.eigh(sigma.matrix)
-        vector = vectors[:, -1]
-    else:
+    vector, values = _top_eigenpair(sigma.matrix)
+    if values is None:
         values = np.linalg.eigvalsh(sigma.matrix)
     gap = float(values[-1] - values[-2]) if values.size > 1 else None
     return StateVector(d1=sigma.d1, d2=sigma.d2, amplitudes=vector), gap
@@ -356,16 +362,13 @@ def candidate_from_state(sigma: DensityOperator) -> StateVector:
     """Top eigenvector of a state, as ``top_eigenvector`` gives it, with no
     gap computed.
 
-    From D = d1 d2 = 25 on, a top eigenvalue above half the trace is found
-    by power steps, proved by their residual (``_dominant_eigenvector``),
-    and takes no eigensolve; its vector may differ from ``eigh``'s in phase
-    and in the last bits.  Every other state, and every state below D = 25,
-    gets ``eigh``'s last column, bit for bit.
+    The vector is ``_top_eigenpair``'s.  From D = d1 d2 = 25 on, a top
+    eigenvalue above half the trace is found by power steps, proved by
+    their residual, and takes no eigensolve; its vector may differ from
+    ``eigh``'s in phase and in the last bits.  Every other state, and every
+    state below D = 25, gets ``eigh``'s last column, bit for bit.
     """
-    vector = _dominant_eigenvector(sigma.matrix)
-    if vector is None:
-        vector = np.linalg.eigh(sigma.matrix)[1][:, -1]
-    return StateVector(d1=sigma.d1, d2=sigma.d2, amplitudes=vector)
+    return StateVector(d1=sigma.d1, d2=sigma.d2, amplitudes=_top_eigenpair(sigma.matrix)[0])
 
 
 class NoiseThresholdReport(NamedTuple):

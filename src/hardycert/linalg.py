@@ -55,16 +55,20 @@ def _sealed(record, **fields):
 
 def hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:
     """``(m + m^H) / 2`` and the largest entrywise deviation between ``m``
-    and ``m^H``, both from one adjoint ``m^H``.
+    and ``m^H``, both from one adjoint ``m^H``, written C-contiguous so that
+    both sums read it in order; the halving is done in place.  ``m`` is a
+    floating-point or complex matrix.
 
     Finite entries near the largest float can overflow either result.  That
     gives an infinite defect or infinite entries, silently: the caller
     refuses them with an error of its own rather than a numpy warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        adjoint = m.conj().T
+        adjoint = np.conjugate(m.T, order="C")
         defect = float(np.abs(m - adjoint).max()) if m.size else 0.0
-        return (m + adjoint) / 2.0, defect
+        part = m + adjoint
+        part /= 2.0
+        return part, defect
 
 
 __all__ = ["hermitian_part"]

@@ -23,6 +23,7 @@ imports it back.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -40,16 +41,25 @@ from .states import STATE_TOL, DensityOperator, SchmidtForm
 PAIR_FLOOR = 1e-8
 
 
-def _check_weights(p1: float, p2: float) -> None:
-    """Refuse a pair that the closed forms cannot take: a weight that is not
-    positive, or above ``1 + STATE_TOL`` (no accepted state has one), or two
-    weights so small that the squared denominator of ``hardy_parameter_a``
-    underflows to 0.  Any other pair gives finite values."""
+def _check_weights(p1: float, p2: float) -> tuple[float, float]:
+    """The pair as two Python floats, or a refusal of a pair that the closed
+    forms cannot take: a weight that is not a real number (a bool, which
+    would be a weight of 1, is refused, as it is for dims and tolerances),
+    not positive, or above ``1 + STATE_TOL`` (no accepted state has one), or
+    two weights so small that the squared denominator of
+    ``hardy_parameter_a`` underflows to 0 in double precision.  Any other
+    pair gives finite values, each computed in double precision."""
+    for p in (p1, p2):
+        # A float, the usual weight, skips the slower abstract-class check.
+        if type(p) is not float and (isinstance(p, bool) or not isinstance(p, numbers.Real)):
+            raise NonPositiveWeightError(f"weights must be real numbers, got ({p1!r}, {p2!r})")
     if not (0.0 < p1 <= 1.0 + STATE_TOL and 0.0 < p2 <= 1.0 + STATE_TOL):  # NaN fails it too
         raise NonPositiveWeightError(f"weights must lie in (0, 1 + {STATE_TOL}], got ({p1}, {p2})")
+    p1, p2 = float(p1), float(p2)
     denom = p1 * p1 + p2 * p2 - p1 * p2
     if denom * denom == 0.0:
         raise NonPositiveWeightError(f"weights ({p1}, {p2}) are too small for the closed forms")
+    return p1, p2
 
 
 def _parameter_a(p1: float, p2: float) -> float:
@@ -62,10 +72,10 @@ def hardy_parameter_a(p1: float, p2: float) -> float:
     """Closed form of the single nonzero probability in the designated table.
 
     Symmetric in its arguments and zero exactly when the weights coincide, so
-    equal-weight states certify nothing.
+    equal-weight states certify nothing.  The weights are taken in double
+    precision whatever their type, and the value is a Python float.
     """
-    _check_weights(p1, p2)
-    return _parameter_a(p1, p2)
+    return _parameter_a(*_check_weights(p1, p2))
 
 
 class HardyPair(NamedTuple):
@@ -167,8 +177,7 @@ def build_bases(sf: SchmidtForm, pair: HardyPair) -> tuple[np.ndarray, np.ndarra
         raise DimensionMismatchError(
             f"pair {tuple(pair)} is not two distinct columns of the form with their weights"
         )
-    p1, p2 = pair.p1, pair.p2
-    _check_weights(p1, p2)
+    p1, p2 = _check_weights(pair.p1, pair.p2)
     su = 1.0 / math.sqrt(p1 + p2)
     sv = 1.0 / math.sqrt(p1 * p1 + p2 * p2 - p1 * p2)
     r1, r2 = math.sqrt(p1), math.sqrt(p2)

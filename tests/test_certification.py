@@ -657,12 +657,12 @@ class CountedProducts(np.ndarray):
 
 
 def power_steps(matrix: np.ndarray) -> tuple[np.ndarray | None, int]:
-    """``_dominant_eigenvector``'s result on ``matrix`` and the power steps
-    it took."""
+    """``_top_eigenpair``'s vector on ``matrix`` when power steps proved it,
+    None when it handed over to ``eigh``, and the power steps it took."""
     counted = matrix.view(CountedProducts)
     counted.products = 0
-    vector = certification._dominant_eigenvector(counted)
-    return (None if vector is None else np.asarray(vector)), counted.products
+    vector, spectrum = certification._top_eigenpair(counted)
+    return (None if spectrum is not None else np.asarray(vector)), counted.products
 
 
 @pytest.mark.parametrize("d1, d2", POWER_DIMS)
@@ -706,17 +706,22 @@ def declined_state(name: str, d1: int, d2: int) -> DensityOperator:
         # 0.5 on |0> and on |D - 1>: 2 mu = t exactly on |0>, and eigh's top
         # column is |D - 1>.
         return DensityOperator(d1, d2, np.diag([0.5] + [0.0] * (dim - 2) + [0.5]))
-    # "slow": top eigenvalues 0.51 and 0.48, in a Haar-random basis.
-    values = np.full(dim, 0.01 / (dim - 2))
-    values[:2] = 0.51, 0.48
+    # "slow": top eigenvalues 0.51 and 0.48; "below-half": 0.49 and 0.06,
+    # with 0.45 spread over the rest, so tr sigma^2 > t^2 / 4 at D = 25 and
+    # 32 but not at 64.  Each in a Haar-random basis.
+    top, rest = ((0.51, 0.48), 0.01) if name == "slow" else ((0.49, 0.06), 0.45)
+    values = np.full(dim, rest / (dim - 2))
+    values[:2] = top
     basis = haar_unitary(dim, rng)
     return DensityOperator(d1, d2, (basis * values) @ basis.conj().T)
 
 
 #: The power steps each declined state may take before eigh runs: none when
 #: tr sigma^2 <= t^2 / 4 proves no eigenvalue exceeds t / 2, one for a zero
-#: residual at mu <= t / 2, and for the slow state the two whose residuals
-#: show it cannot converge within the step cap, with one step to spare.
+#: residual at mu <= t / 2, for the slow state the two whose residuals show
+#: it cannot converge within the step cap, with one step to spare, and for
+#: the below-half state the two after which mu + |r| has settled at or below
+#: t / 2 (14 and 15 of them, at 4x8 and 5x5, before that stop).
 DECLINED_STEPS = {
     "separable": 0,
     "maximally-mixed": 0,
@@ -724,6 +729,7 @@ DECLINED_STEPS = {
     "orthogonal-start": 1,
     "degenerate-pair": 1,
     "slow": 3,
+    "below-half": 2,
 }
 
 
@@ -749,6 +755,37 @@ def test_power_steps_are_taken_from_d_25_on():
             assert power_steps(sigma.matrix) == (None, 0)
             vector = np.linalg.eigh(sigma.matrix)[1][:, -1]
             assert np.array_equal(candidate_from_state(sigma).amplitudes, vector)
+
+
+def test_top_eigenvector_on_random_spectra_from_d_25_on():
+    # Seeded spectra, lambda_1 uniform in [0.3, 1), lambda_2 below both it
+    # and the rest of the trace, the others spread at random, in a
+    # Haar-random basis: an accepted vector is eigh's top column up to phase
+    # with eigh's gap, and a declined state gets eigh's column and gap bit
+    # for bit.
+    taken = Counter()
+    for k, (d1, d2) in enumerate([(5, 5), (4, 7), (4, 8), (6, 6), (5, 8), (7, 7), (8, 8)] * 6):
+        rng = np.random.default_rng([73, k])
+        dim = d1 * d2
+        top = float(rng.uniform(0.3, 1.0))
+        second = float(rng.uniform(0.0, min(top, 1.0 - top)))
+        values = np.concatenate([[top, second], rng.dirichlet(np.ones(dim - 2)) * (1.0 - top - second)])
+        basis = haar_unitary(dim, rng)
+        sigma = DensityOperator(d1, d2, (basis * values) @ basis.conj().T)
+        expected_values, expected_vectors = np.linalg.eigh(sigma.matrix)
+        expected_gap = expected_values[-1] - expected_values[-2]
+        vector, _ = power_steps(sigma.matrix)
+        candidate, gap = certification.top_eigenvector(sigma)
+        assert np.array_equal(candidate.amplitudes, candidate_from_state(sigma).amplitudes)
+        if vector is None:
+            assert np.array_equal(candidate.amplitudes, expected_vectors[:, -1])
+            assert gap == expected_gap
+        else:
+            assert np.array_equal(candidate.amplitudes, vector)
+            assert abs(np.vdot(expected_vectors[:, -1], vector)) ** 2 >= 1.0 - 1e-13
+            assert abs(gap - expected_gap) <= 1e-14
+        taken[vector is None] += 1
+    assert taken[True] > 5 and taken[False] > 5
 
 
 def test_certified_pair_generator_behaves():

@@ -99,3 +99,37 @@ def test_overflowing_entries_are_refused_without_a_warning():
     skewed[1, 0] = -1.5e308
     with pytest.raises(NotHermitianError, match="defect inf"):
         _gate(skewed, 2, 2, STATE_TOL)
+
+
+def _layouts(m: np.ndarray) -> list[np.ndarray]:
+    """``m`` as a C-ordered copy, an F-ordered copy and a strided view."""
+    padded = np.zeros((2 * m.shape[0], 3 * m.shape[1]), dtype=m.dtype)
+    padded[::2, ::3] = m
+    return [np.ascontiguousarray(m), np.asfortranarray(m), padded[::2, ::3]]
+
+
+def test_hermitian_part_is_the_plain_formula_bit_for_bit():
+    # The part and the defect equal (m + m^H) / 2 and max|m - m^H| bit for
+    # bit, signs of zero included, whatever the layout of m: C- and
+    # F-ordered, a strided view, entries whose sums overflow (an infinite
+    # part and an infinite defect, with no warning) and an empty matrix.
+    rng = np.random.default_rng(61)
+    inputs = []
+    for n in (1, 2, 5, 16):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        for i, j in zip(*np.nonzero(rng.random((n, n)) < 0.3)):
+            m.real[i, j], m.imag[j, i] = -0.0, 0.0
+        inputs.append(m)
+    huge = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    huge[0, 1], huge[1, 0], huge[0, 2], huge[2, 0] = 1.5e308, -1.5e308, 1.7e308, 1.7e308
+    inputs += [huge, np.zeros((0, 0), dtype=complex)]
+    for m in inputs:
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = (m + m.conj().T) / 2
+            defect = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+        for view in _layouts(m):
+            part, measured = hermitian_part(view)
+            assert part.shape == m.shape
+            assert np.ascontiguousarray(part).tobytes() == np.ascontiguousarray(expected).tobytes()
+            assert measured == defect
+    assert hermitian_part(huge)[1] == np.inf and not np.isfinite(hermitian_part(huge)[0]).all()

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,6 +82,25 @@ BAD_WEIGHTS = [
 def test_hardy_parameter_rejects_bad_weights():
     for weights in BAD_WEIGHTS:
         with pytest.raises(NonPositiveWeightError):
+            hardy_parameter_a(*weights)
+
+
+def test_hardy_parameter_is_a_double_of_real_weights():
+    # Weights of any real type are taken in double precision and the value
+    # is a Python float: a float32 weight gives what its double gives, and
+    # float32 weights whose float32 square would underflow are not refused.
+    value = hardy_parameter_a(np.float32(0.3), 0.6)
+    assert type(value) is float
+    assert value == hardy_parameter_a(float(np.float32(0.3)), 0.6)
+    tiny = hardy_parameter_a(np.float32(1e-20), np.float32(2e-20))
+    assert type(tiny) is float
+    assert tiny == hardy_parameter_a(float(np.float32(1e-20)), float(np.float32(2e-20))) > 0.0
+    assert type(hardy_parameter_a(np.int64(1), Fraction(1, 2))) is float
+    # A bool would be a weight of 1, and a complex or a string no weight at
+    # all: each is refused, as bools are for dims and tolerances.
+    refused = [(True, 0.5), (0.5, np.bool_(True)), (0.3 + 0j, 0.5), (np.complex128(0.3), 0.5), ("0.3", 0.5)]
+    for weights in refused:
+        with pytest.raises(NonPositiveWeightError, match="real numbers"):
             hardy_parameter_a(*weights)
 
 

@@ -157,8 +157,9 @@ def test_only_linalg_reads_the_machine_constants():
 
 
 def _adjoint_of(node: ast.AST, adjoints: dict[str, str]) -> str | None:
-    """The dump of ``m`` when ``node`` is ``m.conj().T`` or a name bound to
-    it, else None."""
+    """The dump of ``m`` when ``node`` is ``m.conj().T``, ``m.T.conj()``,
+    ``np.conj(m.T)`` or ``np.conjugate(m.T, ...)``, or a name bound to one
+    of them, else None."""
     if isinstance(node, ast.Name):
         return adjoints.get(node.id)
     if (
@@ -169,6 +170,11 @@ def _adjoint_of(node: ast.AST, adjoints: dict[str, str]) -> str | None:
         and node.value.func.attr == "conj"
     ):
         return ast.dump(node.value.func.value)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ("conj", "conjugate"):
+        # The transpose is the function's first argument or the method's owner.
+        transposed = node.args[0] if node.args else node.func.value
+        if isinstance(transposed, ast.Attribute) and transposed.attr == "T":
+            return ast.dump(transposed.value)
     return None
 
 

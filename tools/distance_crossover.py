@@ -1,7 +1,9 @@
 """Time the two ways ``certification._candidate_distance`` can take the trace
 distance to a candidate that is no eigenvector of its state, and the two
 ways the top eigenvector can be found, and print the dimension from which
-the refinement, and from which the power steps, are the cheaper ones.
+the refinement, and from which the power steps, are the cheaper ones.  Also
+count the power steps a top eigenvalue just below half the trace takes
+before the steps hand over to ``eigh``.
 
     python tools/distance_crossover.py [--repeats N]
 
@@ -18,8 +20,17 @@ and, on the same unit-trace mixture, whose top eigenvalue exceeds half its
 trace:
 
 - ``eigh``, the top eigenvector's solve below the constant;
-- ``_dominant_eigenvector``, power steps until the residual proves the
-  vector, timed with the constant lowered to 1 so that it runs at every D.
+- ``_top_eigenpair``, power steps until the residual proves the vector,
+  timed with the constant lowered to 1 so that it runs at every D; a
+  mixture whose vector the steps do not prove is timed with the ``eigh``
+  they hand it to.
+
+The last column counts the matrix-vector products ``_top_eigenpair``, with
+the constant lowered to 1, takes on a seeded state with eigenvalues 0.49
+and 0.06 and 0.45 spread evenly over the rest, in a Haar-random basis,
+before it calls ``eigh``: none where ``tr sigma^2 <= t^2 / 4`` declines it
+at once, and otherwise the steps until ``mu + |r|`` settles at or below
+half the trace.
 
 A cost is the best of N single calls (default 200) timed with
 ``time.process_time_ns``, with BLAS pinned to one thread, as the benchmark
@@ -68,6 +79,35 @@ def _mixture(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray
     return (unit + unit.conj().T) / 2.0, psi
 
 
+def _below_half(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A unit-trace state whose top eigenvalue, 0.49, sits just below half
+    its trace, with 0.06 next and 0.45 spread evenly over the rest, in a
+    Haar-random basis."""
+    values = np.full(dim, 0.45 / (dim - 2))
+    values[:2] = 0.49, 0.06
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    basis = q * (np.diagonal(r) / np.abs(np.diagonal(r))).conj()
+    return (basis * values) @ basis.conj().T
+
+
+class _CountedProducts(np.ndarray):
+    """A matrix view that counts the matrix-vector products taken on it."""
+
+    def __matmul__(self, other):
+        self.products += 1
+        return np.ndarray.__matmul__(np.asarray(self), other)
+
+
+def below_half_products(dim: int) -> int:
+    """The power steps ``_top_eigenpair`` takes on ``_below_half`` before
+    it calls ``eigh``, with the constant lowered to 1."""
+    counted = _below_half(dim, np.random.default_rng([41, dim])).view(_CountedProducts)
+    counted.products = 0
+    with mock.patch.object(certification, "_REFINE_MIN_DIM", 1):
+        assert certification._top_eigenpair(counted)[1] is not None
+    return counted.products
+
+
 def _best_ns(call, repeats: int) -> int:
     best = math.inf
     for _ in range(repeats):
@@ -99,8 +139,8 @@ def measure(d1: int, d2: int, repeats: int) -> tuple[list[float], list[int]]:
         costs[1].append(_best_ns(lambda: certification._refined_distance(*args), repeats))
         costs[2].append(_best_ns(lambda: np.linalg.eigh(unit), repeats))
         with mock.patch.object(certification, "_REFINE_MIN_DIM", 1):
-            accepted[1] += certification._dominant_eigenvector(unit) is not None
-            costs[3].append(_best_ns(lambda: certification._dominant_eigenvector(unit), repeats))
+            accepted[1] += certification._top_eigenpair(unit)[1] is None
+            costs[3].append(_best_ns(lambda: certification._top_eigenpair(unit), repeats))
     return [float(np.median(c)) / 1e3 for c in costs], accepted
 
 
@@ -123,14 +163,15 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--repeats must be at least 1")
     print(f"numpy {np.__version__}, best of {args.repeats} calls, median of {MIXTURES} mixtures")
     print(f"{'D':>4} {'eigvalsh us':>12} {'refine us':>10} {'certified':>10}"
-          f" {'eigh us':>8} {'power us':>9} {'proved':>7}")
+          f" {'eigh us':>8} {'power us':>9} {'proved':>7} {'below-half steps':>17}")
     distances, vectors = [], []
     for d1, d2 in DIMS:
         (spectrum, refine, full, power), (certified, proved) = measure(d1, d2, args.repeats)
         distances.append((d1 * d2, spectrum, refine))
         vectors.append((d1 * d2, full, power))
         print(f"{d1 * d2:>4} {spectrum:>12.1f} {refine:>10.1f} {certified:>6}/{MIXTURES}"
-              f" {full:>8.1f} {power:>9.1f} {proved:>3}/{MIXTURES}")
+              f" {full:>8.1f} {power:>9.1f} {proved:>3}/{MIXTURES}"
+              f" {below_half_products(d1 * d2):>17}")
     print(f"epsilon crossover: {crossover(distances)}; "
           f"top-eigenvector crossover: {crossover(vectors)}")
     print(f"both read certification._REFINE_MIN_DIM = {certification._REFINE_MIN_DIM}")
